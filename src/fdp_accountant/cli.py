@@ -43,6 +43,10 @@ def _csv(rows, header: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _curve_csv(curve: tradeoff.TradeoffCurve) -> str:
+    return _csv(zip(curve.alphas, curve.values), tradeoff.CSV_HEADER)
+
+
 def _load_params(args) -> acct.AlgoParams:
     doc = {}
     if args.config:
@@ -120,7 +124,7 @@ def cmd_bound(args) -> int:
                 {"delta": d, "eps": conv.gdp_to_eps(mu, d)} for d in deltas]}
         if args.curve_out:
             size = args.grid or tradeoff.DEFAULT_GRID_SIZE
-            tradeoff.curve_of_gdp(mu, size).to_csv(args.curve_out)
+            _write(_curve_csv(tradeoff.curve_of_gdp(mu, size)), args.curve_out)
             report["curve_ref"] = args.curve_out
     _write(json.dumps(report), args.out)
     return EXIT_OK
@@ -135,12 +139,7 @@ def cmd_curve(args) -> int:
         curve = tradeoff.curve_of_gdp(args.mu, size)
     else:
         curve = tradeoff.identity_curve(tradeoff.alpha_grid(size))
-    if args.out:
-        curve.to_csv(args.out)
-    else:
-        sys.stdout.write(tradeoff.CSV_HEADER + "\n")
-        for a, v in zip(curve.alphas, curve.values):
-            sys.stdout.write(f"{a:.17g},{v:.17g}\n")
+    _write(_curve_csv(curve), args.out)
     return EXIT_OK
 
 
@@ -345,16 +344,17 @@ def _add_param_flags(sub):
     sub.add_argument("--D", type=float)
 
 
-def _add_global_flags(p, suppress: bool = False) -> None:
-    kw = {"default": argparse.SUPPRESS} if suppress else {}
-    p.add_argument("--config", help="JSON file of run parameters",
-                   **({"default": None} if not suppress else kw))
-    p.add_argument("--out", help="output path (default: stdout)",
-                   **({"default": None} if not suppress else kw))
-    p.add_argument("--seed", type=int,
-                   **({"default": 0} if not suppress else kw))
-    p.add_argument("--grid", type=int, help="alpha-grid size for curve output",
-                   **({"default": None} if not suppress else kw))
+def _add_global_flags(p) -> None:
+    """Flags accepted before and after the subcommand. Their defaults are set
+    on the top-level parser only, so a subparser never overwrites a value
+    given before the subcommand."""
+    p.add_argument("--config", default=argparse.SUPPRESS,
+                   help="JSON file of run parameters")
+    p.add_argument("--out", default=argparse.SUPPRESS,
+                   help="output path (default: stdout)")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--grid", type=int, default=argparse.SUPPRESS,
+                   help="alpha-grid size for curve output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,10 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fdp-accountant",
         description="f-DP / GDP accounting for noisy gradient descent variants")
     _add_global_flags(parser)
+    parser.set_defaults(config=None, out=None, seed=0, grid=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bound", help="compute a privacy bound")
-    _add_global_flags(b, suppress=True)
+    _add_global_flags(b)
     _add_param_flags(b)
     b.add_argument("--sc", action="store_true", help="strongly convex bound")
     b.add_argument("--constrained", action="store_true",
@@ -382,14 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=cmd_bound)
 
     c = sub.add_parser("curve", help="emit a tradeoff curve as CSV")
-    _add_global_flags(c, suppress=True)
+    _add_global_flags(c)
     c.add_argument("--mu", type=float, help="Gaussian curve parameter")
     c.add_argument("--subsample-p", type=float,
                    help="apply the subsampling operator at this rate")
     c.set_defaults(fn=cmd_curve)
 
     v = sub.add_parser("convert", help="convert between privacy notions")
-    _add_global_flags(v, suppress=True)
+    _add_global_flags(v)
     v.add_argument("conversion", choices=("gdp-to-epsdelta", "gdp-to-rdp",
                                           "rdp-to-epsdelta"))
     v.add_argument("--mu", type=float, default=1.0)
@@ -400,19 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_convert)
 
     t = sub.add_parser("table", help="emit a benchmark table as CSV")
-    _add_global_flags(t, suppress=True)
+    _add_global_flags(t)
     t.add_argument("--name", required=True)
     t.set_defaults(fn=cmd_table)
 
     w = sub.add_parser("verify", help="run the Monte-Carlo verification suite")
-    _add_global_flags(w, suppress=True)
+    _add_global_flags(w)
     w.add_argument("--trials", type=int, default=200_000)
     w.add_argument("--tamper", type=float, default=1.0,
                    help="multiply analytic bounds by this factor (testing aid)")
     w.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("sweep-tau", help="sweep tau for stochastic-batch bounds")
-    _add_global_flags(s, suppress=True)
+    _add_global_flags(s)
     _add_param_flags(s)
     s.add_argument("--sc", action="store_true")
     s.add_argument("--eps", type=float, action="append")

@@ -23,6 +23,8 @@ from .errors import DomainError
 from .tradeoff import gdp_eval
 
 _CHUNK = 1 << 18
+_DKW_CONFIDENCE = 0.99  # coverage of every empirical curve's band
+_MIN_BINS = 64          # histogram-lr bin-count floor
 
 
 def max_threads() -> int:
@@ -33,11 +35,11 @@ def max_threads() -> int:
         return 1
 
 
-def dkw_halfwidth(n: int, confidence: float = 0.99) -> float:
-    """Uniform ECDF band half-width at the given confidence."""
+def dkw_halfwidth(n: int) -> float:
+    """Uniform ECDF band half-width at 99% confidence."""
     if n < 1:
         raise DomainError("need at least one sample")
-    return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
+    return math.sqrt(math.log(2.0 / (1.0 - _DKW_CONFIDENCE)) / (2.0 * n))
 
 
 # -- exact worst case ---------------------------------------------------------
@@ -87,7 +89,6 @@ class SimSpec:
     diameter: float = math.inf
     j_star: int = 1             # 1-based batch holding the perturbed index (cgd)
     couple_noise: bool = False
-    x0: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("gd", "cgd", "sgd"):
@@ -130,8 +131,8 @@ def _run_chunk(spec: SimSpec, n_trials: int, seed) -> tuple:
     drifts = _drifts(spec, rng)
     shape = (n_trials,) if spec.dimension == 1 else (n_trials, spec.dimension)
 
-    x = np.full(shape, spec.x0)
-    y = np.full(shape, spec.x0)
+    x = np.zeros(shape)
+    y = np.zeros(shape)
     for k in range(spec.steps):
         if spec.kind == "sgd":
             inc = rng.random(n_trials) < spec.b / spec.n
@@ -198,14 +199,13 @@ DEFAULT_ALPHAS = np.linspace(0.01, 0.99, 197)
 
 
 def empirical_tradeoff(samples_p, samples_q, method: str = "exact-lr",
-                       loglr=None, alphas=None, min_bins: int = 64,
-                       confidence: float = 0.99) -> EmpiricalCurve:
+                       loglr=None, alphas=None) -> EmpiricalCurve:
     """Estimate the tradeoff curve T(P, Q) from samples of both laws.
 
     exact-lr thresholds a supplied monotone likelihood-ratio statistic
     (identity by default, valid for location families); histogram-lr builds a
     1-d histogram density-ratio test (Freedman-Diaconis bins with a floor,
-    confidence band inflated 1.5x for the density estimation).
+    99% confidence band inflated 1.5x for the density estimation).
     """
     samples_p = np.asarray(samples_p, dtype=float)
     samples_q = np.asarray(samples_q, dtype=float)
@@ -222,7 +222,7 @@ def empirical_tradeoff(samples_p, samples_q, method: str = "exact-lr",
     n_p = samples_p.shape[0]
     n_q = samples_q.shape[0]
     alphas = DEFAULT_ALPHAS if alphas is None else np.asarray(alphas, dtype=float)
-    ci = dkw_halfwidth(n_p, confidence) + dkw_halfwidth(n_q, confidence)
+    ci = dkw_halfwidth(n_p) + dkw_halfwidth(n_q)
 
     if method == "exact-lr":
         stat_p = samples_p if loglr is None else np.asarray(loglr(samples_p))
@@ -244,8 +244,8 @@ def empirical_tradeoff(samples_p, samples_q, method: str = "exact-lr",
         iqr = float(np.subtract(*np.percentile(pooled, [75, 25])))
         width = 2.0 * iqr * pooled.size ** (-1.0 / 3.0)
         span = float(pooled.max() - pooled.min())
-        bins = min_bins if width <= 0 or span == 0 else max(
-            min_bins, min(8192, int(math.ceil(span / width))))
+        bins = _MIN_BINS if width <= 0 or span == 0 else max(
+            _MIN_BINS, min(8192, int(math.ceil(span / width))))
         edges = np.linspace(pooled.min(), pooled.max(), bins + 1)
         fp = np.histogram(fit_p, edges)[0] / max(1, fit_p.size)
         fq = np.histogram(fit_q, edges)[0] / max(1, fit_q.size)
@@ -260,28 +260,10 @@ def empirical_tradeoff(samples_p, samples_q, method: str = "exact-lr",
         beta_path = np.concatenate([[1.0], 1.0 - np.cumsum(eq)])
         # Randomized interpolation between the discrete tests is linear.
         vals = np.interp(alphas, alpha_path, beta_path)
-        ci = (dkw_halfwidth(eval_p.size, confidence)
-              + dkw_halfwidth(eval_q.size, confidence))
+        ci = dkw_halfwidth(eval_p.size) + dkw_halfwidth(eval_q.size)
         return EmpiricalCurve(alphas, vals, 1.5 * ci, method, n_p, n_q)
 
     raise DomainError(f"unknown method {method!r}")
-
-
-def sim_to_csv(samples_p, samples_q, path) -> None:
-    """Terminal iterates of both processes as CSV rows trial,x_final,process."""
-    with open(path, "w") as fh:
-        fh.write("trial,x_final,process\n")
-        for label, arr in (("baseline", samples_p), ("perturbed", samples_q)):
-            for i, x in enumerate(np.asarray(arr).ravel()):
-                fh.write(f"{i},{x:.17g},{label}\n")
-
-
-def empirical_to_csv(emp: EmpiricalCurve, path) -> None:
-    """Estimate in the standard curve CSV layout plus a ci column."""
-    with open(path, "w") as fh:
-        fh.write("alpha,f,ci\n")
-        for a, v in zip(emp.alphas, emp.values):
-            fh.write(f"{a:.17g},{v:.17g},{emp.ci_halfwidth:.17g}\n")
 
 
 def curve_margin(emp: EmpiricalCurve, reference) -> float:

@@ -14,9 +14,9 @@ with e+ = log((p - 1 + e^t)/p) and e- = log((p - 1 + e^{-t})/p). The CDF
 jumps at 0 for p < 1 (the curve's slope -1 segment); the jump lands in the
 lattice cell centered at 0, which the grids always align to.
 
-Truncated probability is tracked per grid and added to delta queries as
-one-sided slack; there are no rigorous error certificates, but mesh-halving
-gives an empirical accuracy diagnostic.
+Truncated probability is tracked per grid and checked against a budget, but
+it is not added to delta: delta values are estimates without error
+certificates. Mesh halving gives an empirical accuracy diagnostic.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ import numpy as np
 from scipy import fft as sfft
 
 from . import normal
+from .accountant import GdpFactor, SubsampledGdpFactor
 from .errors import AccuracyError, ConfigurationError, DomainError
 
 DEFAULT_MESH = 1e-3
-DEFAULT_STD_SPAN = 12.0
+_STD_SPAN = 12.0  # composed range: mean +- span * std
 DEFAULT_TAIL_BOUND = 1e-9
 DEFAULT_TAIL_BUDGET = 1e-6
 
@@ -41,13 +42,12 @@ class GridSpec:
     """Discretization parameters for PRV construction and composition."""
 
     mesh: float = DEFAULT_MESH
-    std_span: float = DEFAULT_STD_SPAN    # composed range: mean +- span * std
     tail_bound: float = DEFAULT_TAIL_BOUND  # truncation target per factor
     tail_budget: float = DEFAULT_TAIL_BUDGET  # accumulated-truncation error cap
 
     def __post_init__(self):
-        if self.mesh <= 0 or self.std_span <= 0:
-            raise ConfigurationError("mesh and std_span must be > 0")
+        if self.mesh <= 0:
+            raise ConfigurationError("mesh must be > 0")
         if not 0 < self.tail_bound < 1 or not 0 < self.tail_budget <= 1:
             raise ConfigurationError("tail parameters must lie in (0, 1)")
 
@@ -153,7 +153,7 @@ def prv_of_gdp(mu: float, grid_spec: GridSpec | None = None) -> PrvGrid:
             f"mesh {spec.mesh} too coarse for mu={mu}; need mesh <= mu/10")
     mean, sd = 0.5 * mu * mu, mu
     z = -float(normal.inv_cdf(min(spec.tail_bound / 2.0, 0.25)))
-    half = max(spec.std_span, z) * sd
+    half = max(_STD_SPAN, z) * sd
     i_lo, i_hi = _aligned_range(mean - half, mean + half, spec.mesh)
     pmf, tail = _masses_from_cdf(lambda x: normal.cdf((x - mean) / sd),
                                  lambda x: normal.sf((x - mean) / sd),
@@ -162,35 +162,28 @@ def prv_of_gdp(mu: float, grid_spec: GridSpec | None = None) -> PrvGrid:
 
 
 def _subsampled_cdf_factory(mu: float, p: float):
-    """CDF and survival function of the symmetrized subsampled-Gaussian PRV."""
+    """CDF and survival function of the symmetrized subsampled-Gaussian PRV.
 
-    def cdf(t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        neg = t <= 0
-        with np.errstate(over="ignore"):
-            eps_neg = np.log1p(np.expm1(-t[neg]) / p)
-        out[neg] = normal.cdf(-eps_neg / mu - mu / 2.0)
-        pos = ~neg
-        eps_pos = np.log1p(np.expm1(t[pos]) / p)
-        out[pos] = (p * normal.cdf(eps_pos / mu - mu / 2.0)
-                    + (1.0 - p) * normal.cdf(eps_pos / mu + mu / 2.0))
-        return out
+    Both are the same expression in Phi; the survival function substitutes
+    1 - Phi (normal.sf) to avoid cancellation in the right tail.
+    """
 
-    def sf(t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        neg = t <= 0
-        with np.errstate(over="ignore"):
-            eps_neg = np.log1p(np.expm1(-t[neg]) / p)
-        out[neg] = normal.sf(-eps_neg / mu - mu / 2.0)
-        pos = ~neg
-        eps_pos = np.log1p(np.expm1(t[pos]) / p)
-        out[pos] = (p * normal.sf(eps_pos / mu - mu / 2.0)
-                    + (1.0 - p) * normal.sf(eps_pos / mu + mu / 2.0))
-        return out
+    def law(phi):
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            out = np.empty_like(t)
+            neg = t <= 0
+            with np.errstate(over="ignore"):
+                eps_neg = np.log1p(np.expm1(-t[neg]) / p)
+            out[neg] = phi(-eps_neg / mu - mu / 2.0)
+            pos = ~neg
+            eps_pos = np.log1p(np.expm1(t[pos]) / p)
+            out[pos] = (p * phi(eps_pos / mu - mu / 2.0)
+                        + (1.0 - p) * phi(eps_pos / mu + mu / 2.0))
+            return out
+        return f
 
-    return cdf, sf
+    return law(normal.cdf), law(normal.sf)
 
 
 def prv_of_subsampled_gdp(mu: float, p: float,
@@ -248,32 +241,13 @@ def _increasing_root(g, x0: float, max_expand: int = 80):
 # -- composition ---------------------------------------------------------------
 
 
-def rebin(prv: PrvGrid, new_mesh: float) -> PrvGrid:
-    """Coarsen a PRV to an integer-multiple mesh by snapping masses to the
-    nearest coarse lattice point (moves each atom by at most new_mesh / 2)."""
-    ratio = new_mesh / prv.mesh
-    k = round(ratio)
-    if k < 1 or abs(ratio - k) > 1e-9:
-        raise DomainError("rebin target must be an integer multiple of the mesh")
-    if k == 1:
-        return prv
-    idx = np.round((prv.offset + np.arange(prv.pmf.size)) / k).astype(int)
-    lo, hi = int(idx[0]), int(idx[-1])
-    out = np.zeros(hi - lo + 1)
-    np.add.at(out, idx - lo, prv.pmf)
-    return PrvGrid(offset=lo, mesh=new_mesh, pmf=out, tail_mass=prv.tail_mass)
-
-
 def convolve(a: PrvGrid, b: PrvGrid) -> PrvGrid:
     """Distribution of the sum of two independent PRVs (linear convolution).
 
-    Meshes related by an integer factor are aligned by rebinning the finer
-    grid; anything else is rejected.
+    Both PRVs must live on the same mesh.
     """
     if a.mesh != b.mesh:
-        coarse = max(a.mesh, b.mesh)
-        a = rebin(a, coarse)
-        b = rebin(b, coarse)
+        raise DomainError(f"cannot convolve PRVs on meshes {a.mesh} and {b.mesh}")
     n = a.pmf.size + b.pmf.size - 1
     nfft = sfft.next_fast_len(n)
     fa = sfft.rfft(a.pmf, nfft)
@@ -292,7 +266,7 @@ def self_compose(prv: PrvGrid, k: int,
     """k-fold self-composition by cyclic FFT exponentiation.
 
     The working window is the union of the single-factor support and the
-    composed moment range mean*k +- std_span*sqrt(k)*std, so the composed law
+    composed moment range mean*k +- _STD_SPAN*sqrt(k)*std, so the composed law
     (whose tails beyond that window are negligible by construction) wraps onto
     itself consistently; truncated mass is accounted k-fold.
     """
@@ -308,7 +282,7 @@ def self_compose(prv: PrvGrid, k: int,
         return PrvGrid(prv.offset, prv.mesh, prv.pmf, out_tail)
     mesh = prv.mesh
     m1, v1 = prv.mean(), prv.var()
-    half = spec.std_span * math.sqrt(k * v1)
+    half = _STD_SPAN * math.sqrt(k * v1)
     lo = min(prv.lo, k * m1 - half)
     hi = max(prv.hi, k * m1 + half)
     i_lo, i_hi = _aligned_range(lo, hi, mesh)
@@ -350,28 +324,36 @@ def discretization_estimate(prv: PrvGrid) -> float:
     return 0.5 * prv.mesh ** 2
 
 
-def evaluate_composite(composite, eps_list, grid_spec: GridSpec | None = None):
-    """Evaluate a symbolic product of Gdp / SubsampledGdp factors.
+def _multiplicity(factor) -> int:
+    """Repeat count of a composite factor; rejects unknown factor types."""
+    if isinstance(factor, SubsampledGdpFactor):
+        return factor.multiplicity
+    if isinstance(factor, GdpFactor):
+        return 1
+    raise DomainError(f"unsupported composite factor {type(factor).__name__}")
 
-    `composite` is anything with a `.factors` iterable whose members carry
-    `mu` (and `p`, `multiplicity` for subsampled factors). Builds each
-    factor's PRV on a shared mesh with the truncation target split across the
-    total factor count, composes by FFT and returns [(eps, delta)] pairs.
+
+def evaluate_composite(composite, eps_list, grid_spec: GridSpec | None = None):
+    """Evaluate a symbolic product of GdpFactor / SubsampledGdpFactor factors.
+
+    `composite` is anything with a `.factors` iterable of those two types;
+    any other factor raises DomainError. Builds each factor's PRV on a shared
+    mesh with the truncation target split across the total factor count,
+    composes by FFT and returns [(eps, delta)] pairs.
     An empty product is perfectly private: delta(eps) = max(0, 1 - e^eps).
     """
     spec = grid_spec or GridSpec()
     factors = list(composite.factors)
     eps_list = [float(e) for e in eps_list]
-    total = sum(getattr(f, "multiplicity", 1) for f in factors)
+    total = sum(_multiplicity(f) for f in factors)
     if total == 0:
         return [(e, max(0.0, -math.expm1(e))) for e in eps_list]
-    per_factor = GridSpec(mesh=spec.mesh, std_span=spec.std_span,
-                          tail_bound=spec.tail_bound / total,
+    per_factor = GridSpec(mesh=spec.mesh, tail_bound=spec.tail_bound / total,
                           tail_budget=spec.tail_budget)
     composed = None
     for f in factors:
-        mult = getattr(f, "multiplicity", 1)
-        if hasattr(f, "p"):
+        mult = _multiplicity(f)
+        if isinstance(f, SubsampledGdpFactor):
             prv = prv_of_subsampled_gdp(f.mu, f.p, per_factor)
         else:
             prv = prv_of_gdp(f.mu, per_factor)

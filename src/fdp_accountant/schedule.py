@@ -24,8 +24,6 @@ FEASIBILITY_TOL = -1e-10  # allowed round-off on z_k >= 0
 TERMINAL_TOL = 1e-9       # |z_t| considered zero, relative to s-scale
 REPLAY_RTOL = 1e-12
 
-CSV_HEADER = "k,lambda,a,z"
-
 
 @dataclass(frozen=True, eq=False)
 class ShiftSchedule:
@@ -91,13 +89,6 @@ class ShiftSchedule:
         """Re-run the recursion from (c, s_seq, lambdas, z_tau)."""
         return recurse_schedule(self.c, self.s_seq, self.lambdas,
                                 z_tau=float(self.z[0]), tau=self.tau)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for i in range(self.steps):
-                fh.write(f"{self.tau + 1 + i},{self.lambdas[i]:.17g},"
-                         f"{self.a[i]:.17g},{self.z[i + 1]:.17g}\n")
 
 
 def _lambda_from(a: np.ndarray, denom: np.ndarray) -> np.ndarray:

@@ -287,36 +287,6 @@ def mixture_gaussian_tradeoff(p: float, mu: float, grid_size: int | None = None,
     return TradeoffCurve(alphas, vals)
 
 
-def two_sided_mixture_tradeoff(p: float, mu: float, grid_size: int | None = None,
-                               n_thresholds: int = 40_001) -> TradeoffCurve:
-    """Experimental oracle: curve of p*N(-mu,1) + (1-p)*N(0,1) against
-    p*N(mu,1) + (1-p)*N(0,1), by threshold scan.
-
-    Not used in any bound; exposed for numerical exploration of how far the
-    subsampled operator might be improvable.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"mixture weight must lie in [0, 1], got {p}")
-    if mu < 0:
-        raise DomainError(f"mu must be >= 0, got {mu}")
-    alphas = alpha_grid(DEFAULT_GRID_SIZE if grid_size is None else grid_size)
-    if p == 0.0 or mu == 0.0:
-        return identity_curve(alphas)
-    zmax = 10.0 + mu
-    z = np.linspace(-zmax, zmax, n_thresholds)
-    # Reject for large observations; both families have monotone likelihood
-    # ratio in the observation.
-    a = p * normal.sf(z + mu) + (1.0 - p) * normal.sf(z)
-    b = p * normal.cdf(z - mu) + (1.0 - p) * normal.cdf(z)
-    a, b = a[::-1], b[::-1]
-    vals = np.interp(alphas, a, b)
-    vals[alphas == 0.0] = 1.0
-    vals[alphas == 1.0] = 0.0
-    vals = np.minimum.accumulate(vals)
-    np.clip(vals, 0.0, 1.0 - alphas, out=vals)
-    return TradeoffCurve(alphas, vals)
-
-
 # -- comparison --------------------------------------------------------------
 
 

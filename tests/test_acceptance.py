@@ -333,8 +333,7 @@ def test_criterion_11_monotonicity_and_invariants():
     curves = [tc.curve_of_gdp(m) for m in (0.0, 0.3, 1.0, 5.0, 20.0)]
     curves += [tc.subsample(tc.curve_of_gdp(m), p)
                for m in (0.5, 1.0, 2.5) for p in (0.1, 0.25, 0.9, 1.0)]
-    curves += [tc.mixture_gaussian_tradeoff(0.3, 1.5),
-               tc.two_sided_mixture_tradeoff(0.25, 1.0, grid_size=2001)]
+    curves += [tc.mixture_gaussian_tradeoff(0.3, 1.5)]
     curves += [tc.invert_curve(curve) for curve in curves[:6]]
     for curve in curves:
         curve.validate()

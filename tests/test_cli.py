@@ -153,6 +153,13 @@ def test_verify_deterministic_reruns(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_global_flags_before_or_after_subcommand(capsys):
+    before = run(capsys, "--seed", "3", "verify", "--trials", "20000")
+    after = run(capsys, "verify", "--trials", "20000", "--seed", "3")
+    assert before == after
+    assert json.loads(before[1])["seed"] == 3
+
+
 def test_sweep_tau_csv(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep-tau", "--kind", "sgd", "--sc",

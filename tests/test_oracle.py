@@ -177,24 +177,6 @@ def test_brute_force_matches_closed_form(c):
         assert val == pytest.approx(closed, rel=1e-6)
 
 
-def test_csv_exports(tmp_path):
-    spec = oracle.SimSpec(trials=50, seed=0)
-    xp, xq = oracle.simulate(spec)
-    sim_path = tmp_path / "sim.csv"
-    oracle.sim_to_csv(xp, xq, sim_path)
-    lines = sim_path.read_text().splitlines()
-    assert lines[0] == "trial,x_final,process"
-    assert len(lines) == 1 + 2 * 50
-    assert lines[1].endswith(",baseline") and lines[-1].endswith(",perturbed")
-
-    emp = oracle.empirical_tradeoff(xp, xq, alphas=GRID)
-    emp_path = tmp_path / "emp.csv"
-    oracle.empirical_to_csv(emp, emp_path)
-    lines = emp_path.read_text().splitlines()
-    assert lines[0] == "alpha,f,ci"
-    assert len(lines) == 1 + GRID.size
-
-
 def test_multivariate_simulation_and_estimation():
     spec = oracle.SimSpec(dimension=3, m=1.0, eta=0.1, sigma=1.0, L=0.5,
                           steps=25, trials=120_000, seed=4)

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -165,12 +166,14 @@ def test_delta_table_rows():
     assert unc > 0
 
 
-def test_convolve_rebins_integer_mesh_ratio():
+def test_convolve_rejects_unequal_meshes():
     a = prv.prv_of_gdp(1.0, prv.GridSpec(mesh=1e-3))
-    b = prv.prv_of_gdp(1.0, prv.GridSpec(mesh=5e-4))
-    out = prv.convolve(a, b)
-    assert out.mesh == 1e-3
-    assert prv.prv_delta(out, 1.0) == pytest.approx(
-        cv.gdp_to_delta(math.sqrt(2.0), 1.0), abs=1e-3)
+    for mesh in (5e-4, 3e-4):
+        with pytest.raises(DomainError):
+            prv.convolve(a, prv.prv_of_gdp(1.0, prv.GridSpec(mesh=mesh)))
+
+
+def test_evaluate_composite_rejects_unknown_factor_type():
+    cb = acc.CompositeBound((types.SimpleNamespace(mu=1.0),))
     with pytest.raises(DomainError):
-        prv.convolve(a, prv.prv_of_gdp(1.0, prv.GridSpec(mesh=3e-4)))
+        prv.evaluate_composite(cb, [1.0])

@@ -180,12 +180,3 @@ def test_meta_mu_reference_values():
     s, _ = sch.optimal_sc_schedule(0.99, 0.1, 100)
     assert sch.meta_mu(s, 1.0) == pytest.approx(0.961, abs=5e-4)
 
-
-def test_schedule_csv(tmp_path):
-    s, _ = sch.optimal_sc_schedule(0.9, 1.0, 4)
-    path = tmp_path / "sched.csv"
-    s.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,lambda,a,z"
-    assert len(lines) == 5
-    assert lines[1].startswith("1,")

@@ -198,16 +198,6 @@ def test_mixture_gaussian_tradeoff():
     assert np.max(np.abs(mix.values[left] - sub.values[left])) < 1e-6
 
 
-def test_two_sided_mixture_oracle():
-    # experimental oracle: a valid curve dominating the proven two-sided floor
-    p, mu0 = 0.25, 1.0
-    two = tc.two_sided_mixture_tradeoff(p, mu0, grid_size=2001)
-    two.validate()
-    floor = tc.subsample(tc.curve_of_gdp(2 * mu0, alphas=two.alphas), p)
-    ok, _ = tc.curve_geq(two, floor)
-    assert ok
-
-
 def test_curve_geq():
     ident = tc.identity_curve()
     g1 = tc.curve_of_gdp(1.0)
