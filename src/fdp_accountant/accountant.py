@@ -502,6 +502,9 @@ def crossover_step(convergent_mu: float, composition_rate: float) -> int:
 
 def tau_window_grid(t: int, max_candidates: int = 64) -> list:
     """Log-spaced window lengths t - tau in [1, t], at most max_candidates."""
+    if max_candidates < 1:
+        raise DomainError(
+            f"candidate count must be >= 1, got {max_candidates}")
     ws = np.unique(np.round(np.geomspace(1, t, max_candidates)).astype(int))
     return [int(w) for w in ws if 1 <= w <= t]
 

@@ -14,6 +14,18 @@ with e+ = log((p - 1 + e^t)/p) and e- = log((p - 1 + e^{-t})/p). The CDF
 jumps at 0 for p < 1 (the curve's slope -1 segment); the jump lands in the
 lattice cell centered at 0, which the grids always align to.
 
+The subsampled lattice is cut at closed-form quantiles. For a truncation
+target tail_bound, let beta = tail_bound / 2, z = Phi^{-1}(1 - beta) and
+T_p(e) = log(1 - p + p e^e), so that t = T_p(e+) and -t = T_p(e-). Then
+
+    t_lo = -T_p(mu z - mu^2/2),   t_hi = T_p(mu z + mu^2/2).
+
+The left cut is exact: on t <= 0 the CDF is the single term above, so
+F(t_lo) = beta (if z < mu/2, F < beta on all of t <= 0, and t_lo > 0 only
+means the lattice starts at -mesh). The right cut is conservative: on t > 0,
+with a = e+/mu - mu/2, the tail S(t) = p Phibar(a) + (1-p) Phibar(a + mu) is
+at most Phibar(a), so S(t_hi) <= beta, with equality at p = 1.
+
 Truncated probability is tracked per grid and checked against a budget, but
 it is not added to delta: delta values are estimates without error
 certificates. Mesh halving gives an empirical accuracy diagnostic.
@@ -200,42 +212,20 @@ def prv_of_subsampled_gdp(mu: float, p: float,
         raise ConfigurationError(
             f"mesh {spec.mesh} too coarse for mu={mu}; need mesh <= mu/10")
     cdf, sf = _subsampled_cdf_factory(mu, p)
+    # Closed-form quantile cuts (module docstring), with z = Phi^{-1}(1 - beta)
+    # and T_p(e) = log(1 - p + p e^e):
+    # - t_lo = -T_p(mu z - mu^2/2) gives F(t_lo) = beta exactly, as F is a
+    #   single Phi term on t <= 0;
+    # - t_hi = T_p(mu z + mu^2/2) gives S(t_hi) <= Phibar(z) = beta, as
+    #   S = p Phibar(a) + (1-p) Phibar(a + mu) <= Phibar(a); equal at p = 1.
     beta = spec.tail_bound / 2.0
-    # Conservative quantile cuts: F(t_lo) <= beta and S(t_hi) <= beta.
-    t_lo = _increasing_root(lambda t: float(cdf(t)) - beta, -1.0)[0]
-    t_hi = _increasing_root(lambda t: beta - float(sf(t)), 1.0)[1]
-    i_lo, i_hi = _aligned_range(t_lo, t_hi, spec.mesh)
+    z = float(normal.inv_upper(beta))
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf  # log(1 - p)
+    e_cut = mu * z + np.array([-0.5, 0.5]) * mu * mu
+    t_neg, t_hi = np.logaddexp(log_q, math.log(p) + e_cut)
+    i_lo, i_hi = _aligned_range(-float(t_neg), float(t_hi), spec.mesh)
     pmf, tail = _masses_from_cdf(cdf, sf, i_lo, i_hi, spec.mesh)
     return PrvGrid(offset=i_lo, mesh=spec.mesh, pmf=pmf, tail_mass=tail)
-
-
-def _increasing_root(g, x0: float, max_expand: int = 80):
-    """Bracket [lo, hi] with g(lo) <= 0 < g(hi) for an increasing g, expanding
-    geometrically from x0 and bisecting. Used for quantile cuts of CDFs."""
-    lo = hi = x0
-    step = max(1.0, abs(x0))
-    for _ in range(max_expand):
-        if g(lo) <= 0:
-            break
-        lo -= step
-        step *= 2.0
-    else:
-        raise ConfigurationError("failed to bracket a CDF quantile (low side)")
-    step = max(1.0, abs(x0))
-    for _ in range(max_expand):
-        if g(hi) > 0:
-            break
-        hi += step
-        step *= 2.0
-    else:
-        raise ConfigurationError("failed to bracket a CDF quantile (high side)")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 # -- composition ---------------------------------------------------------------
@@ -266,9 +256,10 @@ def self_compose(prv: PrvGrid, k: int,
     """k-fold self-composition by cyclic FFT exponentiation.
 
     The working window is the union of the single-factor support and the
-    composed moment range mean*k +- _STD_SPAN*sqrt(k)*std, so the composed law
-    (whose tails beyond that window are negligible by construction) wraps onto
-    itself consistently; truncated mass is accounted k-fold.
+    composed moment range mean*k +- _STD_SPAN*sqrt(k)*std; truncated mass is
+    accounted k-fold. Composed mass beyond that window is not negligible for
+    heavy right tails: it wraps onto the other end of the window and is not
+    counted in tail_mass (mu=3, p=0.005, k=12 wraps about 2e-9).
     """
     spec = grid_spec or GridSpec(mesh=prv.mesh)
     if k < 1:

@@ -230,6 +230,16 @@ def test_sweep_tau_reports_pointwise_best():
         assert entry["delta"] == pytest.approx(float(matrix[:, j].min()))
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_sweep_tau_rejects_nonpositive_candidate_count(count):
+    p = acc.AlgoParams(kind="sgd", eta=0.02, sigma=4.0, n=400, b=40, L=4.0,
+                       steps=60, m=1.0, M=10.0)
+    with pytest.raises(DomainError, match="candidate count"):
+        acc.tau_window_grid(60, count)
+    with pytest.raises(DomainError, match="candidate count"):
+        acc.sweep_tau(p, [1.0], max_candidates=count)
+
+
 # -- CLT approximations -------------------------------------------------------
 
 

@@ -173,6 +173,16 @@ def test_sweep_tau_csv(tmp_path, capsys):
     assert len(lines) > 1
 
 
+def test_sweep_tau_rejects_zero_candidates(capsys):
+    code, out, err = run(capsys, "sweep-tau", "--kind", "sgd", "--sc",
+                         "--eta", "0.02", "--sigma", "4", "--n", "400",
+                         "--b", "40", "--L", "4", "--steps", "40", "--m", "1",
+                         "--M", "10", "--eps", "1.0", "--candidates", "0")
+    assert code == 2
+    assert out == ""
+    assert "candidate count" in err
+
+
 def test_bound_curve_ref_and_csv_outputs(tmp_path, capsys):
     curve_path = tmp_path / "bound.csv"
     code, out, _ = run(capsys, "bound", "--kind", "gd", "--sc", "--eta", "0.05",

@@ -3,6 +3,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fdp_accountant import accountant as acc
 from fdp_accountant import conversions as cv
@@ -57,6 +59,38 @@ def test_subsampled_prv_mass_and_symmetry():
     assert sp.symmetry_residual() <= 4.0 * fine.symmetry_residual() + 1e-7
 
 
+def _phi(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _subsampled_cdf_neg(mu: float, p: float, t: float) -> float:
+    """F(t) for t <= 0: Phi(-e/mu - mu/2), e = log((p - 1 + e^-t) / p)."""
+    e = math.log1p(math.expm1(-t) / p)
+    return _phi(-e / mu - mu / 2.0)
+
+
+def _subsampled_sf_pos(mu: float, p: float, t: float) -> float:
+    """S(t) for t > 0: p Phibar(a) + (1 - p) Phibar(a + mu), a = e/mu - mu/2."""
+    a = math.log1p(math.expm1(t) / p) / mu - mu / 2.0
+    return p * _phi(-a) + (1.0 - p) * _phi(-a - mu)
+
+
+@given(mu=st.floats(0.01, 5.0),
+       p=st.just(1.0) | st.floats(1e-4, 1.0),
+       tail_bound=st.floats(-14.0, -6.0).map(lambda x: 10.0 ** x))
+def test_subsampled_cuts_respect_tail_bound(mu, p, tail_bound):
+    g = prv.prv_of_subsampled_gdp(mu, p, prv.GridSpec(tail_bound=tail_bound))
+    beta = tail_bound / 2.0
+    assert _subsampled_cdf_neg(mu, p, g.lo - g.mesh / 2) <= beta * (1 + 1e-9)
+    assert _subsampled_sf_pos(mu, p, g.hi + g.mesh / 2) <= beta * (1 + 1e-9)
+    assert g.tail_mass <= tail_bound * (1 + 1e-9)
+
+
+def test_subsampled_full_batch_lattice_is_pinned():
+    g = prv.prv_of_subsampled_gdp(0.812, 1.0)
+    assert (g.offset, g.pmf.size) == (-4632, 9924)
+
+
 def test_subsampled_degenerate_rates():
     assert prv.prv_of_subsampled_gdp(1.0, 0.0).pmf.sum() == 1.0
     assert prv.prv_of_subsampled_gdp(0.0, 0.5).pmf.sum() == 1.0
@@ -107,6 +141,20 @@ def test_self_compose_gaussian():
     # k = 1 is the identity
     same = prv.self_compose(g1, 1)
     assert np.array_equal(same.pmf, g1.pmf)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_self_compose_counts_mass_beyond_the_cyclic_window():
+    # A heavy right tail puts k-fold mass beyond the cyclic window; that mass
+    # wraps onto negative losses instead of being counted, so delta falls
+    # below that of a linear composition of the same lattice.
+    spec = prv.GridSpec(tail_bound=1e-9 / 12)
+    sp = prv.prv_of_subsampled_gdp(3.0, 0.005, spec)
+    linear = sp
+    for _ in range(11):
+        linear = prv.convolve(linear, sp)
+    cyclic = prv.self_compose(sp, 12, spec)
+    assert prv.prv_delta(cyclic, 1.0) >= prv.prv_delta(linear, 1.0) - 1e-12
 
 
 def test_self_compose_budget():
