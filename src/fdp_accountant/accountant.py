@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,15 +34,14 @@ _KINDS = (GD, CGD, SGD)
 
 _JSON_FIELDS = ("kind", "eta", "sigma", "n", "b", "epochs", "steps",
                 "L", "m", "M", "D", "constrained")
+_SNAP_TOL = 1e-9  # relative distance to an integer that ceil_snap rounds to
 
 
-def ceil_snap(x, tol: float = 1e-9) -> int:
-    """Ceiling with exact rational inputs honored and a snap-to-integer guard
-    for floats; ratios like D n / (eta L) are discontinuous at integers."""
-    if isinstance(x, (int, Fraction)):
-        return int(math.ceil(x))
+def ceil_snap(x) -> int:
+    """Ceiling with a snap-to-integer guard for floats; ratios like
+    D n / (eta L) are discontinuous at integers."""
     r = round(x)
-    if abs(x - r) <= tol * max(1.0, abs(x)):
+    if abs(x - r) <= _SNAP_TOL * max(1.0, abs(x)):
         return int(r)
     return int(math.ceil(x))
 
@@ -151,19 +149,13 @@ class AlgoParams:
         return json.dumps(doc)
 
     @classmethod
-    def from_json(cls, text: str) -> "AlgoParams":
-        doc = json.loads(text)
+    def from_dict(cls, doc: dict) -> "AlgoParams":
+        """Parameters from a decoded JSON document; None fields take the
+        defaults."""
         unknown = set(doc) - set(_JSON_FIELDS)
         if unknown:
             raise DomainError(f"unknown parameter fields: {sorted(unknown)}")
-        kwargs = {}
-        for name in _JSON_FIELDS:
-            if name in doc and doc[name] is not None:
-                kwargs[name] = doc[name]
-        kwargs.setdefault("m", 0.0)
-        kwargs.setdefault("M", math.inf)
-        kwargs.setdefault("D", math.inf)
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in doc.items() if v is not None})
 
 
 # -- symbolic composite bounds ------------------------------------------------
@@ -465,12 +457,12 @@ def expmech_convex(L: float, D: float, eta: float | None = None) -> float:
     return math.sqrt(4.0 * L * D + 2.0 * eta * L * L)
 
 
-def expmech_pure_dp_threshold(tol: float = 1e-6) -> float:
+def expmech_pure_dp_threshold() -> float:
     """Root c* of e^{2x} = (1 - Phi(-sqrt(x))) / Phi(-sqrt(x)).
 
     Below c* the pure-DP guarantee (2x, 0) of the exponential mechanism
     dominates the Gaussian guarantee G(2 sqrt(x)); above it the Gaussian
-    bound is an improvement.
+    bound is an improvement. Bisected to an interval of width 1e-6.
     """
     def gap(x: float) -> float:
         r = math.sqrt(x)
@@ -479,7 +471,7 @@ def expmech_pure_dp_threshold(tol: float = 1e-6) -> float:
     lo, hi = 1e-4, 4.0
     if gap(lo) >= 0 or gap(hi) <= 0:
         raise DomainError("threshold bracket failed")
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if gap(mid) < 0:
             lo = mid
@@ -510,7 +502,7 @@ def tau_window_grid(t: int, max_candidates: int = 64) -> list:
 
 
 def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
-              max_candidates: int = 64, grid_spec=None):
+              max_candidates: int = 64):
     """Evaluate an SGD composite bound over a log grid of tau candidates and
     report, per eps, the best delta (the theorems hold for every tau, so the
     pointwise minimum is a valid bound).
@@ -528,7 +520,7 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
     rows = []
     for tau in taus:
         cb = build(p, tau)
-        deltas = prv.evaluate_composite(cb, eps_list, grid_spec)
+        deltas = prv.evaluate_composite(cb, eps_list)
         rows.append([d for _, d in deltas])
     matrix = np.asarray(rows)
     best_idx = np.argmin(matrix, axis=0)

@@ -70,7 +70,7 @@ def _load_params(args) -> acct.AlgoParams:
     if constrained_flag or (doc.get("D") is not None and "constrained" not in doc):
         doc["constrained"] = bool(constrained_flag or doc.get("D") is not None)
     doc.setdefault("kind", "gd")
-    return acct.AlgoParams.from_json(json.dumps(doc))
+    return acct.AlgoParams.from_dict(doc)
 
 
 def _mode(args) -> str:
@@ -95,15 +95,14 @@ def cmd_bound(args) -> int:
             tau = args.tau if args.tau is not None else max(0, params.t - 1)
             cb = builder(params, tau)
             report["tau"] = tau
-        spec = prv.GridSpec()
         eps_list = args.eps or [1.0]
         report["composite"] = cb.describe()
         if args.out and args.out.endswith(".csv"):
-            rows = prv.delta_table_rows(cb, eps_list, spec)
+            rows = prv.delta_table_rows(cb, eps_list)
             _write(_csv(rows, "eps,delta,uncertainty"), args.out)
             return EXIT_OK
         report["delta_at_eps"] = [{"eps": e, "delta": d}
-                                  for e, d in prv.evaluate_composite(cb, eps_list, spec)]
+                                  for e, d in prv.evaluate_composite(cb, eps_list)]
     else:
         if params.kind == "gd":
             fns = {"composition": acct.bound_gd_composition,
@@ -249,9 +248,8 @@ def cmd_table(args) -> int:
 # -- verification suite -------------------------------------------------------
 
 
-def _verify_checks(seed: int, trials: int, tamper: float):
-    """Deterministic empirical checks; tamper < 1 shrinks the analytic bounds
-    to exercise the failure path."""
+def _verify_checks(seed: int, trials: int):
+    """Deterministic empirical checks of the analytic bounds."""
     checks = []
     alphas = np.linspace(0.05, 0.95, 19)
 
@@ -259,8 +257,7 @@ def _verify_checks(seed: int, trials: int, tamper: float):
     spec = oracle.SimSpec(kind="gd", m=1.0, eta=0.05, sigma=2.0, L=0.1, n=1,
                           steps=60, trials=trials, seed=seed)
     xp, xq = oracle.simulate(spec)
-    mu = tamper * oracle.worst_case_gd_sc_mu(1.0 - 0.05, 0.05 * 0.1,
-                                             0.05 * 2.0, 60)
+    mu = oracle.worst_case_gd_sc_mu(1.0 - 0.05, 0.05 * 0.1, 0.05 * 2.0, 60)
     emp = oracle.empirical_tradeoff(xp, xq, method="exact-lr", alphas=alphas)
     dev = float(np.max(np.abs(emp.values - tradeoff.gdp_eval(mu, emp.alphas))))
     checks.append({"name": "gd-sc-exact-curve", "ci": emp.ci_halfwidth,
@@ -274,7 +271,7 @@ def _verify_checks(seed: int, trials: int, tamper: float):
     xp, xq = oracle.simulate(pspec)
     params = acct.AlgoParams(kind="gd", eta=0.1, sigma=8.0, n=1, L=0.5,
                              steps=100, M=20.0, D=1.0, constrained=True)
-    mu_star = tamper * acct.bound_gd_proj(params)
+    mu_star = acct.bound_gd_proj(params)
     emp = oracle.empirical_tradeoff(xp, xq, method="histogram-lr", alphas=alphas)
     margin = oracle.curve_margin(emp, lambda a: tradeoff.gdp_eval(mu_star, a))
     checks.append({"name": "gd-proj-one-sided", "ci": emp.ci_halfwidth,
@@ -286,15 +283,14 @@ def _verify_checks(seed: int, trials: int, tamper: float):
             ("two-point", lambda r, size: r.choice([-1.0, 1.0], size))]
     for i, (lname, law) in enumerate(laws):
         ok, margin, emp = oracle.check_gdpinf(1.0, 2.0, law, trials,
-                                              seed=seed + 2 + i,
-                                              mu_floor=tamper * 0.5)
+                                              seed=seed + 2 + i)
         checks.append({"name": f"gdp-floor-{lname}", "ci": emp.ci_halfwidth,
                        "margin": margin, "passed": ok})
     return checks
 
 
 def cmd_verify(args) -> int:
-    checks = _verify_checks(args.seed, args.trials, args.tamper)
+    checks = _verify_checks(args.seed, args.trials)
     passed = all(c["passed"] for c in checks)
     report = {"seed": args.seed, "trials": args.trials,
               "max_ci": max(c["ci"] for c in checks),
@@ -408,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("verify", help="run the Monte-Carlo verification suite")
     _add_global_flags(w)
     w.add_argument("--trials", type=int, default=200_000)
-    w.add_argument("--tamper", type=float, default=1.0,
-                   help="multiply analytic bounds by this factor (testing aid)")
     w.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("sweep-tau", help="sweep tau for stochastic-batch bounds")

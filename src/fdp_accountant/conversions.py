@@ -6,8 +6,8 @@ The GDP <-> (eps, delta) direction is lossless:
 
 and general curves convert through the duality
 delta(eps) = sup_alpha {1 - e^eps alpha - f(alpha)}. RDP conversions are
-inherently lossy; two standard formulas are implemented and the minimum over
-both (optimized over the order) is reported.
+inherently lossy; the tighter of the two standard formulas is used,
+optimized over the order.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .errors import DomainError
 from .tradeoff import TradeoffCurve
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS_TOL = 1e-12      # gdp_to_eps: residual |delta(eps) - delta| accepted
+_MU_BRACKET = 100.0   # gdp_mu_from_delta: largest mu searched
 
 
 def gdp_to_delta(mu: float, eps: float) -> float:
@@ -36,7 +38,7 @@ def gdp_to_delta(mu: float, eps: float) -> float:
     return min(max(delta, 0.0), 1.0)
 
 
-def gdp_to_eps(mu: float, delta: float, tol: float = 1e-12) -> float:
+def gdp_to_eps(mu: float, delta: float) -> float:
     """Unique eps >= 0 with gdp_to_delta(mu, eps) = delta, by bisection.
 
     Returns 0 when delta already exceeds the total variation bound
@@ -59,7 +61,7 @@ def gdp_to_eps(mu: float, delta: float, tol: float = 1e-12) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         res = gdp_to_delta(mu, mid)
-        if abs(res - delta) <= tol and hi - lo <= 1e-9 * max(1.0, hi):
+        if abs(res - delta) <= _EPS_TOL and hi - lo <= 1e-9 * max(1.0, hi):
             return mid
         if res > delta:
             lo = mid
@@ -70,14 +72,14 @@ def gdp_to_eps(mu: float, delta: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def gdp_mu_from_delta(eps: float, delta: float, hi: float = 100.0) -> float:
+def gdp_mu_from_delta(eps: float, delta: float) -> float:
     """mu with gdp_to_delta(mu, eps) = delta (the GDP level matching a given
     privacy-curve point); delta is increasing in mu."""
     if eps < 0 or not 0.0 < delta < 1.0:
         raise DomainError("need eps >= 0 and delta in (0, 1)")
-    if gdp_to_delta(hi, eps) < delta:
+    if gdp_to_delta(_MU_BRACKET, eps) < delta:
         raise DomainError("delta not reachable below the mu bracket")
-    lo = 0.0
+    lo, hi = 0.0, _MU_BRACKET
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if gdp_to_delta(mid, eps) < delta:
@@ -117,15 +119,16 @@ def rdp_to_epsdelta(rho: float, delta: float) -> float:
     """eps(delta) for a mechanism that is (alpha, rho * alpha)-RDP for all
     alpha > 1.
 
-    Two conversion formulas are evaluated, each optimized over the order by
-    golden-section search on log(alpha - 1) in [-12, 12] (the optimum spans
-    orders of magnitude in alpha):
+    Uses the conversion of Canonne, Kamath and Steinke (NeurIPS 2020),
 
-      (i)  eps = rho * alpha + log(1/delta) / (alpha - 1)
-      (ii) eps = rho * alpha + log(1/(delta * alpha)) / (alpha - 1)
-                 + log(1 - 1/alpha)
+      eps = rho * alpha + log(1/(delta * alpha)) / (alpha - 1)
+            + log(1 - 1/alpha),
 
-    The smaller of the two is returned, clipped at 0.
+    optimized over the order by golden-section search on log(alpha - 1) in
+    [-12, 12] (the optimum spans orders of magnitude in alpha), clipped at 0.
+    It is below Mironov's classic eps = rho * alpha + log(1/delta)/(alpha - 1)
+    (CSF 2017) at every order: their difference,
+    log(1 - 1/alpha) - log(alpha)/(alpha - 1), is negative for all alpha > 1.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
@@ -133,17 +136,12 @@ def rdp_to_epsdelta(rho: float, delta: float) -> float:
         raise DomainError(f"rho must be >= 0, got {rho}")
     log_inv_delta = math.log(1.0 / delta)
 
-    def classic(u):
-        alpha = 1.0 + math.exp(u)
-        return rho * alpha + log_inv_delta / (alpha - 1.0)
-
     def tight(u):
         alpha = 1.0 + math.exp(u)
         return (rho * alpha + (log_inv_delta - math.log(alpha)) / (alpha - 1.0)
                 + math.log1p(-1.0 / alpha))
 
-    eps = min(_golden_min(classic, -12.0, 12.0), _golden_min(tight, -12.0, 12.0))
-    return max(eps, 0.0)
+    return max(_golden_min(tight, -12.0, 12.0), 0.0)
 
 
 def curve_to_delta(f: TradeoffCurve, eps: float) -> float:

@@ -9,11 +9,6 @@ import numpy as np
 from scipy import special
 
 
-def pdf(x):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-
-
 def cdf(x):
     """Phi(x)."""
     return special.ndtr(x)
@@ -27,11 +22,6 @@ def sf(x):
 def log_cdf(x):
     """log Phi(x), accurate down to Phi(x) ~ exp(-800)."""
     return special.log_ndtr(x)
-
-
-def inv_cdf(p):
-    """Phi^{-1}(p)."""
-    return special.ndtri(p)
 
 
 def inv_upper(alpha):

@@ -11,28 +11,17 @@ estimates, never as certified bounds.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from . import normal
 from .errors import DomainError
 from .tradeoff import gdp_eval
 
 _CHUNK = 1 << 18
 _DKW_CONFIDENCE = 0.99  # coverage of every empirical curve's band
 _MIN_BINS = 64          # histogram-lr bin-count floor
-
-
-def max_threads() -> int:
-    """Parallelism cap from FDP_ACCOUNTANT_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("FDP_ACCOUNTANT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def dkw_halfwidth(n: int) -> float:
@@ -88,7 +77,6 @@ class SimSpec:
     seed: int = 0
     diameter: float = math.inf
     j_star: int = 1             # 1-based batch holding the perturbed index (cgd)
-    couple_noise: bool = False
 
     def __post_init__(self):
         if self.kind not in ("gd", "cgd", "sgd"):
@@ -140,7 +128,7 @@ def _run_chunk(spec: SimSpec, n_trials: int, seed) -> tuple:
         else:
             drift = spec.eta * drifts[k]
         zx = rng.standard_normal(shape)
-        zy = zx if spec.couple_noise else rng.standard_normal(shape)
+        zy = rng.standard_normal(shape)
         x = c_step * x - scale * zx
         y = c_step * y - scale * zy
         if spec.dimension == 1:
@@ -156,19 +144,13 @@ def _run_chunk(spec: SimSpec, n_trials: int, seed) -> tuple:
 def simulate(spec: SimSpec):
     """Terminal iterates of the adjacent pair: (baseline, perturbed) arrays.
 
-    Trials run in chunks with independently derived seeds; results are
-    reproducible given the master seed regardless of the thread count.
+    Trials run in chunks of _CHUNK with independently derived seeds, so
+    results are reproducible given the master seed.
     """
     n_chunks = (spec.trials + _CHUNK - 1) // _CHUNK
     sizes = [min(_CHUNK, spec.trials - i * _CHUNK) for i in range(n_chunks)]
     seeds = np.random.SeedSequence(spec.seed).spawn(n_chunks)
-    workers = min(max_threads(), n_chunks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda args: _run_chunk(spec, *args),
-                                  zip(sizes, seeds)))
-    else:
-        parts = [_run_chunk(spec, size, seed) for size, seed in zip(sizes, seeds)]
+    parts = [_run_chunk(spec, size, seed) for size, seed in zip(sizes, seeds)]
     return (np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]))
 
@@ -274,13 +256,12 @@ def curve_margin(emp: EmpiricalCurve, reference) -> float:
 
 
 def check_gdpinf(s: float, sigma: float, w_law, n_trials: int, seed: int = 0,
-                 alphas=None, mu_floor: float | None = None):
+                 alphas=None):
     """Empirical check that T(W + Z, Z) >= G(s / sigma) for a bounded shift.
 
     w_law(rng, size) must return samples with |W| <= s. Returns
     (passed, margin, curve); margin is the worst signed slack against
-    G(s/sigma) - ci over the alpha grid. mu_floor overrides the floor's
-    Gaussian parameter (testing aid for deliberately wrong claims).
+    G(s/sigma) - ci over the alpha grid.
     """
     if s < 0 or sigma <= 0 or n_trials < 2:
         raise DomainError("need s >= 0, sigma > 0, n_trials >= 2")
@@ -291,7 +272,7 @@ def check_gdpinf(s: float, sigma: float, w_law, n_trials: int, seed: int = 0,
     z_p = rng.standard_normal(n_trials) * sigma
     z_q = rng.standard_normal(n_trials) * sigma
     emp = empirical_tradeoff(w + z_p, z_q, method="histogram-lr", alphas=alphas)
-    target = gdp_eval(s / sigma if mu_floor is None else mu_floor, emp.alphas)
+    target = gdp_eval(s / sigma, emp.alphas)
     margin = float(np.min(emp.values - (target - emp.ci_halfwidth)))
     return margin >= 0.0, margin, emp
 

@@ -46,22 +46,23 @@ from .errors import AccuracyError, ConfigurationError, DomainError
 DEFAULT_MESH = 1e-3
 _STD_SPAN = 12.0  # composed range: mean +- span * std
 DEFAULT_TAIL_BOUND = 1e-9
-DEFAULT_TAIL_BUDGET = 1e-6
+TAIL_BUDGET = 1e-6  # cap on the accumulated truncated mass of a composition
+_SYMMETRY_FLOOR = 1e-300  # smallest mass symmetry_residual compares
+_EXPM1_SAFE = 700.0  # expm1(t) overflows above t ~ 709.8
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization parameters for PRV construction and composition."""
+    """Discretization parameters for PRV construction."""
 
     mesh: float = DEFAULT_MESH
     tail_bound: float = DEFAULT_TAIL_BOUND  # truncation target per factor
-    tail_budget: float = DEFAULT_TAIL_BUDGET  # accumulated-truncation error cap
 
     def __post_init__(self):
         if self.mesh <= 0:
             raise ConfigurationError("mesh must be > 0")
-        if not 0 < self.tail_bound < 1 or not 0 < self.tail_budget <= 1:
-            raise ConfigurationError("tail parameters must lie in (0, 1)")
+        if not 0 < self.tail_bound < 1:
+            raise ConfigurationError("tail_bound must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,10 +107,10 @@ class PrvGrid:
         m = float(np.dot(g, self.pmf))
         return float(np.dot((g - m) ** 2, self.pmf))
 
-    def symmetry_residual(self, floor: float = 1e-300) -> float:
+    def symmetry_residual(self) -> float:
         """Max relative deviation of pmf(t) from e^t pmf(-t) over mirrored
-        lattice pairs with both masses above `floor`. Zero-ish for PRVs of
-        symmetric tradeoff functions."""
+        lattice pairs with both masses above _SYMMETRY_FLOOR. Zero-ish for
+        PRVs of symmetric tradeoff functions."""
         n = self.pmf.size
         i = np.arange(n)
         j = -(self.offset + i) - self.offset  # index of the mirrored point
@@ -117,7 +118,7 @@ class PrvGrid:
         a = self.pmf[i[ok]]
         b = self.pmf[j[ok]]
         t = (self.offset + i[ok]) * self.mesh
-        mask = (a > floor) & (b > floor)
+        mask = (a > _SYMMETRY_FLOOR) & (b > _SYMMETRY_FLOOR)
         if not np.any(mask):
             return 0.0
         ratio = a[mask] / (np.exp(t[mask]) * b[mask])
@@ -164,7 +165,7 @@ def prv_of_gdp(mu: float, grid_spec: GridSpec | None = None) -> PrvGrid:
         raise ConfigurationError(
             f"mesh {spec.mesh} too coarse for mu={mu}; need mesh <= mu/10")
     mean, sd = 0.5 * mu * mu, mu
-    z = -float(normal.inv_cdf(min(spec.tail_bound / 2.0, 0.25)))
+    z = float(normal.inv_upper(min(spec.tail_bound / 2.0, 0.25)))
     half = max(_STD_SPAN, z) * sd
     i_lo, i_hi = _aligned_range(mean - half, mean + half, spec.mesh)
     pmf, tail = _masses_from_cdf(lambda x: normal.cdf((x - mean) / sd),
@@ -177,7 +178,9 @@ def _subsampled_cdf_factory(mu: float, p: float):
     """CDF and survival function of the symmetrized subsampled-Gaussian PRV.
 
     Both are the same expression in Phi; the survival function substitutes
-    1 - Phi (normal.sf) to avoid cancellation in the right tail.
+    1 - Phi (normal.sf) to avoid cancellation in the right tail. Above
+    t = _EXPM1_SAFE, e+ is evaluated as t - log p + log1p(-(1-p) e^{-t}),
+    which does not overflow.
     """
 
     def law(phi):
@@ -185,11 +188,16 @@ def _subsampled_cdf_factory(mu: float, p: float):
             t = np.asarray(t, dtype=float)
             out = np.empty_like(t)
             neg = t <= 0
+            pos = ~neg
+            t_pos = t[pos]
             with np.errstate(over="ignore"):
                 eps_neg = np.log1p(np.expm1(-t[neg]) / p)
+                eps_pos = np.log1p(np.expm1(t_pos) / p)
             out[neg] = phi(-eps_neg / mu - mu / 2.0)
-            pos = ~neg
-            eps_pos = np.log1p(np.expm1(t[pos]) / p)
+            big = t_pos > _EXPM1_SAFE
+            t_big = t_pos[big]
+            eps_pos[big] = (t_big - math.log(p)
+                            + np.log1p(-(1.0 - p) * np.exp(-t_big)))
             out[pos] = (p * phi(eps_pos / mu - mu / 2.0)
                         + (1.0 - p) * phi(eps_pos / mu + mu / 2.0))
             return out
@@ -251,25 +259,28 @@ def convolve(a: PrvGrid, b: PrvGrid) -> PrvGrid:
                    tail_mass=min(tail, 1.0))
 
 
-def self_compose(prv: PrvGrid, k: int,
-                 grid_spec: GridSpec | None = None) -> PrvGrid:
+def _check_budget(tail: float) -> None:
+    if tail > TAIL_BUDGET:
+        raise AccuracyError(
+            f"accumulated truncated mass {tail:g} exceeds budget "
+            f"{TAIL_BUDGET:g}")
+
+
+def self_compose(prv: PrvGrid, k: int) -> PrvGrid:
     """k-fold self-composition by cyclic FFT exponentiation.
 
     The working window is the union of the single-factor support and the
     composed moment range mean*k +- _STD_SPAN*sqrt(k)*std; truncated mass is
-    accounted k-fold. Composed mass beyond that window is not negligible for
-    heavy right tails: it wraps onto the other end of the window and is not
-    counted in tail_mass (mu=3, p=0.005, k=12 wraps about 2e-9).
+    accounted k-fold and checked against TAIL_BUDGET. Composed mass beyond
+    that window is not negligible for heavy right tails: it wraps onto the
+    other end of the window and is not counted in tail_mass (mu=3, p=0.005,
+    k=12 wraps about 2e-9).
     """
-    spec = grid_spec or GridSpec(mesh=prv.mesh)
     if k < 1:
         raise DomainError(f"composition count must be >= 1, got {k}")
     if k == 1 or prv.pmf.size == 1:
         out_tail = min(prv.tail_mass * k, 1.0)
-        if out_tail > spec.tail_budget:
-            raise AccuracyError(
-                f"accumulated truncated mass {out_tail:g} exceeds budget "
-                f"{spec.tail_budget:g}")
+        _check_budget(out_tail)
         return PrvGrid(prv.offset, prv.mesh, prv.pmf, out_tail)
     mesh = prv.mesh
     m1, v1 = prv.mean(), prv.var()
@@ -287,10 +298,7 @@ def self_compose(prv: PrvGrid, k: int,
     np.clip(out, 0.0, None, out=out)
     tail = min(prv.tail_mass * k, 1.0)
     tail += max(0.0, (1.0 - prv.tail_mass) ** k - float(out.sum()))
-    if tail > spec.tail_budget:
-        raise AccuracyError(
-            f"accumulated truncated mass {tail:g} exceeds budget "
-            f"{spec.tail_budget:g}")
+    _check_budget(tail)
     return PrvGrid(offset=i_lo, mesh=mesh, pmf=out, tail_mass=min(tail, 1.0))
 
 
@@ -324,23 +332,22 @@ def _multiplicity(factor) -> int:
     raise DomainError(f"unsupported composite factor {type(factor).__name__}")
 
 
-def evaluate_composite(composite, eps_list, grid_spec: GridSpec | None = None):
+def evaluate_composite(composite, eps_list):
     """Evaluate a symbolic product of GdpFactor / SubsampledGdpFactor factors.
 
     `composite` is anything with a `.factors` iterable of those two types;
-    any other factor raises DomainError. Builds each factor's PRV on a shared
-    mesh with the truncation target split across the total factor count,
-    composes by FFT and returns [(eps, delta)] pairs.
+    any other factor raises DomainError. Builds each factor's PRV on the
+    DEFAULT_MESH lattice with the DEFAULT_TAIL_BOUND truncation target split
+    across the total factor count, composes by FFT (accumulated truncation
+    capped by TAIL_BUDGET) and returns [(eps, delta)] pairs.
     An empty product is perfectly private: delta(eps) = max(0, 1 - e^eps).
     """
-    spec = grid_spec or GridSpec()
     factors = list(composite.factors)
     eps_list = [float(e) for e in eps_list]
     total = sum(_multiplicity(f) for f in factors)
     if total == 0:
         return [(e, max(0.0, -math.expm1(e))) for e in eps_list]
-    per_factor = GridSpec(mesh=spec.mesh, tail_bound=spec.tail_bound / total,
-                          tail_budget=spec.tail_budget)
+    per_factor = GridSpec(tail_bound=DEFAULT_TAIL_BOUND / total)
     composed = None
     for f in factors:
         mult = _multiplicity(f)
@@ -349,19 +356,15 @@ def evaluate_composite(composite, eps_list, grid_spec: GridSpec | None = None):
         else:
             prv = prv_of_gdp(f.mu, per_factor)
         if mult > 1:
-            prv = self_compose(prv, mult, per_factor)
+            prv = self_compose(prv, mult)
         composed = prv if composed is None else convolve(composed, prv)
-    if composed.tail_mass > spec.tail_budget:
-        raise AccuracyError(
-            f"accumulated truncated mass {composed.tail_mass:g} exceeds "
-            f"budget {spec.tail_budget:g}")
+    _check_budget(composed.tail_mass)
     return [(e, prv_delta(composed, e)) for e in eps_list]
 
 
-def delta_table_rows(composite, eps_list, grid_spec: GridSpec | None = None):
+def delta_table_rows(composite, eps_list):
     """(eps, delta, uncertainty) rows for CSV export; uncertainty combines the
-    truncated mass with the discretization heuristic."""
-    spec = grid_spec or GridSpec()
-    pairs = evaluate_composite(composite, eps_list, spec)
-    unc = spec.tail_bound + 0.5 * spec.mesh ** 2
+    truncation target with the discretization heuristic."""
+    pairs = evaluate_composite(composite, eps_list)
+    unc = DEFAULT_TAIL_BOUND + 0.5 * DEFAULT_MESH ** 2
     return [(e, d, unc) for e, d in pairs]

@@ -44,9 +44,9 @@ def test_params_json_round_trip():
     assert set(doc) == {"kind", "eta", "sigma", "n", "b", "epochs", "steps",
                         "L", "m", "M", "D", "constrained"}
     assert doc["D"] is None  # infinity encodes as null
-    assert acc.AlgoParams.from_json(p.to_json()) == p
+    assert acc.AlgoParams.from_dict(doc) == p
     with pytest.raises(DomainError):
-        acc.AlgoParams.from_json('{"kind": "gd", "nope": 1}')
+        acc.AlgoParams.from_dict({"kind": "gd", "nope": 1})
 
 
 def test_contraction_requires_caller_not_to_supply_c():

@@ -132,7 +132,7 @@ def test_table_shapes(capsys):
     assert code == 2
 
 
-def test_verify_pass_and_tamper(tmp_path, capsys):
+def test_verify_pass_and_tamper(tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "verify.json"
     code, _, err = run(capsys, "verify", "--trials", "50000", "--seed", "0",
                        "--out", str(out_path))
@@ -140,8 +140,11 @@ def test_verify_pass_and_tamper(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["passed"] and doc["max_ci"] > 0
     assert all(c["passed"] for c in doc["checks"])
-    code, _, err = run(capsys, "verify", "--trials", "50000", "--seed", "0",
-                       "--tamper", "0.8")
+    # A worst-case mu 20% too small must fail its exact-curve check.
+    exact = cli.oracle.worst_case_gd_sc_mu
+    monkeypatch.setattr(cli.oracle, "worst_case_gd_sc_mu",
+                        lambda *args: 0.8 * exact(*args))
+    code, _, err = run(capsys, "verify", "--trials", "50000", "--seed", "0")
     assert code == 4
     assert "FAIL" in err
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fdp_accountant import conversions as cv
 from fdp_accountant import tradeoff as tc
@@ -83,6 +85,15 @@ def test_rdp_to_epsdelta():
     assert np.all(np.diff(vals) > 0)
     with pytest.raises(DomainError):
         cv.rdp_to_epsdelta(1.0, 0.0)
+
+
+@given(st.floats(-6.0, 2.0), st.floats(-15.0, math.log10(0.5)))
+def test_rdp_to_epsdelta_below_the_classic_optimum(log_rho, log_delta):
+    # rho + 2 sqrt(rho log(1/delta)) is the classic conversion at its optimal
+    # order; the tighter formula lies below it at every order.
+    rho, delta = 10.0 ** log_rho, 10.0 ** log_delta
+    got = cv.rdp_to_epsdelta(rho, delta)
+    assert 0.0 <= got < rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
 
 def test_curve_to_delta_identity():

@@ -131,6 +131,18 @@ def test_convolve_gaussian_closure():
             prv.prv_delta(g3, eps), abs=1e-12)
 
 
+def test_subsampled_right_tail_beyond_expm1_overflow():
+    # The lattice runs to t ~ 1040; e+ = log1p(expm1(t)/p) would overflow
+    # above t ~ 709.8 and drop all mass beyond it. For eps > 0 the exact
+    # delta is p * delta_G(eps') with eps' = log(1 + (e^eps - 1)/p).
+    mu, p, eps = 40.0, 0.01, 750.0
+    sp = prv.prv_of_subsampled_gdp(mu, p, prv.GridSpec(mesh=1e-2))
+    assert sp.hi > 1000.0
+    eps_p = eps - math.log(p) + math.log1p(-(1.0 - p) * math.exp(-eps))
+    want = p * cv.gdp_to_delta(mu, eps_p)
+    assert prv.prv_delta(sp, eps) == pytest.approx(want, rel=1e-6)
+
+
 def test_self_compose_gaussian():
     g1 = prv.prv_of_gdp(1.0)
     g4 = prv.self_compose(g1, 4)
@@ -153,7 +165,7 @@ def test_self_compose_counts_mass_beyond_the_cyclic_window():
     linear = sp
     for _ in range(11):
         linear = prv.convolve(linear, sp)
-    cyclic = prv.self_compose(sp, 12, spec)
+    cyclic = prv.self_compose(sp, 12)
     assert prv.prv_delta(cyclic, 1.0) >= prv.prv_delta(linear, 1.0) - 1e-12
 
 
@@ -161,7 +173,7 @@ def test_self_compose_budget():
     # a deliberately loose truncation must trip the accuracy budget
     sp = prv.prv_of_subsampled_gdp(1.0, 0.01, prv.GridSpec(tail_bound=1e-6))
     with pytest.raises(AccuracyError):
-        prv.self_compose(sp, 10 ** 4, prv.GridSpec(tail_budget=1e-6))
+        prv.self_compose(sp, 10 ** 4)
 
 
 def test_evaluate_composite_closure_and_empty():
@@ -184,8 +196,8 @@ def test_evaluate_composite_delta_shape():
 def test_mesh_halving_stability():
     for spec_pair in ((prv.GridSpec(mesh=1e-3), prv.GridSpec(mesh=5e-4)),):
         coarse, fine = spec_pair
-        a = prv.self_compose(prv.prv_of_gdp(1.0, coarse), 4, coarse)
-        b = prv.self_compose(prv.prv_of_gdp(1.0, fine), 4, fine)
+        a = prv.self_compose(prv.prv_of_gdp(1.0, coarse), 4)
+        b = prv.self_compose(prv.prv_of_gdp(1.0, fine), 4)
         gap = abs(prv.prv_delta(a, 1.0) - prv.prv_delta(b, 1.0))
         assert gap <= 4.0 * prv.discretization_estimate(a)
 
