@@ -19,9 +19,8 @@ supplied directly.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -139,14 +138,15 @@ class AlgoParams:
         if not math.isfinite(self.M) or not 0.0 <= self.eta <= 2.0 / self.M:
             raise DomainError("constrained bounds need 0 <= eta <= 2/M")
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """Parameters as a JSON-ready document; infinities become None."""
         doc = {}
         for name in _JSON_FIELDS:
             value = getattr(self, name)
             if isinstance(value, float) and math.isinf(value):
                 value = None
             doc[name] = value
-        return json.dumps(doc)
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AlgoParams":
@@ -155,7 +155,12 @@ class AlgoParams:
         unknown = set(doc) - set(_JSON_FIELDS)
         if unknown:
             raise DomainError(f"unknown parameter fields: {sorted(unknown)}")
-        return cls(**{k: v for k, v in doc.items() if v is not None})
+        given = {k: v for k, v in doc.items() if v is not None}
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name not in given]
+        if missing:
+            raise DomainError(f"missing parameter fields: {missing}")
+        return cls(**given)
 
 
 # -- symbolic composite bounds ------------------------------------------------

@@ -86,7 +86,7 @@ def cmd_bound(args) -> int:
     params = _load_params(args)
     mode = _mode(args)
     deltas = args.delta or []
-    report: dict = {"params": json.loads(params.to_json()), "mode": mode}
+    report: dict = {"params": params.to_dict(), "mode": mode}
     if params.kind == "sgd":
         if mode == "composition":
             cb = acct.bound_sgd_composition(params)

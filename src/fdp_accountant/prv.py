@@ -14,17 +14,17 @@ with e+ = log((p - 1 + e^t)/p) and e- = log((p - 1 + e^{-t})/p). The CDF
 jumps at 0 for p < 1 (the curve's slope -1 segment); the jump lands in the
 lattice cell centered at 0, which the grids always align to.
 
-The subsampled lattice is cut at closed-form quantiles. For a truncation
-target tail_bound, let beta = tail_bound / 2, z = Phi^{-1}(1 - beta) and
-T_p(e) = log(1 - p + p e^e), so that t = T_p(e+) and -t = T_p(e-). Then
+Both lattices are cut at z = _STD_SPAN = 12 standard deviations of the
+Gaussian loss e ~ N(mu^2/2, mu^2). For the subsampled PRV, let
+T_p(e) = log(1 - p + p e^e), so that t = T_p(e+) and -t = T_p(e-); then
 
     t_lo = -T_p(mu z - mu^2/2),   t_hi = T_p(mu z + mu^2/2).
 
-The left cut is exact: on t <= 0 the CDF is the single term above, so
-F(t_lo) = beta (if z < mu/2, F < beta on all of t <= 0, and t_lo > 0 only
-means the lattice starts at -mesh). The right cut is conservative: on t > 0,
-with a = e+/mu - mu/2, the tail S(t) = p Phibar(a) + (1-p) Phibar(a + mu) is
-at most Phibar(a), so S(t_hi) <= beta, with equality at p = 1.
+On t <= 0 the CDF is the single term above, so F(t_lo) = Phibar(z) (if
+z < mu/2, F is below that on all of t <= 0 and the lattice starts at -mesh).
+On t > 0, with a = e+/mu - mu/2, the tail S(t) = p Phibar(a) +
+(1-p) Phibar(a + mu) is at most Phibar(a), so S(t_hi) <= Phibar(z), with
+equality at p = 1. Each factor thus drops at most 2 Phibar(12) ~ 3.6e-33.
 
 Truncated probability is tracked per grid and checked against a budget, but
 it is not added to delta: delta values are estimates without error
@@ -44,25 +44,10 @@ from .accountant import GdpFactor, SubsampledGdpFactor
 from .errors import AccuracyError, ConfigurationError, DomainError
 
 DEFAULT_MESH = 1e-3
-_STD_SPAN = 12.0  # composed range: mean +- span * std
-DEFAULT_TAIL_BOUND = 1e-9
+_STD_SPAN = 12.0  # lattice cuts and composed range: mean +- span * std
 TAIL_BUDGET = 1e-6  # cap on the accumulated truncated mass of a composition
 _SYMMETRY_FLOOR = 1e-300  # smallest mass symmetry_residual compares
 _EXPM1_SAFE = 700.0  # expm1(t) overflows above t ~ 709.8
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Discretization parameters for PRV construction."""
-
-    mesh: float = DEFAULT_MESH
-    tail_bound: float = DEFAULT_TAIL_BOUND  # truncation target per factor
-
-    def __post_init__(self):
-        if self.mesh <= 0:
-            raise ConfigurationError("mesh must be > 0")
-        if not 0 < self.tail_bound < 1:
-            raise ConfigurationError("tail_bound must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,24 +139,24 @@ def _masses_from_cdf(cdf, sf, i_lo: int, i_hi: int, mesh: float):
     return pmf, tail
 
 
-def prv_of_gdp(mu: float, grid_spec: GridSpec | None = None) -> PrvGrid:
+def prv_of_gdp(mu: float, mesh: float = DEFAULT_MESH) -> PrvGrid:
     """PRV of the Gaussian mechanism: Y ~ N(mu^2 / 2, mu^2), discretized."""
-    spec = grid_spec or GridSpec()
+    if mesh <= 0:
+        raise ConfigurationError("mesh must be > 0")
     if mu < 0:
         raise DomainError(f"mu must be >= 0, got {mu}")
     if mu == 0:
-        return PrvGrid(offset=0, mesh=spec.mesh, pmf=np.ones(1), tail_mass=0.0)
-    if spec.mesh > mu / 10.0:
+        return PrvGrid(offset=0, mesh=mesh, pmf=np.ones(1), tail_mass=0.0)
+    if mesh > mu / 10.0:
         raise ConfigurationError(
-            f"mesh {spec.mesh} too coarse for mu={mu}; need mesh <= mu/10")
+            f"mesh {mesh} too coarse for mu={mu}; need mesh <= mu/10")
     mean, sd = 0.5 * mu * mu, mu
-    z = float(normal.inv_upper(min(spec.tail_bound / 2.0, 0.25)))
-    half = max(_STD_SPAN, z) * sd
-    i_lo, i_hi = _aligned_range(mean - half, mean + half, spec.mesh)
+    half = _STD_SPAN * sd
+    i_lo, i_hi = _aligned_range(mean - half, mean + half, mesh)
     pmf, tail = _masses_from_cdf(lambda x: normal.cdf((x - mean) / sd),
                                  lambda x: normal.sf((x - mean) / sd),
-                                 i_lo, i_hi, spec.mesh)
-    return PrvGrid(offset=i_lo, mesh=spec.mesh, pmf=pmf, tail_mass=tail)
+                                 i_lo, i_hi, mesh)
+    return PrvGrid(offset=i_lo, mesh=mesh, pmf=pmf, tail_mass=tail)
 
 
 def _subsampled_cdf_factory(mu: float, p: float):
@@ -207,33 +192,29 @@ def _subsampled_cdf_factory(mu: float, p: float):
 
 
 def prv_of_subsampled_gdp(mu: float, p: float,
-                          grid_spec: GridSpec | None = None) -> PrvGrid:
+                          mesh: float = DEFAULT_MESH) -> PrvGrid:
     """PRV of the symmetrized subsampled Gaussian mechanism C_p(G(mu))."""
-    spec = grid_spec or GridSpec()
+    if mesh <= 0:
+        raise ConfigurationError("mesh must be > 0")
     if mu < 0:
         raise DomainError(f"mu must be >= 0, got {mu}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"sampling rate must lie in [0, 1], got {p}")
     if mu == 0 or p == 0:
-        return PrvGrid(offset=0, mesh=spec.mesh, pmf=np.ones(1), tail_mass=0.0)
-    if spec.mesh > mu / 10.0:
+        return PrvGrid(offset=0, mesh=mesh, pmf=np.ones(1), tail_mass=0.0)
+    if mesh > mu / 10.0:
         raise ConfigurationError(
-            f"mesh {spec.mesh} too coarse for mu={mu}; need mesh <= mu/10")
+            f"mesh {mesh} too coarse for mu={mu}; need mesh <= mu/10")
     cdf, sf = _subsampled_cdf_factory(mu, p)
-    # Closed-form quantile cuts (module docstring), with z = Phi^{-1}(1 - beta)
-    # and T_p(e) = log(1 - p + p e^e):
-    # - t_lo = -T_p(mu z - mu^2/2) gives F(t_lo) = beta exactly, as F is a
-    #   single Phi term on t <= 0;
-    # - t_hi = T_p(mu z + mu^2/2) gives S(t_hi) <= Phibar(z) = beta, as
-    #   S = p Phibar(a) + (1-p) Phibar(a + mu) <= Phibar(a); equal at p = 1.
-    beta = spec.tail_bound / 2.0
-    z = float(normal.inv_upper(beta))
+    # Cuts at e = mu^2/2 -+ _STD_SPAN mu pushed through T_p(e) =
+    # log(1 - p + p e^e) (module docstring): F(t_lo) = Phibar(12) exactly and
+    # S(t_hi) <= Phibar(12), with equality at p = 1.
     log_q = math.log1p(-p) if p < 1.0 else -math.inf  # log(1 - p)
-    e_cut = mu * z + np.array([-0.5, 0.5]) * mu * mu
+    e_cut = mu * _STD_SPAN + np.array([-0.5, 0.5]) * mu * mu
     t_neg, t_hi = np.logaddexp(log_q, math.log(p) + e_cut)
-    i_lo, i_hi = _aligned_range(-float(t_neg), float(t_hi), spec.mesh)
-    pmf, tail = _masses_from_cdf(cdf, sf, i_lo, i_hi, spec.mesh)
-    return PrvGrid(offset=i_lo, mesh=spec.mesh, pmf=pmf, tail_mass=tail)
+    i_lo, i_hi = _aligned_range(-float(t_neg), float(t_hi), mesh)
+    pmf, tail = _masses_from_cdf(cdf, sf, i_lo, i_hi, mesh)
+    return PrvGrid(offset=i_lo, mesh=mesh, pmf=pmf, tail_mass=tail)
 
 
 # -- composition ---------------------------------------------------------------
@@ -273,8 +254,8 @@ def self_compose(prv: PrvGrid, k: int) -> PrvGrid:
     composed moment range mean*k +- _STD_SPAN*sqrt(k)*std; truncated mass is
     accounted k-fold and checked against TAIL_BUDGET. Composed mass beyond
     that window is not negligible for heavy right tails: it wraps onto the
-    other end of the window and is not counted in tail_mass (mu=3, p=0.005,
-    k=12 wraps about 2e-9).
+    other end of the window and is not counted in tail_mass (mu=3, p=0.05,
+    k=12 wraps about 1.9e-9).
     """
     if k < 1:
         raise DomainError(f"composition count must be >= 1, got {k}")
@@ -308,11 +289,15 @@ def prv_delta(prv: PrvGrid, eps: float) -> float:
     The truncated tail_mass is available as one-sided upper slack on top of
     the returned value.
     """
-    t = prv.grid()
+    # Lattice points below i0 lie at least a mesh below eps. A non-finite eps
+    # makes eps // mesh nan, and max() then keeps 0: the whole lattice.
+    i0 = int(min(max(0.0, float(eps) // prv.mesh - prv.offset - 1),
+                 prv.pmf.size))
+    t = (prv.offset + np.arange(i0, prv.pmf.size)) * prv.mesh
     mask = t > eps
     if not np.any(mask):
         return 0.0
-    val = float(np.dot(-np.expm1(eps - t[mask]), prv.pmf[mask]))
+    val = float(np.dot(-np.expm1(eps - t[mask]), prv.pmf[i0:][mask]))
     return min(max(val, 0.0), 1.0)
 
 
@@ -323,48 +308,38 @@ def discretization_estimate(prv: PrvGrid) -> float:
     return 0.5 * prv.mesh ** 2
 
 
-def _multiplicity(factor) -> int:
-    """Repeat count of a composite factor; rejects unknown factor types."""
-    if isinstance(factor, SubsampledGdpFactor):
-        return factor.multiplicity
-    if isinstance(factor, GdpFactor):
-        return 1
-    raise DomainError(f"unsupported composite factor {type(factor).__name__}")
-
-
 def evaluate_composite(composite, eps_list):
     """Evaluate a symbolic product of GdpFactor / SubsampledGdpFactor factors.
 
     `composite` is anything with a `.factors` iterable of those two types;
     any other factor raises DomainError. Builds each factor's PRV on the
-    DEFAULT_MESH lattice with the DEFAULT_TAIL_BOUND truncation target split
-    across the total factor count, composes by FFT (accumulated truncation
-    capped by TAIL_BUDGET) and returns [(eps, delta)] pairs.
+    DEFAULT_MESH lattice, composes by FFT (accumulated truncation capped by
+    TAIL_BUDGET) and returns [(eps, delta)] pairs.
     An empty product is perfectly private: delta(eps) = max(0, 1 - e^eps).
     """
     factors = list(composite.factors)
     eps_list = [float(e) for e in eps_list]
-    total = sum(_multiplicity(f) for f in factors)
-    if total == 0:
+    if not factors:
         return [(e, max(0.0, -math.expm1(e))) for e in eps_list]
-    per_factor = GridSpec(tail_bound=DEFAULT_TAIL_BOUND / total)
     composed = None
     for f in factors:
-        mult = _multiplicity(f)
         if isinstance(f, SubsampledGdpFactor):
-            prv = prv_of_subsampled_gdp(f.mu, f.p, per_factor)
+            prv = prv_of_subsampled_gdp(f.mu, f.p)
+            if f.multiplicity > 1:
+                prv = self_compose(prv, f.multiplicity)
+        elif isinstance(f, GdpFactor):
+            prv = prv_of_gdp(f.mu)
         else:
-            prv = prv_of_gdp(f.mu, per_factor)
-        if mult > 1:
-            prv = self_compose(prv, mult)
+            raise DomainError(
+                f"unsupported composite factor {type(f).__name__}")
         composed = prv if composed is None else convolve(composed, prv)
     _check_budget(composed.tail_mass)
     return [(e, prv_delta(composed, e)) for e in eps_list]
 
 
 def delta_table_rows(composite, eps_list):
-    """(eps, delta, uncertainty) rows for CSV export; uncertainty combines the
-    truncation target with the discretization heuristic."""
+    """(eps, delta, uncertainty) rows for CSV export; uncertainty is the
+    discretization heuristic of the DEFAULT_MESH lattice."""
     pairs = evaluate_composite(composite, eps_list)
-    unc = DEFAULT_TAIL_BOUND + 0.5 * DEFAULT_MESH ** 2
+    unc = 0.5 * DEFAULT_MESH ** 2
     return [(e, d, unc) for e, d in pairs]

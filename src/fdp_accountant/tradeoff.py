@@ -13,7 +13,6 @@ mixture curve p*f + (1-p)*Id.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -102,26 +101,10 @@ class TradeoffCurve:
         """Evaluate the piecewise-linear interpolant."""
         return np.interp(alpha, self.alphas, self.values)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for a, v in zip(self.alphas, self.values):
-                fh.write(f"{a:.17g},{v:.17g}\n")
-
     @classmethod
     def from_csv(cls, path) -> "TradeoffCurve":
         data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
         return cls(data[:, 0], data[:, 1])
-
-    def to_json(self) -> str:
-        return json.dumps({"alphas": self.alphas.tolist(), "values": self.values.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TradeoffCurve":
-        doc = json.loads(text)
-        return cls(np.asarray(doc["alphas"]), np.asarray(doc["values"]))
 
 
 def identity_curve(alphas=None) -> TradeoffCurve:

@@ -40,11 +40,11 @@ def test_params_validation():
 def test_params_json_round_trip():
     p = acc.AlgoParams(kind="sgd", eta=0.05, sigma=2.0, n=1000, b=50, L=4.0,
                        steps=200, m=1.0, M=10.0)
-    doc = json.loads(p.to_json())
+    doc = p.to_dict()
     assert set(doc) == {"kind", "eta", "sigma", "n", "b", "epochs", "steps",
                         "L", "m", "M", "D", "constrained"}
     assert doc["D"] is None  # infinity encodes as null
-    assert acc.AlgoParams.from_dict(doc) == p
+    assert acc.AlgoParams.from_dict(json.loads(json.dumps(doc))) == p
     with pytest.raises(DomainError):
         acc.AlgoParams.from_dict({"kind": "gd", "nope": 1})
 

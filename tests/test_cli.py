@@ -37,6 +37,12 @@ def test_bound_missing_m_exits_2(capsys):
     assert "m > 0" in err
 
 
+def test_bound_without_required_fields_exits_2(capsys):
+    code, _, err = run(capsys, "bound", "--kind", "gd", "--sc")
+    assert code == 2
+    assert "['eta', 'sigma', 'n', 'L']" in err
+
+
 def test_bound_conversions(capsys):
     code, out, _ = run(capsys, "bound", "--kind", "gd", "--sc", "--eta", "0.05",
                        "--m", "1", "--M", "10", "--steps", "160",

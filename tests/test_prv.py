@@ -31,6 +31,11 @@ def test_prv_of_gdp_moments_and_mass():
 def test_prv_of_gdp_too_coarse():
     with pytest.raises(ConfigurationError):
         prv.prv_of_gdp(0.005)
+    for mesh in (0.0, -1e-3):
+        with pytest.raises(ConfigurationError):
+            prv.prv_of_gdp(1.0, mesh=mesh)
+        with pytest.raises(ConfigurationError):
+            prv.prv_of_subsampled_gdp(1.0, 0.1, mesh=mesh)
 
 
 def test_prv_delta_matches_gdp_conversion():
@@ -54,7 +59,7 @@ def test_subsampled_prv_mass_and_symmetry():
     assert sp.pmf.sum() + sp.tail_mass == pytest.approx(1.0, abs=1e-9)
     # the pmf(t) = e^t pmf(-t) identity holds to 1e-6 once the mesh resolves
     # the log-density slope at the truncation depth (O(mesh^2 slope^2 / 24))
-    fine = prv.prv_of_subsampled_gdp(1.0, 0.1, prv.GridSpec(mesh=5e-4))
+    fine = prv.prv_of_subsampled_gdp(1.0, 0.1, mesh=5e-4)
     assert fine.symmetry_residual() <= 1e-6
     assert sp.symmetry_residual() <= 4.0 * fine.symmetry_residual() + 1e-7
 
@@ -76,19 +81,21 @@ def _subsampled_sf_pos(mu: float, p: float, t: float) -> float:
 
 
 @given(mu=st.floats(0.01, 5.0),
-       p=st.just(1.0) | st.floats(1e-4, 1.0),
-       tail_bound=st.floats(-14.0, -6.0).map(lambda x: 10.0 ** x))
-def test_subsampled_cuts_respect_tail_bound(mu, p, tail_bound):
-    g = prv.prv_of_subsampled_gdp(mu, p, prv.GridSpec(tail_bound=tail_bound))
-    beta = tail_bound / 2.0
+       p=st.just(1.0) | st.floats(1e-4, 1.0))
+def test_subsampled_cuts_at_twelve_sigma(mu, p):
+    g = prv.prv_of_subsampled_gdp(mu, p)
+    beta = _phi(-12.0)
     assert _subsampled_cdf_neg(mu, p, g.lo - g.mesh / 2) <= beta * (1 + 1e-9)
     assert _subsampled_sf_pos(mu, p, g.hi + g.mesh / 2) <= beta * (1 + 1e-9)
-    assert g.tail_mass <= tail_bound * (1 + 1e-9)
+    assert g.tail_mass <= 2.0 * beta * (1 + 1e-9)
 
 
 def test_subsampled_full_batch_lattice_is_pinned():
+    # At p = 1 the cuts are the Gaussian PRV's mean -+ 12 standard deviations.
     g = prv.prv_of_subsampled_gdp(0.812, 1.0)
-    assert (g.offset, g.pmf.size) == (-4632, 9924)
+    gauss = prv.prv_of_gdp(0.812)
+    assert (g.offset, g.pmf.size) == (gauss.offset, gauss.pmf.size)
+    assert (g.offset, g.pmf.size) == (-9415, 19490)
 
 
 def test_subsampled_degenerate_rates():
@@ -136,7 +143,7 @@ def test_subsampled_right_tail_beyond_expm1_overflow():
     # above t ~ 709.8 and drop all mass beyond it. For eps > 0 the exact
     # delta is p * delta_G(eps') with eps' = log(1 + (e^eps - 1)/p).
     mu, p, eps = 40.0, 0.01, 750.0
-    sp = prv.prv_of_subsampled_gdp(mu, p, prv.GridSpec(mesh=1e-2))
+    sp = prv.prv_of_subsampled_gdp(mu, p, mesh=1e-2)
     assert sp.hi > 1000.0
     eps_p = eps - math.log(p) + math.log1p(-(1.0 - p) * math.exp(-eps))
     want = p * cv.gdp_to_delta(mu, eps_p)
@@ -160,8 +167,7 @@ def test_self_compose_counts_mass_beyond_the_cyclic_window():
     # A heavy right tail puts k-fold mass beyond the cyclic window; that mass
     # wraps onto negative losses instead of being counted, so delta falls
     # below that of a linear composition of the same lattice.
-    spec = prv.GridSpec(tail_bound=1e-9 / 12)
-    sp = prv.prv_of_subsampled_gdp(3.0, 0.005, spec)
+    sp = prv.prv_of_subsampled_gdp(3.0, 0.05)
     linear = sp
     for _ in range(11):
         linear = prv.convolve(linear, sp)
@@ -170,10 +176,12 @@ def test_self_compose_counts_mass_beyond_the_cyclic_window():
 
 
 def test_self_compose_budget():
-    # a deliberately loose truncation must trip the accuracy budget
-    sp = prv.prv_of_subsampled_gdp(1.0, 0.01, prv.GridSpec(tail_bound=1e-6))
+    # 1e-9 of tail mass per factor, 10^4-fold, must trip the accuracy budget
+    sp = prv.prv_of_subsampled_gdp(1.0, 0.01)
+    loose = prv.PrvGrid(sp.offset, sp.mesh, sp.pmf * (1.0 - 1e-9),
+                        sp.tail_mass + 1e-9)
     with pytest.raises(AccuracyError):
-        prv.self_compose(sp, 10 ** 4)
+        prv.self_compose(loose, 10 ** 4)
 
 
 def test_evaluate_composite_closure_and_empty():
@@ -194,12 +202,10 @@ def test_evaluate_composite_delta_shape():
 
 
 def test_mesh_halving_stability():
-    for spec_pair in ((prv.GridSpec(mesh=1e-3), prv.GridSpec(mesh=5e-4)),):
-        coarse, fine = spec_pair
-        a = prv.self_compose(prv.prv_of_gdp(1.0, coarse), 4)
-        b = prv.self_compose(prv.prv_of_gdp(1.0, fine), 4)
-        gap = abs(prv.prv_delta(a, 1.0) - prv.prv_delta(b, 1.0))
-        assert gap <= 4.0 * prv.discretization_estimate(a)
+    a = prv.self_compose(prv.prv_of_gdp(1.0, mesh=1e-3), 4)
+    b = prv.self_compose(prv.prv_of_gdp(1.0, mesh=5e-4), 4)
+    gap = abs(prv.prv_delta(a, 1.0) - prv.prv_delta(b, 1.0))
+    assert gap <= 4.0 * prv.discretization_estimate(a)
 
 
 def test_composed_subsampled_approaches_clt_limit():
@@ -227,10 +233,10 @@ def test_delta_table_rows():
 
 
 def test_convolve_rejects_unequal_meshes():
-    a = prv.prv_of_gdp(1.0, prv.GridSpec(mesh=1e-3))
+    a = prv.prv_of_gdp(1.0, mesh=1e-3)
     for mesh in (5e-4, 3e-4):
         with pytest.raises(DomainError):
-            prv.convolve(a, prv.prv_of_gdp(1.0, prv.GridSpec(mesh=mesh)))
+            prv.convolve(a, prv.prv_of_gdp(1.0, mesh=mesh))
 
 
 def test_evaluate_composite_rejects_unknown_factor_type():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -210,26 +209,6 @@ def test_curve_geq():
     assert violation >= expected - 1e-9
     with pytest.raises(DomainError):
         tc.curve_geq(g1, tc.curve_of_gdp(1.0, grid_size=11))
-
-
-def test_csv_round_trip_bit_exact(tmp_path):
-    c = tc.curve_of_gdp(0.961)
-    path = tmp_path / "curve.csv"
-    c.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "alpha,f"
-    back = tc.TradeoffCurve.from_csv(path)
-    assert np.array_equal(back.alphas, c.alphas)
-    assert np.array_equal(back.values, c.values)
-
-
-def test_json_round_trip_bit_exact():
-    c = tc.subsample(tc.curve_of_gdp(1.3, grid_size=501), 0.4)
-    doc = c.to_json()
-    assert set(json.loads(doc)) == {"alphas", "values"}
-    back = tc.TradeoffCurve.from_json(doc)
-    assert np.array_equal(back.alphas, c.alphas)
-    assert np.array_equal(back.values, c.values)
 
 
 def test_iterated_composition_matches_scaled_curve():
