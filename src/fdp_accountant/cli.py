@@ -16,7 +16,7 @@ import numpy as np
 
 from . import accountant as acct
 from . import conversions as conv
-from . import oracle, prv, tradeoff
+from . import tradeoff
 from .errors import AccuracyError, DomainError, VerificationError
 
 EXIT_OK = 0
@@ -88,6 +88,10 @@ def cmd_bound(args) -> int:
     deltas = args.delta or []
     report: dict = {"params": params.to_dict(), "mode": mode}
     if params.kind == "sgd":
+        if deltas:
+            raise DomainError("--delta is not supported for sgd bounds; "
+                              "query delta at given eps with --eps")
+        from . import prv  # deferred: only sgd bounds need SciPy's FFT
         if mode == "composition":
             cb = acct.bound_sgd_composition(params)
         else:
@@ -250,6 +254,8 @@ def cmd_table(args) -> int:
 
 def _verify_checks(seed: int, trials: int):
     """Deterministic empirical checks of the analytic bounds."""
+    from . import oracle  # deferred: only verify needs the Monte-Carlo oracle
+
     checks = []
     alphas = np.linspace(0.05, 0.95, 19)
 
@@ -371,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="step-counting composition bound")
     b.add_argument("--tau", type=int, help="window start for tau-indexed bounds")
     b.add_argument("--delta", type=float, action="append",
-                   help="also report eps at this delta (repeatable)")
+                   help="also report eps at this delta (gd/cgd; repeatable)")
     b.add_argument("--eps", type=float, action="append",
                    help="delta query points for composite bounds (repeatable)")
     b.add_argument("--curve-out", help="also write the bound's tradeoff curve "

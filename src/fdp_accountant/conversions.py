@@ -27,7 +27,7 @@ _MU_BRACKET = 100.0   # gdp_mu_from_delta: largest mu searched
 
 def gdp_to_delta(mu: float, eps: float) -> float:
     """delta(eps) of a mu-GDP mechanism; mu = 0 is perfectly private."""
-    if mu < 0 or eps < 0:
+    if not (mu >= 0 and eps >= 0):  # also rejects nan
         raise DomainError("mu and eps must be >= 0")
     if mu == 0:
         return 0.0
@@ -46,7 +46,7 @@ def gdp_to_eps(mu: float, delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if mu < 0:
+    if not mu >= 0:
         raise DomainError(f"mu must be >= 0, got {mu}")
     if mu == 0 or delta >= gdp_to_delta(mu, 0.0):
         return 0.0
@@ -91,9 +91,9 @@ def gdp_mu_from_delta(eps: float, delta: float) -> float:
 
 def gdp_to_rdp(mu: float, alpha: float) -> float:
     """A mu-GDP mechanism satisfies (alpha, mu^2 alpha / 2) Renyi DP."""
-    if mu < 0:
+    if not mu >= 0:
         raise DomainError(f"mu must be >= 0, got {mu}")
-    if alpha <= 1:
+    if not alpha > 1:
         raise DomainError(f"Renyi order must be > 1, got {alpha}")
     return 0.5 * mu * mu * alpha
 
@@ -132,7 +132,7 @@ def rdp_to_epsdelta(rho: float, delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if rho < 0:
+    if not rho >= 0:
         raise DomainError(f"rho must be >= 0, got {rho}")
     log_inv_delta = math.log(1.0 / delta)
 

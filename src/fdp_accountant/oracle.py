@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError
 from .tradeoff import gdp_eval
@@ -310,6 +309,8 @@ def brute_force_schedule(c: float, s_seq, t: int, restarts: int = 200,
 
     if t == 1:
         return float(s_arr[0] ** 2), np.ones(1)
+
+    from scipy import optimize
 
     rng = np.random.default_rng(seed)
     starts = [np.full(t - 1, 0.5), np.linspace(0.1, 0.9, t - 1)]

@@ -319,6 +319,8 @@ def evaluate_composite(composite, eps_list):
     """
     factors = list(composite.factors)
     eps_list = [float(e) for e in eps_list]
+    if any(math.isnan(e) for e in eps_list):
+        raise DomainError("eps must not be nan")
     if not factors:
         return [(e, max(0.0, -math.expm1(e))) for e in eps_list]
     composed = None

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fdp_accountant import cli
+from fdp_accountant import cli, oracle
 from fdp_accountant.tradeoff import TradeoffCurve, curve_of_gdp
 
 
@@ -147,8 +147,8 @@ def test_verify_pass_and_tamper(tmp_path, capsys, monkeypatch):
     assert doc["passed"] and doc["max_ci"] > 0
     assert all(c["passed"] for c in doc["checks"])
     # A worst-case mu 20% too small must fail its exact-curve check.
-    exact = cli.oracle.worst_case_gd_sc_mu
-    monkeypatch.setattr(cli.oracle, "worst_case_gd_sc_mu",
+    exact = oracle.worst_case_gd_sc_mu
+    monkeypatch.setattr(oracle, "worst_case_gd_sc_mu",
                         lambda *args: 0.8 * exact(*args))
     code, _, err = run(capsys, "verify", "--trials", "50000", "--seed", "0")
     assert code == 4
@@ -190,6 +190,30 @@ def test_sweep_tau_rejects_zero_candidates(capsys):
     assert code == 2
     assert out == ""
     assert "candidate count" in err
+
+
+SGD_SC = ("--kind", "sgd", "--sc", "--eta", "0.02", "--sigma", "4",
+          "--n", "400", "--b", "40", "--L", "4", "--steps", "40", "--m", "1",
+          "--M", "10")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", *SGD_SC, "--tau", "30", "--eps", "1.0", "--eps", "nan"),
+    ("sweep-tau", *SGD_SC, "--eps", "nan", "--candidates", "3"),
+], ids=["bound", "sweep-tau"])
+def test_nan_eps_exits_2(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "nan" in err
+
+
+def test_bound_sgd_rejects_delta(capsys):
+    code, out, err = run(capsys, "bound", *SGD_SC, "--tau", "30",
+                         "--delta", "1e-5")
+    assert code == 2
+    assert out == ""
+    assert "--eps" in err
 
 
 def test_bound_curve_ref_and_csv_outputs(tmp_path, capsys):

@@ -73,6 +73,21 @@ def test_gdp_to_rdp():
         cv.gdp_to_rdp(1.0, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: cv.gdp_to_delta(math.nan, 1.0),
+    lambda: cv.gdp_to_delta(1.0, math.nan),
+    lambda: cv.gdp_to_eps(math.nan, 1e-5),
+    lambda: cv.gdp_to_eps(1.0, math.nan),
+    lambda: cv.gdp_to_rdp(math.nan, 2.0),
+    lambda: cv.gdp_to_rdp(1.0, math.nan),
+    lambda: cv.rdp_to_epsdelta(math.nan, 1e-5),
+    lambda: cv.rdp_to_epsdelta(1.0, math.nan),
+])
+def test_nan_inputs_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_rdp_to_epsdelta():
     rho, delta = 1.0, 1e-5
     closed = rho + 2 * math.sqrt(rho * math.log(1.0 / delta))

@@ -1,11 +1,17 @@
-"""Every command in the README's CLI block runs and exits 0."""
+"""Every command in the README's CLI block runs and exits 0, and the
+closed-form ones do so without loading SciPy."""
 
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fdp_accountant
 from fdp_accountant import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -41,3 +47,57 @@ def test_readme_covers_every_subcommand():
 def test_readme_cli_example_exits_0(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 0
+
+
+def _closed_form(argv):
+    """gd/cgd bounds, conversions and tables: no PRV, curve or Monte Carlo."""
+    if argv[0] == "bound":
+        return argv[argv.index("--kind") + 1] != "sgd"
+    return argv[0] in ("convert", "table")
+
+
+# Runs each argv list of argv[1] through cli.main in one process; after each
+# command, writes its exit code and the SciPy modules loaded so far to stderr.
+_SCIPY_PROBE = """
+import json, sys
+from fdp_accountant import cli
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    sys.stderr.write(json.dumps([code, loaded]) + "\\n")
+"""
+
+
+def _fresh_python(*args, cwd):
+    src = str(Path(fdp_accountant.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_importing_the_cli_does_not_load_scipy(tmp_path):
+    proc = _fresh_python("-c", "import sys, fdp_accountant.cli; "
+                         "print('scipy' in sys.modules, 'numpy' in sys.modules)",
+                         cwd=tmp_path)
+    assert proc.stdout.split() == ["False", "True"], proc.stderr
+
+
+def test_closed_form_examples_do_not_load_scipy(tmp_path):
+    closed = [argv for argv in COMMANDS if _closed_form(argv)]
+    rest = [argv for argv in COMMANDS
+            if not _closed_form(argv) and argv[0] != "sweep-tau"]
+    assert len(closed) == 8
+    proc = _fresh_python("-c", _SCIPY_PROBE, json.dumps(closed + rest),
+                         cwd=tmp_path)
+    runs = [json.loads(line) for line in proc.stderr.splitlines()
+            if line.startswith("[")]
+    assert len(runs) == len(closed) + len(rest), proc.stderr
+    assert all(code == 0 for code, _ in runs)
+    assert [loaded for _, loaded in runs[:len(closed)]] == [[]] * len(closed)
+    # The others still load what they need, lazily, and write their outputs.
+    assert "scipy" in runs[-1][1]
+    assert '"max_ci"' in proc.stdout  # verify's report
+    for argv in rest:
+        if "--out" in argv:
+            assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
