@@ -6,7 +6,7 @@ Submodules:
     accountant   privacy bounds for GD / CGD / SGD, CLT approximations
     conversions  f-DP <-> (eps, delta) <-> RDP conversions
     prv          privacy-loss random variables and FFT composition
-    oracle       Monte-Carlo and brute-force verification
+    oracle       worst-case, Monte-Carlo and convex-QP schedule verification
     cli          command-line front end
 """
 

@@ -65,6 +65,9 @@ class AlgoParams:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        for name in ("eta", "sigma", "L", "m", "M", "D"):
+            if math.isnan(getattr(self, name)):
+                raise DomainError(f"{name} must be a number, got nan")
         if self.sigma <= 0:
             raise DomainError("noise rate sigma must be > 0")
         if self.n < 1:

@@ -1,6 +1,6 @@
 """Independent verification: exact worst-case constructions, Monte-Carlo
-tradeoff estimation for simulated noisy optimizers, and a brute-force
-schedule optimizer.
+tradeoff estimation for simulated noisy optimizers, and a convex-QP solver
+for optimal shift schedules.
 
 The worst-case strongly convex pair is rank-1, so one-dimensional quadratic
 simulations capture it exactly; empirical curves are Neyman-Pearson estimates
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 from .tradeoff import gdp_eval
 
 _CHUNK = 1 << 18
@@ -271,54 +271,46 @@ def check_gdpinf(s: float, sigma: float, w_law, n_trials: int, seed: int = 0,
     z_p = rng.standard_normal(n_trials) * sigma
     z_q = rng.standard_normal(n_trials) * sigma
     emp = empirical_tradeoff(w + z_p, z_q, method="histogram-lr", alphas=alphas)
-    target = gdp_eval(s / sigma, emp.alphas)
-    margin = float(np.min(emp.values - (target - emp.ci_halfwidth)))
+    margin = curve_margin(emp, gdp_eval(s / sigma, emp.alphas))
     return margin >= 0.0, margin, emp
 
 
-# -- brute-force schedule optimization ----------------------------------------
+# -- optimal shift schedules ---------------------------------------------------
 
 
-def brute_force_schedule(c: float, s_seq, t: int, restarts: int = 200,
-                         seed: int = 0):
-    """Multi-start box-constrained minimization of sum a_k^2 over the free
-    shifts lambda_1..lambda_{t-1} in [0, 1] (lambda_t = 1 closes the
-    schedule, so z_t = 0 automatically).
+def optimal_schedule_qp(c: float, s_seq, z_tau: float = 0.0):
+    """Minimum of sum a_k^2 over shifts closing the recursion from z_tau.
 
-    Independent numerical check of the closed-form schedules; returns
-    (best_value, best_lambdas). Intended for small t (<= 12).
+    With z_k = c z_{k-1} + s_k - a_k, the constraints a_k >= 0, z_k >= 0
+    (k < n) and z_n = 0 are exactly lambda_k in [0, 1] with lambda_n = 1. As
+    z = c^k z_tau + M (s - a) with M_kj = c^{k-j} (j <= k), this is a strictly
+    convex QP, so one SLSQP solve from the feasible greedy start
+    (a = s, a_1 += c z_tau) finds its unique optimum. Independent numerical
+    check of the closed-form schedules; returns (sum_sq, a).
     """
-    if t < 1:
-        raise DomainError(f"t must be >= 1, got {t}")
-    if t > 12:
-        raise DomainError("brute force is limited to t <= 12")
-    s_arr = np.broadcast_to(np.asarray(s_seq, dtype=float), (t,)).copy()
-    if c < 0 or np.any(s_arr < 0):
-        raise DomainError("need c >= 0 and sensitivities >= 0")
-
-    def objective(lam_free):
-        z = 0.0
-        total = 0.0
-        for k in range(t):
-            base = c * z + s_arr[k]
-            lam = 1.0 if k == t - 1 else lam_free[k]
-            a = lam * base
-            z = (1.0 - lam) * base
-            total += a * a
-        return total
-
-    if t == 1:
-        return float(s_arr[0] ** 2), np.ones(1)
-
+    s_arr = np.asarray(s_seq, dtype=float).ravel()
+    if s_arr.size == 0:
+        raise DomainError("need at least one step")
+    if c < 0 or z_tau < 0 or np.any(s_arr < 0):
+        raise DomainError("need c >= 0, z_tau >= 0 and sensitivities >= 0")
     from scipy import optimize
 
-    rng = np.random.default_rng(seed)
-    starts = [np.full(t - 1, 0.5), np.linspace(0.1, 0.9, t - 1)]
-    starts += [rng.random(t - 1) for _ in range(max(0, restarts - len(starts)))]
-    best_val, best_lam = math.inf, None
-    bounds = [(0.0, 1.0)] * (t - 1)
-    for x0 in starts:
-        res = optimize.minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
-        if res.fun < best_val:
-            best_val, best_lam = float(res.fun), res.x
-    return best_val, np.concatenate([best_lam, [1.0]])
+    k = np.arange(s_arr.size)
+    powers = float(c) ** np.arange(s_arr.size + 1)
+    M = np.tril(powers[np.abs(k[:, None] - k[None, :])])
+    z0 = powers[1:] * z_tau + M @ s_arr  # z with every a_k = 0
+    a0 = s_arr.copy()
+    a0[0] += c * z_tau
+    res = optimize.minimize(
+        lambda a: a @ a, a0, jac=lambda a: 2.0 * a, method="SLSQP",
+        bounds=[(0.0, None)] * s_arr.size,
+        constraints=[
+            {"type": "ineq", "fun": lambda a: z0[:-1] - M[:-1] @ a,
+             "jac": lambda a: -M[:-1]},
+            {"type": "eq", "fun": lambda a: z0[-1:] - M[-1:] @ a,
+             "jac": lambda a: -M[-1:]},
+        ],
+        options={"ftol": 1e-15, "maxiter": 1000})
+    if not res.success:
+        raise VerificationError(f"schedule QP did not converge: {res.message}")
+    return float(res.x @ res.x), res.x

@@ -110,11 +110,6 @@ class PrvGrid:
         return float(np.max(np.abs(ratio - 1.0)))
 
 
-def point_mass() -> PrvGrid:
-    """The PRV of a perfectly private mechanism: all mass at 0."""
-    return PrvGrid(offset=0, mesh=DEFAULT_MESH, pmf=np.ones(1), tail_mass=0.0)
-
-
 def _aligned_range(lo: float, hi: float, mesh: float):
     """Snap [lo, hi] outward to lattice indices, always covering 0."""
     i_lo = min(math.floor(lo / mesh), -1)

@@ -199,6 +199,28 @@ def _cyclic_s_seq(s: float, l: int, j_star: int, k_lo: int, k_hi: int) -> np.nda
     return np.where((k - 1) % l + 1 == j_star, float(s), 0.0)
 
 
+def _replay_cyclic(c: float, s_seq: np.ndarray, a: np.ndarray, z_tau: float,
+                   tau: int, scale: float) -> ShiftSchedule:
+    """Schedule of the shifts a over steps tau + 1 .. tau + len(a).
+
+    Replays z_k = c z_{k-1} + s_k - a_k from z_tau, checks z >= 0 and a zero
+    end point within tolerances relative to scale, then sets the end point
+    to exactly 0."""
+    n = a.size
+    z = np.empty(n + 1)
+    z[0] = z_tau
+    for i in range(n):
+        z[i + 1] = c * z[i] + s_seq[i] - a[i]
+    if np.any(z < FEASIBILITY_TOL * scale):
+        raise DomainError("infeasible cyclic schedule: negative residual distance")
+    if abs(z[-1]) > TERMINAL_TOL * scale:
+        raise DomainError("infeasible cyclic schedule: nonzero terminal residual")
+    z[-1] = 0.0
+    lam = _lambda_from(a, c * z[:-1] + s_seq)
+    return ShiftSchedule(tau=tau, t=tau + n, c=c, s_seq=s_seq, lambdas=lam,
+                         a=a, z=z)
+
+
 def cgd_sc_schedule(c: float, s: float, l: int, E: int, j_star: int):
     """Optimal cyclic-batch schedule under contraction, horizon t* = lE + j* - l - 1.
 
@@ -221,17 +243,7 @@ def cgd_sc_schedule(c: float, s: float, l: int, E: int, j_star: int):
     denom = (1.0 - c ** l) * (1.0 + c ** (t - l))
     a = np.where(k >= j_star, c ** (t - k + j_star - 2) * (1.0 - c * c) * s / denom, 0.0)
     s_seq = _cyclic_s_seq(s, l, j_star, 1, n)
-    z = np.empty(n + 1)
-    z[0] = 0.0
-    for i in range(n):
-        z[i + 1] = c * z[i] + s_seq[i] - a[i]
-    if np.any(z < FEASIBILITY_TOL * max(1.0, s)):
-        raise DomainError("infeasible cyclic schedule: negative residual distance")
-    if abs(z[-1]) > TERMINAL_TOL * max(1.0, s):
-        raise DomainError("infeasible cyclic schedule: nonzero terminal residual")
-    z[-1] = 0.0
-    lam = _lambda_from(a, c * z[:-1] + s_seq)
-    sched = ShiftSchedule(tau=0, t=n, c=c, s_seq=s_seq, lambdas=lam, a=a, z=z)
+    sched = _replay_cyclic(c, s_seq, a, 0.0, 0, max(1.0, s))
     return sched, sched.sum_sq
 
 
@@ -263,16 +275,5 @@ def cgd_proj_schedule(s: float, D: float, l: int, E: int, tau: int, j_star: int)
     a_val = (D + s * (E - tau)) / (l * (E - tau))
     a = np.full(n, a_val)
     s_seq = _cyclic_s_seq(s, l, j_star, tau_star + 1, t_star)
-    z = np.empty(n + 1)
-    z[0] = float(D)
-    for i in range(n):
-        z[i + 1] = z[i] + s_seq[i] - a[i]
-    if np.any(z < FEASIBILITY_TOL * max(1.0, s, D)):
-        raise DomainError("infeasible cyclic schedule: negative residual distance")
-    if abs(z[-1]) > TERMINAL_TOL * max(1.0, s, D):
-        raise DomainError("infeasible cyclic schedule: nonzero terminal residual")
-    z[-1] = 0.0
-    lam = _lambda_from(a, z[:-1] + s_seq)
-    sched = ShiftSchedule(tau=tau_star, t=t_star, c=1.0, s_seq=s_seq,
-                          lambdas=lam, a=a, z=z)
+    sched = _replay_cyclic(1.0, s_seq, a, float(D), tau_star, max(1.0, s, D))
     return sched, sched.sum_sq

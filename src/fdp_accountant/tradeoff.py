@@ -136,22 +136,6 @@ def gdp_eval(mu: float, alpha):
     return float(out) if np.isscalar(alpha) else out
 
 
-def compose_gdp(mu1: float, mu2: float) -> float:
-    """GDP parameters add in quadrature under composition."""
-    if mu1 < 0 or mu2 < 0:
-        raise DomainError("GDP parameters must be >= 0")
-    return math.hypot(mu1, mu2)
-
-
-def compose_gdp_n(mu: float, n: int) -> float:
-    """n-fold self-composition of G(mu)."""
-    if mu < 0:
-        raise DomainError("GDP parameter must be >= 0")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return mu * math.sqrt(n)
-
-
 def curve_of_gdp(mu: float, grid_size: int | None = None, alphas=None) -> TradeoffCurve:
     """Discretize G(mu) on the standard (or a supplied) alpha grid."""
     if alphas is None:

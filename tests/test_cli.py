@@ -208,6 +208,26 @@ def test_nan_eps_exits_2(argv, capsys):
     assert "nan" in err
 
 
+GD_SC = ("bound", "--kind", "gd", "--sc", "--eta", "0.05", "--M", "10",
+         "--steps", "160")
+
+
+@pytest.mark.parametrize("argv", [
+    (*GD_SC, "--m", "1", "--leff", "nan"),
+    (*GD_SC, "--m", "nan", "--leff", "0.1"),
+    (*GD_SC, "--m", "1", "--leff", "0.1", "--eta", "nan"),
+    ("bound", *SGD_SC, "--tau", "30", "--eps", "1.0", "--sigma", "nan"),
+    (*GD_SC, "--m", "1", "--leff", "0.1", "--M", "nan"),
+    ("bound", "--kind", "gd", "--constrained", "--eta", "0.1", "--sigma", "8",
+     "--n", "1", "--L", "0.5", "--steps", "100", "--M", "20", "--D", "nan"),
+], ids=["L", "m", "eta", "sigma", "M", "D"])
+def test_nan_params_exit_2(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "nan" in err
+
+
 def test_bound_sgd_rejects_delta(capsys):
     code, out, err = run(capsys, "bound", *SGD_SC, "--tau", "30",
                          "--delta", "1e-5")

@@ -6,7 +6,7 @@ import pytest
 from fdp_accountant import accountant as acc
 from fdp_accountant import oracle
 from fdp_accountant import tradeoff as tc
-from fdp_accountant.errors import DomainError
+from fdp_accountant.errors import DomainError, VerificationError
 
 GRID = np.linspace(0.05, 0.95, 19)
 
@@ -143,23 +143,44 @@ def test_check_gdpinf_rejects_unbounded_law():
                             1000, seed=0)
 
 
-def test_brute_force_schedule_small_cases():
-    val, lam = oracle.brute_force_schedule(0.5, 1.0, 1)
-    assert val == 1.0
-    val2, lam2 = oracle.brute_force_schedule(0.5, 1.0, 2, restarts=20)
-    assert val2 == pytest.approx(1.8, abs=1e-9)
-    assert lam2[-1] == 1.0
-    with pytest.raises(DomainError):
-        oracle.brute_force_schedule(0.5, 1.0, 13)
+def test_optimal_schedule_qp_small_cases(monkeypatch):
+    # one step: the whole residual c z_tau + s_1 is shifted at once
+    val, a = oracle.optimal_schedule_qp(0.5, [1.0], z_tau=2.0)
+    assert val == pytest.approx(4.0, rel=1e-12) and a == pytest.approx([2.0])
+    # two steps at c = 1/2: (1 - c^2)/(1 + c^2) (1 + c)/(1 - c) = 1.8
+    val, a = oracle.optimal_schedule_qp(0.5, [1.0, 1.0])
+    assert val == pytest.approx(1.8, rel=1e-12)
+    assert a == pytest.approx([0.6, 1.2], abs=1e-9)
+    # no sensitivity at all: nothing to shift
+    val, a = oracle.optimal_schedule_qp(0.9, [0.0, 0.0, 0.0])
+    assert val == 0.0 and np.all(a == 0.0)
+    for c, s_seq, z_tau in ((0.5, [], 0.0), (-0.1, [1.0], 0.0),
+                            (0.5, [1.0, -1.0], 0.0), (1.0, [1.0], -1.0)):
+        with pytest.raises(DomainError):
+            oracle.optimal_schedule_qp(c, s_seq, z_tau=z_tau)
+    from scipy import optimize
+    failed = optimize.OptimizeResult(success=False, message="stub", x=np.ones(2))
+    monkeypatch.setattr(optimize, "minimize", lambda *args, **kw: failed)
+    with pytest.raises(VerificationError):
+        oracle.optimal_schedule_qp(0.5, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("c", [0.2, 0.5, 0.8])
-def test_brute_force_matches_closed_form(c):
-    from fdp_accountant.schedule import optimal_sc_schedule
-    for t in (3, 6):
-        val, _ = oracle.brute_force_schedule(c, 1.0, t, restarts=30, seed=1)
-        _, closed = optimal_sc_schedule(c, 1.0, t)
-        assert val == pytest.approx(closed, rel=1e-6)
+def test_optimal_schedule_qp_matches_closed_form(c):
+    # closed form of the contractive optimum, written out independently of
+    # schedule.optimal_sc_schedule: a_k = c^{t-k} (1+c) s / (1+c^t)
+    s = 0.7
+    for t in (1, 3, 6, 40):
+        val, a = oracle.optimal_schedule_qp(c, np.full(t, s))
+        k = np.arange(1, t + 1)
+        want = c ** (t - k) * (1 + c) * s / (1 + c ** t)
+        assert val == pytest.approx(float(want @ want), rel=1e-9)
+        assert np.max(np.abs(a - want)) <= 1e-6 * s
+    # projected (c = 1) window of 8 steps from z_tau = D: shifts s + D/8
+    D = 2.0 * c
+    val, a = oracle.optimal_schedule_qp(1.0, np.full(8, s), z_tau=D)
+    assert val == pytest.approx(8 * (s + D / 8) ** 2, rel=1e-9)
+    assert np.max(np.abs(a - (s + D / 8))) <= 1e-6 * s
 
 
 def test_multivariate_simulation_and_estimation():

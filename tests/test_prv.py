@@ -13,13 +13,6 @@ from fdp_accountant import tradeoff as tc
 from fdp_accountant.errors import AccuracyError, ConfigurationError, DomainError
 
 
-def test_point_mass():
-    pm = prv.point_mass()
-    assert pm.pmf.sum() == 1.0
-    assert prv.prv_delta(pm, 0.0) == 0.0
-    assert prv.prv_delta(pm, -1.0) == pytest.approx(-math.expm1(-1.0))
-
-
 def test_prv_of_gdp_moments_and_mass():
     g = prv.prv_of_gdp(1.0)
     assert abs(g.mean() - 0.5) <= g.mesh
@@ -131,8 +124,9 @@ def test_convolve_gaussian_closure():
     g43 = prv.convolve(g4, g3)
     assert g43.offset == g34.offset
     assert np.max(np.abs(g43.pmf - g34.pmf)) <= 1e-12
-    # identity element
-    same = prv.convolve(g3, prv.point_mass())
+    # identity element: the PRV of a perfectly private mechanism, all mass at 0
+    point_mass = prv.PrvGrid(offset=0, mesh=g3.mesh, pmf=np.ones(1), tail_mass=0.0)
+    same = prv.convolve(g3, point_mass)
     for eps in (0.0, 1.0):
         assert prv.prv_delta(same, eps) == pytest.approx(
             prv.prv_delta(g3, eps), abs=1e-12)

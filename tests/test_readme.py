@@ -83,6 +83,13 @@ def test_importing_the_cli_does_not_load_scipy(tmp_path):
     assert proc.stdout.split() == ["False", "True"], proc.stderr
 
 
+def test_importing_the_oracle_does_not_load_scipy_optimize(tmp_path):
+    # verify imports the oracle; only the schedule QP needs scipy.optimize
+    proc = _fresh_python("-c", "import sys, fdp_accountant.oracle; "
+                         "print('scipy.optimize' in sys.modules)", cwd=tmp_path)
+    assert proc.stdout.split() == ["False"], proc.stderr
+
+
 def test_closed_form_examples_do_not_load_scipy(tmp_path):
     closed = [argv for argv in COMMANDS if _closed_form(argv)]
     rest = [argv for argv in COMMANDS

