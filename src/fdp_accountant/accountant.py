@@ -66,8 +66,10 @@ class AlgoParams:
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         for name in ("eta", "sigma", "L", "m", "M", "D"):
-            if math.isnan(getattr(self, name)):
-                raise DomainError(f"{name} must be a number, got nan")
+            value = getattr(self, name)
+            # M and D may be +inf, their "unset" default.
+            if math.isnan(value) or (math.isinf(value) and name not in ("M", "D")):
+                raise DomainError(f"{name} must be a finite number, got {value}")
         if self.sigma <= 0:
             raise DomainError("noise rate sigma must be > 0")
         if self.n < 1:

@@ -29,6 +29,13 @@ equality at p = 1. Each factor thus drops at most 2 Phibar(12) ~ 3.6e-33.
 Truncated probability is tracked per grid and checked against a budget, but
 it is not added to delta: delta values are estimates without error
 certificates. Mesh halving gives an empirical accuracy diagnostic.
+
+A delta query (prv_delta) answers all eps of a request in one pass over the
+lattice above the smallest eps, as privacy profiles over eps grids need
+(Koskela et al., arXiv:1906.03049; Gopi et al., arXiv:2106.02848): sums over
+the lattice segments between consecutive eps are combined from the largest
+eps down by a recursion of nonnegative terms, so the result is
+non-increasing in eps exactly.
 """
 
 from __future__ import annotations
@@ -278,22 +285,66 @@ def self_compose(prv: PrvGrid, k: int) -> PrvGrid:
     return PrvGrid(offset=i_lo, mesh=mesh, pmf=out, tail_mass=min(tail, 1.0))
 
 
-def prv_delta(prv: PrvGrid, eps: float) -> float:
+def prv_delta(prv: PrvGrid, eps):
     """delta(eps) = sum_{t > eps} (1 - e^{eps - t}) pmf(t), in [0, 1].
+
+    `eps` is a float (a float is returned) or a sequence (a list is returned,
+    in request order). All eps share one pass over the lattice above the
+    smallest of them. With the distinct eps sorted, e_0 < ... < e_{K-1}, the
+    points in (e_k, e_{k+1}] give L_k = sum (1 - e^{e_k - t}) pmf(t) and
+    B_k = sum e^{e_k - t} pmf(t), and from the top
+
+        D_k = L_k + D_{k+1} + (1 - e^{e_k - e_{k+1}}) A_{k+1},
+        A_k = B_k + e^{e_k - e_{k+1}} A_{k+1},
+
+    where D_k = delta(e_k) and A_k = sum_{t > e_k} e^{e_k - t} pmf(t).
+    B_k is the segment mass minus L_k, clamped at 0 against rounding, so it
+    needs no second pass of exponentials. Every term is nonnegative, so
+    nothing cancels and delta is non-increasing in eps exactly, not only up
+    to round-off. The largest eps (a lone one included) gets the single dot
+    product of the direct formula. -inf gives the lattice mass; +inf and nan
+    give 0.
 
     The truncated tail_mass is available as one-sided upper slack on top of
     the returned value.
     """
-    # Lattice points below i0 lie at least a mesh below eps. A non-finite eps
-    # makes eps // mesh nan, and max() then keeps 0: the whole lattice.
-    i0 = int(min(max(0.0, float(eps) // prv.mesh - prv.offset - 1),
+    scalar = np.ndim(eps) == 0
+    asked = [math.inf if math.isnan(e) else e     # nan gives 0, as +inf does
+             for e in np.asarray(eps, dtype=float).reshape(-1).tolist()]
+    levels = sorted(set(asked))
+    if not levels:
+        return []
+    # Lattice points below i0 lie at least a mesh below the smallest eps.
+    i0 = int(min(max(np.floor(levels[0] / prv.mesh) - prv.offset - 1, 0),
                  prv.pmf.size))
     t = (prv.offset + np.arange(i0, prv.pmf.size)) * prv.mesh
-    mask = t > eps
-    if not np.any(mask):
-        return 0.0
-    val = float(np.dot(-np.expm1(eps - t[mask]), prv.pmf[i0:][mask]))
-    return min(max(val, 0.0), 1.0)
+    # Segment k holds the points in (levels[k], levels[k + 1]].
+    bounds = np.searchsorted(t, levels + [math.inf], side="right")
+    t, pmf = t[bounds[0]:], prv.pmf[i0 + bounds[0]:]
+    bounds -= bounds[0]
+    loss = -np.expm1(np.repeat(levels, np.diff(bounds)) - t)
+    # L_k and segment masses: the top segment by the direct formula's dot
+    # product, the others by pairwise sums (reduceat gives an empty segment
+    # an element, not 0, so only the nonempty ones are summed).
+    top = bounds[-2]
+    part = np.zeros(len(levels))
+    mass = np.zeros(len(levels))
+    part[-1], mass[-1] = np.dot(loss[top:], pmf[top:]), pmf[top:].sum()
+    full = np.flatnonzero(bounds[1:-1] > bounds[:-2])
+    if full.size:
+        part[full] = np.add.reduceat(loss[:top] * pmf[:top], bounds[full])
+        mass[full] = np.add.reduceat(pmf[:top], bounds[full])
+    rest = np.maximum(mass - part, 0.0).tolist()        # B_k
+    deltas = part.tolist()
+    d, a = deltas[-1], rest[-1]
+    for k in range(len(levels) - 2, -1, -1):
+        step = levels[k] - levels[k + 1]                # < 0
+        d, a = (deltas[k] + d - math.expm1(step) * a,
+                rest[k] + math.exp(step) * a)
+        deltas[k] = d
+    rank = {e: k for k, e in enumerate(levels)}
+    out = [min(deltas[rank[e]], 1.0) for e in asked]
+    return out[0] if scalar else out
 
 
 def discretization_estimate(prv: PrvGrid) -> float:
@@ -331,7 +382,7 @@ def evaluate_composite(composite, eps_list):
                 f"unsupported composite factor {type(f).__name__}")
         composed = prv if composed is None else convolve(composed, prv)
     _check_budget(composed.tail_mass)
-    return [(e, prv_delta(composed, e)) for e in eps_list]
+    return list(zip(eps_list, prv_delta(composed, eps_list)))
 
 
 def delta_table_rows(composite, eps_list):

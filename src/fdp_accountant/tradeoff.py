@@ -173,7 +173,8 @@ def invert_curve(f: TradeoffCurve) -> TradeoffCurve:
 def _lower_hull(x: np.ndarray, y: np.ndarray):
     """Monotone-chain lower convex hull of points sorted by x."""
     hx, hy = [], []
-    for px, py in zip(x, y):
+    # Python floats: the same IEEE arithmetic as float64 scalars, faster.
+    for px, py in zip(x.tolist(), y.tolist()):
         while len(hx) >= 2:
             cross = (hx[-1] - hx[-2]) * (py - hy[-2]) - (hy[-1] - hy[-2]) * (px - hx[-2])
             if cross <= 0.0:

@@ -228,6 +228,18 @@ def test_nan_params_exit_2(argv, capsys):
     assert "nan" in err
 
 
+@pytest.mark.parametrize("argv", [
+    (*GD_SC, "--m", "1", "--leff", "inf"),
+    (*GD_SC, "--m", "1", "--leff", "0.1", "--sigma", "inf"),
+    (*GD_SC, "--m", "1", "--L", "inf", "--sigma", "1", "--n", "1"),
+], ids=["leff", "sigma", "L"])
+def test_infinite_params_exit_2(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "inf" in err
+
+
 def test_bound_sgd_rejects_delta(capsys):
     code, out, err = run(capsys, "bound", *SGD_SC, "--tau", "30",
                          "--delta", "1e-5")

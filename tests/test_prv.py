@@ -38,9 +38,105 @@ def test_prv_delta_matches_gdp_conversion():
             cv.gdp_to_delta(1.0, eps), abs=1e-5)
     # eps beyond the grid leaves only truncated mass
     assert prv.prv_delta(g, g.hi + 1.0) == 0.0
-    # delta is non-increasing on an eps grid
-    deltas = [prv.prv_delta(g, e) for e in np.linspace(-2, 4, 31)]
-    assert np.all(np.diff(deltas) <= 1e-15)
+    # delta is non-increasing on an eps grid, exactly
+    deltas = prv.prv_delta(g, np.linspace(-2, 4, 31))
+    assert np.all(np.diff(deltas) <= 0)
+
+
+def _delta_oracle(grid, eps):
+    """delta(eps) term by term, summed exactly by math.fsum."""
+    terms = [-math.expm1(eps - t) * m
+             for t, m in zip(grid.grid().tolist(), grid.pmf.tolist()) if t > eps]
+    return min(math.fsum(terms), 1.0)
+
+
+@st.composite
+def _lattice_and_eps(draw):
+    offset = draw(st.integers(-400, 400))
+    mesh = draw(st.floats(1e-3, 0.5))
+    weights = np.array(draw(st.lists(st.just(0.0) | st.floats(1e-30, 1.0),
+                                     min_size=1, max_size=60)
+                            .filter(lambda w: sum(w) > 0)))
+    grid = prv.PrvGrid(offset, mesh, weights / weights.sum(), 0.0)
+    on_lattice = st.integers(-2, grid.pmf.size + 1).map(
+        lambda j: (offset + j) * mesh)
+    anywhere = st.floats(grid.lo - 3 * mesh, grid.hi + 3 * mesh)
+    infinite = st.sampled_from([-math.inf, math.inf])
+    eps = draw(st.lists(on_lattice | anywhere | infinite,
+                        min_size=1, max_size=24))
+    eps += draw(st.lists(st.sampled_from(eps), max_size=4))  # duplicates
+    return grid, draw(st.permutations(eps))
+
+
+@given(_lattice_and_eps())
+def test_prv_delta_batch_matches_direct_sums(case):
+    grid, eps = case
+    deltas = prv.prv_delta(grid, eps)
+    assert isinstance(deltas, list) and len(deltas) == len(eps)
+    for e, d in zip(eps, deltas):
+        want = _delta_oracle(grid, e)
+        assert abs(d - want) <= 1e-13 * want + 1e-300, (e, d, want)
+    # In eps order, delta never rises: not even by round-off.
+    ordered = [d for _, d in sorted(zip(eps, deltas), key=lambda pair: pair[0])]
+    assert all(later <= earlier for earlier, later in zip(ordered, ordered[1:]))
+    one = prv.prv_delta(grid, eps[0])
+    assert type(one) is float
+    assert abs(one - _delta_oracle(grid, eps[0])) <= 1e-13 * one + 1e-300
+
+
+def test_prv_delta_edge_arguments():
+    g = prv.prv_of_gdp(1.0)
+    assert prv.prv_delta(g, []) == []
+    assert prv.prv_delta(g, math.nan) == 0.0
+    assert prv.prv_delta(g, [math.inf, math.nan]) == [0.0, 0.0]
+    assert prv.prv_delta(g, -math.inf) == min(math.fsum(g.pmf), 1.0)
+
+
+def test_prv_delta_never_rises_below_the_lattice():
+    # Far below the lattice every loss term rounds to its mass, so the top
+    # segment's dot product and its mass (a pairwise sum) can differ by an
+    # ulp either way; that difference must not let delta rise in eps.
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        pmf = rng.random(40)
+        pmf *= 0.5 / pmf.sum()
+        g = prv.PrvGrid(0, 0.1, pmf, 1.0 - pmf.sum())
+        lower, upper = prv.prv_delta(g, [-200.0, -100.0])
+        assert lower >= upper
+
+
+@given(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(-1.0, 6.0),
+                min_size=1, max_size=12))
+def test_evaluate_composite_keeps_request_order(eps):
+    pairs = prv.evaluate_composite(acc.CompositeBound((acc.GdpFactor(1.0),)), eps)
+    assert [e for e, _ in pairs] == eps
+    g = prv.prv_of_gdp(1.0)
+    for e, d in pairs:
+        want = prv.prv_delta(g, e)
+        assert abs(d - want) <= 1e-13 * want + 1e-300
+
+
+def test_one_delta_pass_per_composite(monkeypatch):
+    # Every eps of a request shares one prv_delta call; a per-eps loop would
+    # multiply the lattice scans by the number of eps.
+    sizes = []
+    real = prv.prv_delta
+
+    def counting(grid, eps):
+        sizes.append(len(eps))
+        return real(grid, eps)
+
+    monkeypatch.setattr(prv, "prv_delta", counting)
+    cb = acc.CompositeBound((acc.GdpFactor(0.5),
+                             acc.SubsampledGdpFactor(0.8, 0.2, 12)))
+    prv.evaluate_composite(cb, [6.0 * i / 255 for i in range(256)])
+    assert sizes == [256]
+    sizes.clear()
+    params = acc.AlgoParams(kind="sgd", eta=0.05, sigma=4.0, n=500, b=25,
+                            L=4.0, steps=50, M=20.0, D=1.0, constrained=True)
+    out = acc.sweep_tau(params, [0.5, 1.0, 2.0], setting="proj",
+                        max_candidates=8)
+    assert sizes == [3] * len(out["taus"])
 
 
 def test_gdp_prv_symmetry_residual():
