@@ -22,11 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
-import numpy as np
-
 from . import normal
 from .errors import DomainError
-from .schedule import optimal_proj_schedule, optimal_sc_schedule
 
 GD, CGD, SGD = "gd", "cgd", "sgd"
 _KINDS = (GD, CGD, SGD)
@@ -507,6 +504,7 @@ def tau_window_grid(t: int, max_candidates: int = 64) -> list:
     if max_candidates < 1:
         raise DomainError(
             f"candidate count must be >= 1, got {max_candidates}")
+    import numpy as np  # deferred: closed-form bounds run without NumPy
     ws = np.unique(np.round(np.geomspace(1, t, max_candidates)).astype(int))
     return [int(w) for w in ws if 1 <= w <= t]
 
@@ -520,6 +518,8 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
     Returns a dict with taus, the delta matrix (tau major), and per-eps
     (best_delta, best_tau).
     """
+    import numpy as np  # deferred: closed-form bounds run without NumPy
+
     from . import prv  # deferred: prv has no compile-time dependence on us
 
     if setting not in ("sc", "proj"):
@@ -544,7 +544,7 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
 
 def gd_sc_mu_via_schedule(p: AlgoParams) -> float:
     """bound_gd_sc recomputed as schedule + meta bound (equal to 1e-12 rel)."""
-    from .schedule import meta_mu
+    from .schedule import meta_mu, optimal_sc_schedule
     c = p.require_strongly_convex()
     sched, _ = optimal_sc_schedule(c, p.eta * p.L / p.n, p.t)
     return meta_mu(sched, p.eta * p.sigma)
@@ -553,7 +553,7 @@ def gd_sc_mu_via_schedule(p: AlgoParams) -> float:
 def gd_proj_mu_via_schedule(p: AlgoParams) -> float:
     """Plateau constrained bound recomputed as schedule + meta bound; equals
     bound_gd_proj exactly when D n / (eta L) is an integer."""
-    from .schedule import meta_mu
+    from .schedule import meta_mu, optimal_proj_schedule
     p.require_constrained()
     s = p.eta * p.L / p.n
     w = ceil_snap(p.D * p.n / (p.eta * p.L))

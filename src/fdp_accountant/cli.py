@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import accountant as acct
 from . import conversions as conv
-from . import tradeoff
 from .errors import AccuracyError, DomainError, VerificationError
+
+if TYPE_CHECKING:
+    from .tradeoff import TradeoffCurve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -43,8 +44,9 @@ def _csv(rows, header: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _curve_csv(curve: tradeoff.TradeoffCurve) -> str:
-    return _csv(zip(curve.alphas, curve.values), tradeoff.CSV_HEADER)
+def _curve_csv(curve: TradeoffCurve) -> str:
+    from .tradeoff import CSV_HEADER  # deferred: only curves need NumPy
+    return _csv(zip(curve.alphas, curve.values), CSV_HEADER)
 
 
 def _load_params(args) -> acct.AlgoParams:
@@ -126,6 +128,7 @@ def cmd_bound(args) -> int:
             report["conversions"] = {"eps_at_delta": [
                 {"delta": d, "eps": conv.gdp_to_eps(mu, d)} for d in deltas]}
         if args.curve_out:
+            from . import tradeoff  # deferred: only curves need NumPy
             size = args.grid or tradeoff.DEFAULT_GRID_SIZE
             _write(_curve_csv(tradeoff.curve_of_gdp(mu, size)), args.curve_out)
             report["curve_ref"] = args.curve_out
@@ -134,6 +137,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from . import tradeoff  # deferred: only curves need NumPy
+
     size = args.grid or tradeoff.DEFAULT_GRID_SIZE
     if args.subsample_p is not None:
         curve = tradeoff.subsample(tradeoff.curve_of_gdp(args.mu, size),
@@ -254,7 +259,10 @@ def cmd_table(args) -> int:
 
 def _verify_checks(seed: int, trials: int):
     """Deterministic empirical checks of the analytic bounds."""
+    import numpy as np  # deferred: closed-form requests run without NumPy
+
     from . import oracle  # deferred: only verify needs the Monte-Carlo oracle
+    from . import tradeoff
 
     checks = []
     alphas = np.linspace(0.05, 0.95, 19)

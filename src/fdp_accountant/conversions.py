@@ -8,34 +8,95 @@ and general curves convert through the duality
 delta(eps) = sup_alpha {1 - e^eps alpha - f(alpha)}. RDP conversions are
 inherently lossy; the tighter of the two standard formulas is used,
 optimized over the order.
+
+Everything except `curve_to_delta` is scalar arithmetic on the standard
+library's math module, so the closed-form conversions load neither NumPy nor
+SciPy. mu and rho must be finite; eps = +inf is valid and gives delta = 0.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import normal
 from .errors import DomainError
-from .tradeoff import TradeoffCurve
+
+if TYPE_CHECKING:
+    from .tradeoff import TradeoffCurve
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS_TOL = 1e-12      # gdp_to_eps: residual |delta(eps) - delta| accepted
 _MU_BRACKET = 100.0   # gdp_mu_from_delta: largest mu searched
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = math.log(_SQRT_2PI)
+# gdp_to_delta: up to this mu, log r(b) - log r(a) would cancel, so it is
+# integrated over [b, a] instead, by a 6-point Gauss-Legendre rule (nodes and
+# weights on [-1, 1]). The integrand's poles, at the zeros of Phi, lie at
+# least 2.8 away from the real axis, so on an interval of length <= 0.5 the
+# rule is exact to rounding.
+_MU_QUADRATURE = 0.5
+_GAUSS_LEGENDRE = ((0.9324695142031519, 0.17132449237917027),
+                   (0.6612093864662645, 0.3607615730481387),
+                   (0.2386191860831969, 0.46791393457269104))
+
+
+def _mills_cf(t: float) -> float:
+    """1/(t + 2/(t + 3/(t + ...))) for t >= 2, to double precision: the tail
+    of Laplace's continued fraction r(-t) = 1/(t + 1/(t + 2/(t + ...))) for
+    the Mills ratio r(x) = Phi(x)/phi(x)."""
+    depth = int(350.0 / (t * t)) + 10
+    # Start from the fixed point of k = n/(t + k) at n = depth + 1.
+    k = 0.5 * (math.sqrt(t * t + 4.0 * (depth + 1)) - t)
+    for n in range(depth, 0, -1):
+        k = n / (t + k)
+    return k
+
+
+def _log_mills(x: float) -> float:
+    """log r(x) = log Phi(x) - log phi(x)."""
+    if x <= -2.0:
+        return -math.log(-x + _mills_cf(-x))
+    return normal.log_cdf(x) + 0.5 * x * x + _LOG_SQRT_2PI
+
+
+def _log_mills_slope(x: float) -> float:
+    """(log r)'(x) = phi(x)/Phi(x) + x > 0, without the cancellation of the
+    two terms in the left tail."""
+    if x <= -2.0:
+        return _mills_cf(-x)
+    return math.exp(-0.5 * x * x) / (_SQRT_2PI * normal.cdf(x)) + x
+
 
 def gdp_to_delta(mu: float, eps: float) -> float:
-    """delta(eps) of a mu-GDP mechanism; mu = 0 is perfectly private."""
-    if not (mu >= 0 and eps >= 0):  # also rejects nan
-        raise DomainError("mu and eps must be >= 0")
+    """delta(eps) of a mu-GDP mechanism; mu = 0 is perfectly private.
+
+    With a = -eps/mu + mu/2 and b = a - mu, e^eps phi(b) = phi(a), so
+    delta = Phi(a) - e^eps Phi(b) = Phi(a) (1 - r(b)/r(a)) for the Mills
+    ratio r = Phi/phi: the e^eps factor and both Gaussian exponents drop out
+    exactly, and 1 - r(b)/r(a) is found from log r(b) - log r(a).
+    """
+    if not 0.0 <= mu < math.inf:  # also rejects nan
+        raise DomainError(f"mu must be a finite number >= 0, got {mu}")
+    if not eps >= 0:
+        raise DomainError(f"eps must be >= 0, got {eps}")
     if mu == 0:
         return 0.0
-    # Evaluate in log space: both Phi terms underflow for eps >> mu.
-    l1 = normal.log_cdf(-eps / mu + mu / 2.0)
-    l2 = eps + normal.log_cdf(-eps / mu - mu / 2.0)
-    delta = float(np.exp(l1) * -np.expm1(l2 - l1))
-    return min(max(delta, 0.0), 1.0)
+    mid, half = -eps / mu, mu / 2.0
+    a = mid + half
+    bound = math.exp(normal.log_cdf(a))  # Phi(a) >= delta
+    if bound == 0.0:
+        return 0.0
+    if mu <= _MU_QUADRATURE:
+        d = -half * sum(w * (_log_mills_slope(mid - half * x)
+                             + _log_mills_slope(mid + half * x))
+                        for x, w in _GAUSS_LEGENDRE)
+    else:
+        d = _log_mills(mid - half) - _log_mills(a)
+    # d <= 0 in exact arithmetic; a positive value is rounding only.
+    delta = bound * -math.expm1(min(d, 0.0))
+    return min(delta, 1.0) if delta > 0.0 else 0.0
 
 
 def gdp_to_eps(mu: float, delta: float) -> float:
@@ -46,15 +107,19 @@ def gdp_to_eps(mu: float, delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if not mu >= 0:
-        raise DomainError(f"mu must be >= 0, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"mu must be a finite number >= 0, got {mu}")
     if mu == 0 or delta >= gdp_to_delta(mu, 0.0):
         return 0.0
+    # delta(eps) <= Phi(-eps/mu + mu/2) is 0 in doubles (Phi(-39) ~ 1e-333)
+    # once eps >= cap, so doubling from 1 stops below 2 cap.
+    cap = mu * (0.5 * mu + 39.0)
     lo, hi = 0.0, 1.0
     while gdp_to_delta(mu, hi) > delta:
         hi *= 2.0
-        if hi > 1e8:
-            raise DomainError("failed to bracket eps; delta too small")
+        if not hi < 2.0 * cap:
+            raise DomainError(f"cannot bracket eps at delta={delta}: "
+                              f"mu={mu} is too large for double precision")
     # Bisect on the monotone curve until the eps interval is exhausted; the
     # residual target is unreachable in doubles when delta' is steep or delta
     # is tiny, so interval convergence is the primary stop.
@@ -91,8 +156,8 @@ def gdp_mu_from_delta(eps: float, delta: float) -> float:
 
 def gdp_to_rdp(mu: float, alpha: float) -> float:
     """A mu-GDP mechanism satisfies (alpha, mu^2 alpha / 2) Renyi DP."""
-    if not mu >= 0:
-        raise DomainError(f"mu must be >= 0, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"mu must be a finite number >= 0, got {mu}")
     if not alpha > 1:
         raise DomainError(f"Renyi order must be > 1, got {alpha}")
     return 0.5 * mu * mu * alpha
@@ -132,8 +197,8 @@ def rdp_to_epsdelta(rho: float, delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if not rho >= 0:
-        raise DomainError(f"rho must be >= 0, got {rho}")
+    if not 0.0 <= rho < math.inf:
+        raise DomainError(f"rho must be a finite number >= 0, got {rho}")
     log_inv_delta = math.log(1.0 / delta)
 
     def tight(u):
@@ -151,5 +216,5 @@ def curve_to_delta(f: TradeoffCurve, eps: float) -> float:
     the supremum is attained at a grid node and the node maximum is exact for
     the stored representation.
     """
-    delta = float(np.max(1.0 - math.exp(eps) * f.alphas - f.values))
+    delta = float((1.0 - math.exp(eps) * f.alphas - f.values).max())
     return min(max(delta, 0.0), 1.0)

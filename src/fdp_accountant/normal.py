@@ -2,15 +2,13 @@
 
 A float (Python or NumPy) passed to `cdf` or `log_cdf` is evaluated with the
 standard library's erf/erfc; arrays, `sf` and `inv_upper` go through
-scipy.special's erfc-based routines. SciPy is imported on first use, so a
-request that passes only floats never loads it. Arguments as large as
-|x| ~ 40 show up in intermediate compositions, so anything that can underflow
-goes through the log-space variants.
+scipy.special's erfc-based routines. SciPy, and with it NumPy, is imported on
+first use, so a request that passes only floats loads neither. Arguments as
+large as |x| ~ 40 show up in intermediate compositions, so anything that can
+underflow goes through the log-space variants.
 """
 
 import math
-
-import numpy as np
 
 _SQRT1_2 = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -58,7 +56,9 @@ def cdf(x):
 
 def sf(x):
     """Upper tail 1 - Phi(x), without cancellation."""
-    return _special().ndtr(-np.asarray(x, dtype=float))
+    special = _special()
+    import numpy as np  # deferred: SciPy has loaded it already
+    return special.ndtr(-np.asarray(x, dtype=float))
 
 
 def log_cdf(x):

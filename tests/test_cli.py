@@ -1,4 +1,6 @@
 import json
+import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -283,3 +285,49 @@ def test_bound_sgd_composition_mode(capsys):
     mu = 10 * math.sqrt(16) / (50 * 2)
     assert doc["delta_at_eps"][0]["delta"] == pytest.approx(
         cv.gdp_to_delta(mu, 1.0), abs=1e-4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu, eps", [
+    ("1e-160", "1"),        # both log Phi terms are -inf
+    ("1", "inf"),
+    ("2.259580655798291e-07", "718.0027729730126"),  # exp overflowed
+    ("1e-5", "1"),          # printed -0.0
+], ids=["tiny-mu", "infinite-eps", "overflow", "negative-zero"])
+def test_gdp_to_delta_is_a_plain_zero_where_delta_vanishes(mu, eps, capsys):
+    code, out, err = run(capsys, "convert", "gdp-to-epsdelta", "--mu", mu,
+                         "--eps", eps)
+    assert code == 0
+    assert err == ""
+    assert '"output": 0.0}' in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("convert", "gdp-to-epsdelta", "--mu", "inf", "--eps", "1"),
+    ("convert", "gdp-to-rdp", "--mu", "inf"),
+    ("convert", "rdp-to-epsdelta", "--rho", "inf"),
+], ids=["gdp-to-epsdelta", "gdp-to-rdp", "rdp-to-epsdelta"])
+def test_infinite_conversion_inputs_exit_2(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "inf" in err
+
+
+@pytest.mark.parametrize("argv, mu", [
+    (("convert", "gdp-to-epsdelta", "--mu", "12000", "--delta", "1e-5"),
+     12000.0),
+    (("bound", "--kind", "gd", "--composition", "--eta", "0.05",
+      "--steps", "1600000", "--leff", "10", "--delta", "1e-5"),
+     10.0 * math.sqrt(1600000)),
+], ids=["convert", "bound"])
+def test_eps_beyond_1e8_is_found(argv, mu, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    doc = json.loads(out)
+    eps = (doc[0]["output"] if argv[0] == "convert"
+           else doc["conversions"]["eps_at_delta"][0]["eps"])
+    # At this mu, delta(eps) is Phi(-eps/mu + mu/2) to 4e-4 relative.
+    z = NormalDist().inv_cdf(1.0 - 1e-5)
+    assert eps == pytest.approx(mu * (mu / 2 + z), rel=1e-7)
+    assert eps > 7e7

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdp_accountant import conversions as cv
@@ -48,6 +49,70 @@ def test_gdp_eps_round_trip(mu):
         delta = cv.gdp_to_delta(mu, eps)
         if 0.0 < delta < 1.0:
             assert cv.gdp_to_eps(mu, delta) == pytest.approx(eps, abs=1e-9)
+
+
+ULP = np.finfo(float).eps
+LOG_MU = st.floats(-170.0, 12.0)
+EPS = st.one_of(st.sampled_from([0.0, math.inf]),
+                st.floats(-10.0, 9.0).map(lambda e: 10.0 ** e))
+
+
+def _exact_delta(mu, eps):
+    """delta(eps) from mpmath, and its relative condition number
+    kappa = (mu |d delta/d mu| + eps |d delta/d eps|) / delta, where
+    d delta/d mu = phi(a) and d delta/d eps = -e^eps Phi(a - mu).
+
+    The two terms of delta are at most 1 and delta >= 1e-300 where it is
+    compared, so 340 digits leave 40 after their cancellation.
+    """
+    import mpmath
+    with mpmath.workdps(340):
+        m, e = mpmath.mpf(mu), mpmath.mpf(eps)
+        a = -e / m + m / 2
+        second = mpmath.exp(e) * mpmath.ncdf(a - m)
+        delta = mpmath.ncdf(a) - second
+        if delta <= 0:
+            return 0.0, math.inf
+        return float(delta), float((m * mpmath.npdf(a) + e * second) / delta)
+
+
+@given(LOG_MU, EPS)
+def test_gdp_to_delta_is_a_probability_with_a_clear_sign(log_mu, eps):
+    mu = 10.0 ** log_mu
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta = cv.gdp_to_delta(mu, eps)
+    assert type(delta) is float
+    assert 0.0 <= delta <= 1.0
+    assert math.copysign(1.0, delta) == 1.0
+    if eps == math.inf:
+        assert delta == 0.0
+
+
+@settings(max_examples=400)
+@given(LOG_MU.filter(lambda x: x <= 4.0), EPS)
+def test_gdp_to_delta_matches_mpmath(log_mu, eps):
+    pytest.importorskip("mpmath")
+    mu = 10.0 ** log_mu
+    delta = cv.gdp_to_delta(mu, eps)
+    if not -eps / mu + mu / 2 >= -38.0:
+        return  # delta <= Phi(-38) < 1e-300
+    want, kappa = _exact_delta(mu, eps)
+    if want >= 1e-300:
+        assert abs(delta - want) <= (1e-14 + ULP * kappa) * want, (want, kappa)
+
+
+@given(LOG_MU.filter(lambda x: x <= 4.0), EPS)
+def test_gdp_to_eps_inverts_gdp_to_delta(log_mu, eps):
+    mu = 10.0 ** log_mu
+    delta = cv.gdp_to_delta(mu, eps)
+    if not 0.0 < delta < 1.0:
+        return
+    back = cv.gdp_to_eps(mu, delta)
+    # The bisection brackets the preimage of delta to 1e-9 relative.
+    slack = 2e-9 * max(1.0, back)
+    assert (cv.gdp_to_delta(mu, back + slack) <= delta
+            <= cv.gdp_to_delta(mu, max(0.0, back - slack)))
 
 
 def test_gdp_to_eps_edges():

@@ -1,5 +1,5 @@
 """Every command in the README's CLI block runs and exits 0, and the
-closed-form ones do so without loading SciPy."""
+closed-form ones do so without loading NumPy or SciPy."""
 
 import json
 import os
@@ -57,13 +57,15 @@ def _closed_form(argv):
 
 
 # Runs each argv list of argv[1] through cli.main in one process; after each
-# command, writes its exit code and the SciPy modules loaded so far to stderr.
-_SCIPY_PROBE = """
+# command, writes its exit code and the NumPy and SciPy modules loaded so far
+# to stderr.
+_IMPORT_PROBE = """
 import json, sys
 from fdp_accountant import cli
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    loaded = sorted(m for m in sys.modules
+                    if m.split(".")[0] in ("numpy", "scipy"))
     sys.stderr.write(json.dumps([code, loaded]) + "\\n")
 """
 
@@ -76,11 +78,11 @@ def _fresh_python(*args, cwd):
                           env={**os.environ, "PYTHONPATH": path})
 
 
-def test_importing_the_cli_does_not_load_scipy(tmp_path):
+def test_importing_the_cli_loads_neither_numpy_nor_scipy(tmp_path):
     proc = _fresh_python("-c", "import sys, fdp_accountant.cli; "
                          "print('scipy' in sys.modules, 'numpy' in sys.modules)",
                          cwd=tmp_path)
-    assert proc.stdout.split() == ["False", "True"], proc.stderr
+    assert proc.stdout.split() == ["False", "False"], proc.stderr
 
 
 def test_importing_the_oracle_does_not_load_scipy_optimize(tmp_path):
@@ -90,21 +92,30 @@ def test_importing_the_oracle_does_not_load_scipy_optimize(tmp_path):
     assert proc.stdout.split() == ["False"], proc.stderr
 
 
+def _probe(argvs, cwd):
+    """Runs the argv lists in one fresh process; returns [exit code, NumPy and
+    SciPy modules loaded] after each, and the stdout of all."""
+    proc = _fresh_python("-c", _IMPORT_PROBE, json.dumps(argvs), cwd=cwd)
+    runs = [json.loads(line) for line in proc.stderr.splitlines()
+            if line.startswith("[")]
+    assert len(runs) == len(argvs), proc.stderr
+    return runs, proc.stdout
+
+
 def test_closed_form_examples_do_not_load_scipy(tmp_path):
     closed = [argv for argv in COMMANDS if _closed_form(argv)]
     rest = [argv for argv in COMMANDS
             if not _closed_form(argv) and argv[0] != "sweep-tau"]
     assert len(closed) == 8
-    proc = _fresh_python("-c", _SCIPY_PROBE, json.dumps(closed + rest),
-                         cwd=tmp_path)
-    runs = [json.loads(line) for line in proc.stderr.splitlines()
-            if line.startswith("[")]
-    assert len(runs) == len(closed) + len(rest), proc.stderr
-    assert all(code == 0 for code, _ in runs)
-    assert [loaded for _, loaded in runs[:len(closed)]] == [[]] * len(closed)
-    # The others still load what they need, lazily, and write their outputs.
-    assert "scipy" in runs[-1][1]
-    assert '"max_ci"' in proc.stdout  # verify's report
+    runs, _ = _probe(closed, tmp_path)
+    assert runs == [[0, []]] * len(closed)
+    # Each of the others, in a process of its own, still loads both, lazily,
+    # and writes its outputs.
     for argv in rest:
+        [[code, loaded]], stdout = _probe([argv], tmp_path)
+        assert code == 0
+        assert {"numpy", "scipy"} <= set(loaded), argv
         if "--out" in argv:
             assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+        else:
+            assert '"max_ci"' in stdout  # verify's report
