@@ -401,10 +401,7 @@ def clt_sgd_proj(p: AlgoParams):
     p.require_constrained()
     if p.D == 0 or p.eta == 0:
         raise DomainError("CLT window is degenerate for D = 0 or eta = 0")
-    ratio = p.L / (p.b * p.sigma)
-    K = (math.exp(8.0 * ratio * ratio
-                  + float(normal.log_cdf(3.0 * math.sqrt(2.0) * ratio)))
-         + 3.0 * float(normal.cdf(-math.sqrt(2.0) * ratio)) - 2.0)
+    K = _clt_inner(2.0 * math.sqrt(2.0) * p.L / (p.b * p.sigma))
     if K <= 0:
         raise DomainError("degenerate sensitivity: CLT term vanishes")
     w = p.D * p.n / (p.b * p.eta * p.sigma * math.sqrt(K))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -34,6 +35,23 @@ def _write(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
+def _write_json(report, out: str | None) -> None:
+    """Write a report as strict JSON: a non-finite float is written as null,
+    and any that slips through raises instead of printing Infinity/NaN."""
+    _write(json.dumps(_finite_or_null(report), allow_nan=False), out)
 
 
 def _csv(rows, header: str) -> str:
@@ -84,15 +102,30 @@ def _mode(args) -> str:
     return chosen[0] if chosen else "composition"
 
 
+def _reject_unused_bound_flags(args, kind: str, mode: str) -> None:
+    """A flag the chosen bound would ignore is a validation error."""
+    windowed = {("gd", "constrained"), ("sgd", "sc"), ("sgd", "constrained")}
+    if args.tau is not None and (kind, mode) not in windowed:
+        raise DomainError("--tau applies only to windowed bounds: gd "
+                          "--constrained and sgd --sc/--constrained")
+    if kind == "sgd":
+        if args.delta:
+            raise DomainError("--delta is not supported for sgd bounds; "
+                              "query delta at given eps with --eps")
+        if args.curve_out:
+            raise DomainError("--curve-out is not supported for sgd bounds")
+    elif args.eps:
+        raise DomainError(f"--eps is not supported for {kind} bounds; "
+                          "use convert gdp-to-epsdelta --mu MU --eps EPS")
+
+
 def cmd_bound(args) -> int:
     params = _load_params(args)
     mode = _mode(args)
+    _reject_unused_bound_flags(args, params.kind, mode)
     deltas = args.delta or []
     report: dict = {"params": params.to_dict(), "mode": mode}
     if params.kind == "sgd":
-        if deltas:
-            raise DomainError("--delta is not supported for sgd bounds; "
-                              "query delta at given eps with --eps")
         from . import prv  # deferred: only sgd bounds need SciPy's FFT
         if mode == "composition":
             cb = acct.bound_sgd_composition(params)
@@ -118,11 +151,8 @@ def cmd_bound(args) -> int:
             fns = {"composition": acct.bound_cgd_composition,
                    "sc": acct.bound_cgd_sc,
                    "constrained": acct.bound_cgd_proj}
-        fn = fns[mode]
-        if params.kind == "gd" and mode == "constrained" and args.tau is not None:
-            mu = acct.bound_gd_proj(params, args.tau)
-        else:
-            mu = fn(params)
+        # Only gd --constrained (bound_gd_proj) gets here with a --tau.
+        mu = fns[mode](params) if args.tau is None else fns[mode](params, args.tau)
         report["mu"] = mu
         if deltas:
             report["conversions"] = {"eps_at_delta": [
@@ -132,7 +162,7 @@ def cmd_bound(args) -> int:
             size = args.grid or tradeoff.DEFAULT_GRID_SIZE
             _write(_curve_csv(tradeoff.curve_of_gdp(mu, size)), args.curve_out)
             report["curve_ref"] = args.curve_out
-    _write(json.dumps(report), args.out)
+    _write_json(report, args.out)
     return EXIT_OK
 
 
@@ -175,7 +205,7 @@ def cmd_convert(args) -> int:
                          "output": conv.rdp_to_epsdelta(args.rho, d)})
     else:
         raise DomainError(f"unknown conversion {args.conversion!r}")
-    _write(json.dumps(rows), args.out)
+    _write_json(rows, args.out)
     return EXIT_OK
 
 
@@ -309,7 +339,7 @@ def cmd_verify(args) -> int:
     report = {"seed": args.seed, "trials": args.trials,
               "max_ci": max(c["ci"] for c in checks),
               "passed": passed, "checks": checks}
-    _write(json.dumps(report), args.out)
+    _write_json(report, args.out)
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
         sys.stderr.write(f"{status}  {c['name']}  margin={c['margin']:+.4f} "
@@ -331,7 +361,7 @@ def cmd_sweep_tau(args) -> int:
                 rows.append((tau, eps, result["deltas"][i][j]))
         _write(_csv(rows, "tau,eps,delta"), args.out)
     else:
-        _write(json.dumps(result), args.out)
+        _write_json(result, args.out)
     return EXIT_OK
 
 

@@ -1,11 +1,12 @@
 """Standard normal helpers.
 
 A float (Python or NumPy) passed to `cdf` or `log_cdf` is evaluated with the
-standard library's erf/erfc; arrays, `sf` and `inv_upper` go through
-scipy.special's erfc-based routines. SciPy, and with it NumPy, is imported on
-first use, so a request that passes only floats loads neither. Arguments as
-large as |x| ~ 40 show up in intermediate compositions, so anything that can
-underflow goes through the log-space variants.
+standard library's erf/erfc; arrays and `inv_upper` go through scipy.special's
+erfc-based routines. SciPy, and with it NumPy, is imported on first use, so a
+request that passes only floats loads neither. The upper tail 1 - Phi(x) is
+`cdf(-x)`. Arguments as large as |x| ~ 40 show up in intermediate
+compositions, so anything that can underflow goes through the log-space
+variants.
 """
 
 import math
@@ -52,13 +53,6 @@ def cdf(x):
     if isinstance(x, float):
         return _ndtr(x)
     return _special().ndtr(x)
-
-
-def sf(x):
-    """Upper tail 1 - Phi(x), without cancellation."""
-    special = _special()
-    import numpy as np  # deferred: SciPy has loaded it already
-    return special.ndtr(-np.asarray(x, dtype=float))
 
 
 def log_cdf(x):

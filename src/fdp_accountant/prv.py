@@ -26,6 +26,14 @@ On t > 0, with a = e+/mu - mu/2, the tail S(t) = p Phibar(a) +
 (1-p) Phibar(a + mu) is at most Phibar(a), so S(t_hi) <= Phibar(z), with
 equality at p = 1. Each factor thus drops at most 2 Phibar(12) ~ 3.6e-33.
 
+Cell masses difference one tail at the cell edges, each edge evaluated once
+(Gopi et al., arXiv:2106.02848): F up to a split point, S above it, and
+1 - F - S in the cell holding it. No tail used exceeds 3/4, so no small mass
+is 1 minus a value near 1. The split is the Gaussian PRV's mean mu^2/2; for
+the subsampled PRV it is t = 0 if p <= 1/2 (F(0-) = Phi(-mu/2) < 1/2 and
+S(0+) = (1-p) + (2p-1) Phi(mu/2) <= 1/2), else T_p(mu^2/2) (S <= 1/2 above
+it, F <= 1 - p/2 < 3/4 on (0, split]).
+
 Truncated probability is tracked per grid and checked against a budget, but
 it is not added to delta: delta values are estimates without error
 certificates. Mesh halving gives an empirical accuracy diagnostic.
@@ -124,21 +132,11 @@ def _aligned_range(lo: float, hi: float, mesh: float):
     return i_lo, i_hi
 
 
-def _masses_from_cdf(cdf, sf, i_lo: int, i_hi: int, mesh: float):
-    """Cell masses from CDF differences at cell edges (i +- 1/2) * mesh.
-
-    Uses the survival function on the right half to avoid cancellation in
-    1 - F; the crossing cell mixes both, which is safe since the values there
-    are moderate.
-    """
-    edges = (np.arange(i_lo, i_hi + 2) - 0.5) * mesh
-    F = cdf(edges)
-    S = sf(edges)
-    use_sf = F[1:] > 0.5
-    pmf = np.where(use_sf, S[:-1] - S[1:], F[1:] - F[:-1])
+def _masses(F, S):
+    """Cell masses and truncated mass from F at edges up to a split, S above."""
+    pmf = np.concatenate([np.diff(F), [1.0 - F[-1] - S[0]], -np.diff(S)])
     np.clip(pmf, 0.0, None, out=pmf)
-    tail = float(F[0] + S[-1])
-    return pmf, tail
+    return pmf, float(F[0] + S[-1])
 
 
 def prv_of_gdp(mu: float, mesh: float = DEFAULT_MESH) -> PrvGrid:
@@ -155,42 +153,20 @@ def prv_of_gdp(mu: float, mesh: float = DEFAULT_MESH) -> PrvGrid:
     mean, sd = 0.5 * mu * mu, mu
     half = _STD_SPAN * sd
     i_lo, i_hi = _aligned_range(mean - half, mean + half, mesh)
-    pmf, tail = _masses_from_cdf(lambda x: normal.cdf((x - mean) / sd),
-                                 lambda x: normal.sf((x - mean) / sd),
-                                 i_lo, i_hi, mesh)
-    return PrvGrid(offset=i_lo, mesh=mesh, pmf=pmf, tail_mass=tail)
+    edges = (np.arange(i_lo, i_hi + 2) - 0.5) * mesh
+    k = np.searchsorted(edges, mean, side="right")
+    return PrvGrid(i_lo, mesh, *_masses(normal.cdf((edges[:k] - mean) / sd),
+                                        normal.cdf((mean - edges[k:]) / sd)))
 
 
-def _subsampled_cdf_factory(mu: float, p: float):
-    """CDF and survival function of the symmetrized subsampled-Gaussian PRV.
-
-    Both are the same expression in Phi; the survival function substitutes
-    1 - Phi (normal.sf) to avoid cancellation in the right tail. Above
-    t = _EXPM1_SAFE, e+ is evaluated as t - log p + log1p(-(1-p) e^{-t}),
-    which does not overflow.
-    """
-
-    def law(phi):
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            out = np.empty_like(t)
-            neg = t <= 0
-            pos = ~neg
-            t_pos = t[pos]
-            with np.errstate(over="ignore"):
-                eps_neg = np.log1p(np.expm1(-t[neg]) / p)
-                eps_pos = np.log1p(np.expm1(t_pos) / p)
-            out[neg] = phi(-eps_neg / mu - mu / 2.0)
-            big = t_pos > _EXPM1_SAFE
-            t_big = t_pos[big]
-            eps_pos[big] = (t_big - math.log(p)
-                            + np.log1p(-(1.0 - p) * np.exp(-t_big)))
-            out[pos] = (p * phi(eps_pos / mu - mu / 2.0)
-                        + (1.0 - p) * phi(eps_pos / mu + mu / 2.0))
-            return out
-        return f
-
-    return law(normal.cdf), law(normal.sf)
+def _gaussian_loss(t, p: float):
+    """e = log((p - 1 + e^t) / p) for t >= 0: e+ at t, e- at -t. Above
+    _EXPM1_SAFE, where expm1 overflows, t - log p + log1p(-(1-p) e^{-t})."""
+    with np.errstate(over="ignore"):
+        e = np.log1p(np.expm1(t) / p)
+    big = t > _EXPM1_SAFE
+    e[big] = t[big] - math.log(p) + np.log1p(-(1.0 - p) * np.exp(-t[big]))
+    return e
 
 
 def prv_of_subsampled_gdp(mu: float, p: float,
@@ -207,7 +183,6 @@ def prv_of_subsampled_gdp(mu: float, p: float,
     if mesh > mu / 10.0:
         raise ConfigurationError(
             f"mesh {mesh} too coarse for mu={mu}; need mesh <= mu/10")
-    cdf, sf = _subsampled_cdf_factory(mu, p)
     # Cuts at e = mu^2/2 -+ _STD_SPAN mu pushed through T_p(e) =
     # log(1 - p + p e^e) (module docstring): F(t_lo) = Phibar(12) exactly and
     # S(t_hi) <= Phibar(12), with equality at p = 1.
@@ -215,8 +190,18 @@ def prv_of_subsampled_gdp(mu: float, p: float,
     e_cut = mu * _STD_SPAN + np.array([-0.5, 0.5]) * mu * mu
     t_neg, t_hi = np.logaddexp(log_q, math.log(p) + e_cut)
     i_lo, i_hi = _aligned_range(-float(t_neg), float(t_hi), mesh)
-    pmf, tail = _masses_from_cdf(cdf, sf, i_lo, i_hi, mesh)
-    return PrvGrid(offset=i_lo, mesh=mesh, pmf=pmf, tail_mass=tail)
+    # Split where neither tail exceeds 3/4 (module docstring).
+    split = (float(np.logaddexp(log_q, math.log(p) + 0.5 * mu * mu))
+             if p > 0.5 else 0.0)
+    edges = (np.arange(i_lo, i_hi + 2) - 0.5) * mesh
+    j, k = np.searchsorted(edges, [0.0, split], side="right")  # no edge at 0
+    a = _gaussian_loss(np.abs(edges), p) / mu
+    F = np.concatenate([normal.cdf(-a[:j] - mu / 2.0),
+                        p * normal.cdf(a[j:k] - mu / 2.0)
+                        + (1.0 - p) * normal.cdf(a[j:k] + mu / 2.0)])
+    S = (p * normal.cdf(mu / 2.0 - a[k:])
+         + (1.0 - p) * normal.cdf(-a[k:] - mu / 2.0))
+    return PrvGrid(i_lo, mesh, *_masses(F, S))
 
 
 # -- composition ---------------------------------------------------------------

@@ -331,3 +331,65 @@ def test_eps_beyond_1e8_is_found(argv, mu, capsys):
     z = NormalDist().inv_cdf(1.0 - 1e-5)
     assert eps == pytest.approx(mu * (mu / 2 + z), rel=1e-7)
     assert eps > 7e7
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+SGD_COMPOSITION = ("--kind", "sgd", "--composition", "--eta", "0.05",
+                   "--sigma", "2", "--n", "50", "--b", "5", "--L", "1",
+                   "--steps", "16")
+
+
+@pytest.mark.parametrize("argv, read", [
+    (("convert", "gdp-to-epsdelta", "--mu", "1", "--eps", "inf"),
+     lambda doc: (doc[0]["inputs"]["eps"], doc[0]["output"])),
+    (("bound", *SGD_COMPOSITION, "--eps", "inf", "--eps", "1"),
+     lambda doc: (doc["delta_at_eps"][0]["eps"],
+                  doc["delta_at_eps"][0]["delta"])),
+    (("sweep-tau", *SGD_SC, "--eps", "inf", "--candidates", "3"),
+     lambda doc: (doc["eps"][0], max(row[0] for row in doc["deltas"]))),
+], ids=["convert", "bound", "sweep-tau"])
+def test_infinite_eps_is_written_as_json_null(argv, read, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert read(_strict_json(out)) == (None, 0.0)
+
+
+CGD_PROJ = ("bound", "--kind", "cgd", "--constrained", "--eta", "0.02",
+            "--sigma", "3", "--n", "20", "--b", "1", "--L", "0.5",
+            "--epochs", "1000", "--M", "100", "--D", "1")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ((*GD_SC, "--m", "1", "--leff", "0.1", "--tau", "5"), "--tau"),
+    ((*CGD_PROJ, "--tau", "5"), "--tau"),
+    (("bound", *SGD_COMPOSITION, "--tau", "5", "--eps", "1"), "--tau"),
+    ((*GD_SC, "--m", "1", "--leff", "0.1", "--eps", "1"), "--eps"),
+    ((*CGD_PROJ, "--eps", "1"), "--eps"),
+    (("bound", *SGD_SC, "--tau", "30", "--curve-out", "bound.csv"),
+     "--curve-out"),
+], ids=["gd-sc-tau", "cgd-tau", "sgd-composition-tau", "gd-eps", "cgd-eps",
+        "sgd-curve-out"])
+def test_bound_rejects_flags_it_would_ignore(argv, flag, tmp_path, capsys,
+                                             monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bound_gd_constrained_takes_tau(capsys):
+    code, out, err = run(capsys, "bound", "--kind", "gd", "--constrained",
+                         "--eta", "0.1", "--sigma", "8", "--n", "1",
+                         "--L", "0.5", "--steps", "100", "--M", "20",
+                         "--D", "1", "--tau", "50")
+    assert code == 0, err
+    # The window form L sqrt(t - tau)/(n sigma) + D/(eta sigma sqrt(t - tau)).
+    want = 0.5 * math.sqrt(50) / 8 + 1 / (0.1 * 8 * math.sqrt(50))
+    assert json.loads(out)["mu"] == pytest.approx(want, rel=1e-12)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import types
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fdp_accountant import accountant as acc
 from fdp_accountant import conversions as cv
+from fdp_accountant import normal
 from fdp_accountant import prv
 from fdp_accountant import tradeoff as tc
 from fdp_accountant.errors import AccuracyError, ConfigurationError, DomainError
@@ -163,10 +165,98 @@ def _subsampled_cdf_neg(mu: float, p: float, t: float) -> float:
     return _phi(-e / mu - mu / 2.0)
 
 
+def _loss_pos(p: float, t: float) -> float:
+    """e = log((p - 1 + e^t) / p) for t > 0, also where e^t overflows."""
+    if t < 700.0:
+        return math.log1p(math.expm1(t) / p)
+    return t - math.log(p) + math.log1p((p - 1.0) * math.exp(-t))
+
+
 def _subsampled_sf_pos(mu: float, p: float, t: float) -> float:
     """S(t) for t > 0: p Phibar(a) + (1 - p) Phibar(a + mu), a = e/mu - mu/2."""
-    a = math.log1p(math.expm1(t) / p) / mu - mu / 2.0
+    a = _loss_pos(p, t) / mu - mu / 2.0
     return p * _phi(-a) + (1.0 - p) * _phi(-a - mu)
+
+
+def _subsampled_cdf_pos(mu: float, p: float, t: float) -> float:
+    """F(t) for t > 0: p Phi(a) + (1 - p) Phi(a + mu), a = e/mu - mu/2."""
+    a = _loss_pos(p, t) / mu - mu / 2.0
+    return p * _phi(a) + (1.0 - p) * _phi(a + mu)
+
+
+def _subsampled_cdf(mu: float, p: float, t: float) -> float:
+    if t <= 0:
+        return _subsampled_cdf_neg(mu, p, t)
+    return _subsampled_cdf_pos(mu, p, t)
+
+
+def _cell_mass_oracle(mu: float, p: float, lo: float, hi: float) -> float:
+    """Mass of the cell (lo, hi] from the smaller tail at its edges."""
+    f_hi = _subsampled_cdf(mu, p, hi)
+    if f_hi <= 0.5:
+        return f_hi - _subsampled_cdf(mu, p, lo)
+    f_lo = _subsampled_cdf(mu, p, lo)
+    if f_lo >= 0.5:        # lo > 0: F(0-) = Phi(-mu/2) < 1/2
+        return _subsampled_sf_pos(mu, p, lo) - _subsampled_sf_pos(mu, p, hi)
+    return 1.0 - f_lo - _subsampled_sf_pos(mu, p, hi)
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.8, 3.0, 12.0, 40.0])
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.51, 0.9, 1.0])
+def test_subsampled_masses_match_a_one_tail_oracle(mu, p):
+    # A mass formed as a difference of a tail near 1 loses its low digits:
+    # a split at t = 0 for every p differences S ~ p near t = 0+ and fails
+    # here from mu = 12, p = 0.51 on. The lattice must agree with
+    # differences of the smaller tail wherever the mass is representable.
+    mesh = 1e-2 if mu > 10 else prv.DEFAULT_MESH
+    g = prv.prv_of_subsampled_gdp(mu, p, mesh)
+    n = g.pmf.size
+    # The lattice splits its tails at T_p(mu^2/2) = log(1 - p + p e^{mu^2/2})
+    # for p > 1/2 (the loss map at rate 1/p), at 0 otherwise.
+    split = _loss_pos(1.0 / p, mu * mu / 2) if p > 0.5 else 0.0
+    # Both end cells, and the cells at and beside t = 0 and the split.
+    cells = {0, n - 1}
+    for c in (-g.offset, round(split / mesh) - g.offset):
+        cells.update((c - 1, c, c + 1))
+    cells.update(np.random.default_rng(0).integers(0, n, 200).tolist())
+    for i in sorted(cells):
+        lo, hi = (g.offset + i - 0.5) * mesh, (g.offset + i + 0.5) * mesh
+        want = _cell_mass_oracle(mu, p, lo, hi)
+        if want >= 1e-290:
+            assert abs(g.pmf[i] - want) <= 1e-8 * want, (i, lo, want)
+
+
+def _count_normal_elements(monkeypatch):
+    """Count the elements passed to the normal module's functions."""
+    counted = []
+    for name, fn in list(vars(normal).items()):
+        if inspect.isfunction(fn) and not name.startswith("_"):
+            def counting(x, *args, _fn=fn):
+                counted.append(np.size(x))
+                return _fn(x, *args)
+            monkeypatch.setattr(normal, name, counting)
+    return counted
+
+
+def test_gaussian_lattice_evaluates_each_edge_once(monkeypatch):
+    counted = _count_normal_elements(monkeypatch)
+    g = prv.prv_of_gdp(1.3)
+    assert sum(counted) == g.pmf.size + 1
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.3, 0.5, 0.7, 1.0])
+def test_subsampled_lattice_evaluates_each_edge_once_per_term(monkeypatch, p):
+    # Edges at t < 0 have one Phi term, edges at t > 0 two.
+    counted = _count_normal_elements(monkeypatch)
+    g = prv.prv_of_subsampled_gdp(1.3, p)
+    edges = (g.offset + np.arange(g.pmf.size + 1) - 0.5) * g.mesh
+    assert sum(counted) <= np.sum(edges < 0) + 2 * np.sum(edges > 0)
+
+
+def test_zero_rate_is_a_point_mass_before_the_mesh_check():
+    # mesh 1e-3 is too coarse for mu = 0.001, but p = 0 never builds a lattice.
+    g = prv.prv_of_subsampled_gdp(0.001, 0.0)
+    assert (g.offset, g.pmf.tolist(), g.tail_mass) == (0, [1.0], 0.0)
 
 
 @given(mu=st.floats(0.01, 5.0),
