@@ -119,6 +119,17 @@ def _reject_unused_bound_flags(args, kind: str, mode: str) -> None:
                           "use convert gdp-to-epsdelta --mu MU --eps EPS")
 
 
+def _reject_unused_global_flags(args) -> None:
+    """--seed outside verify, or --grid where no curve is written, would be
+    ignored: a validation error."""
+    if args.seed is not None and args.command != "verify":
+        raise DomainError("--seed applies only to verify")
+    writes_curve = args.command == "curve" or getattr(args, "curve_out", None)
+    if args.grid is not None and not writes_curve:
+        raise DomainError("--grid applies only to curve and to gd/cgd bound "
+                          "--curve-out")
+
+
 def cmd_bound(args) -> int:
     params = _load_params(args)
     mode = _mode(args)
@@ -334,9 +345,10 @@ def _verify_checks(seed: int, trials: int):
 
 
 def cmd_verify(args) -> int:
-    checks = _verify_checks(args.seed, args.trials)
+    seed = 0 if args.seed is None else args.seed
+    checks = _verify_checks(seed, args.trials)
     passed = all(c["passed"] for c in checks)
-    report = {"seed": args.seed, "trials": args.trials,
+    report = {"seed": seed, "trials": args.trials,
               "max_ci": max(c["ci"] for c in checks),
               "passed": passed, "checks": checks}
     _write_json(report, args.out)
@@ -392,9 +404,11 @@ def _add_global_flags(p) -> None:
                    help="JSON file of run parameters")
     p.add_argument("--out", default=argparse.SUPPRESS,
                    help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="Monte-Carlo seed for verify (default 0)")
     p.add_argument("--grid", type=int, default=argparse.SUPPRESS,
-                   help="alpha-grid size for curve output")
+                   help="alpha-grid size for curve and gd/cgd bound "
+                        "--curve-out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fdp-accountant",
         description="f-DP / GDP accounting for noisy gradient descent variants")
     _add_global_flags(parser)
-    parser.set_defaults(config=None, out=None, seed=0, grid=None)
+    parser.set_defaults(config=None, out=None, seed=None, grid=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bound", help="compute a privacy bound")
@@ -464,6 +478,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _reject_unused_global_flags(args)
         return args.fn(args)
     except AccuracyError as exc:
         sys.stderr.write(f"accuracy budget exceeded: {exc}\n")

@@ -120,16 +120,18 @@ def _run_chunk(spec: SimSpec, n_trials: int, seed) -> tuple:
 
     x = np.zeros(shape)
     y = np.zeros(shape)
+    z = np.empty(shape)  # one noise buffer, drawn for x, then for y
     for k in range(spec.steps):
         if spec.kind == "sgd":
             inc = rng.random(n_trials) < spec.b / spec.n
             drift = np.where(inc, spec.eta * spec.L / spec.b, 0.0)
         else:
             drift = spec.eta * drifts[k]
-        zx = rng.standard_normal(shape)
-        zy = rng.standard_normal(shape)
-        x = c_step * x - scale * zx
-        y = c_step * y - scale * zy
+        for state in (x, y):  # state = c_step * state - scale * z, in place
+            rng.standard_normal(out=z)
+            z *= scale
+            state *= c_step
+            state -= z
         if spec.dimension == 1:
             y += drift
         else:

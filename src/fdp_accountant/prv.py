@@ -44,6 +44,16 @@ lattice above the smallest eps, as privacy profiles over eps grids need
 the lattice segments between consecutive eps are combined from the largest
 eps down by a recursion of nonnegative terms, so the result is
 non-increasing in eps exactly.
+
+A composite (evaluate_composite) folds its Gaussian factors into one,
+G(mu_1) x ... x G(mu_n) = G(hypot(mu_1, ..., mu_n)), which is exact, and
+composes the subsampled factors first into the rest R. The Gaussian is built
+last, from cut = min(0, smallest eps) - R.hi - 2 mesh (an eps of +inf counts
+as 0): its mass below the cut goes into its first cell, and a loss there
+plus any point of R lands below every eps asked, so no delta read changes
+beyond round-off, and every request with eps >= 0 reads the same lattice.
+That Gaussian is often far longer than R; convolve then uses overlap-add,
+with FFT blocks of about (_OLA_RATIO + 1) times the shorter lattice.
 """
 
 from __future__ import annotations
@@ -61,8 +71,8 @@ from .errors import AccuracyError, ConfigurationError, DomainError
 DEFAULT_MESH = 1e-3
 _STD_SPAN = 12.0  # lattice cuts and composed range: mean +- span * std
 TAIL_BUDGET = 1e-6  # cap on the accumulated truncated mass of a composition
-_SYMMETRY_FLOOR = 1e-300  # smallest mass symmetry_residual compares
 _EXPM1_SAFE = 700.0  # expm1(t) overflows above t ~ 709.8
+_OLA_RATIO = 8  # convolve overlap-adds above this ratio of lattice lengths
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,23 +117,6 @@ class PrvGrid:
         m = float(np.dot(g, self.pmf))
         return float(np.dot((g - m) ** 2, self.pmf))
 
-    def symmetry_residual(self) -> float:
-        """Max relative deviation of pmf(t) from e^t pmf(-t) over mirrored
-        lattice pairs with both masses above _SYMMETRY_FLOOR. Zero-ish for
-        PRVs of symmetric tradeoff functions."""
-        n = self.pmf.size
-        i = np.arange(n)
-        j = -(self.offset + i) - self.offset  # index of the mirrored point
-        ok = (j >= 0) & (j < n)
-        a = self.pmf[i[ok]]
-        b = self.pmf[j[ok]]
-        t = (self.offset + i[ok]) * self.mesh
-        mask = (a > _SYMMETRY_FLOOR) & (b > _SYMMETRY_FLOOR)
-        if not np.any(mask):
-            return 0.0
-        ratio = a[mask] / (np.exp(t[mask]) * b[mask])
-        return float(np.max(np.abs(ratio - 1.0)))
-
 
 def _aligned_range(lo: float, hi: float, mesh: float):
     """Snap [lo, hi] outward to lattice indices, always covering 0."""
@@ -139,8 +132,15 @@ def _masses(F, S):
     return pmf, float(F[0] + S[-1])
 
 
-def prv_of_gdp(mu: float, mesh: float = DEFAULT_MESH) -> PrvGrid:
-    """PRV of the Gaussian mechanism: Y ~ N(mu^2 / 2, mu^2), discretized."""
+def prv_of_gdp(mu: float, mesh: float = DEFAULT_MESH, *,
+               cut: float = -math.inf) -> PrvGrid:
+    """PRV of the Gaussian mechanism: Y ~ N(mu^2 / 2, mu^2), discretized.
+
+    A `cut` above the lower 12-sigma cut starts the lattice at the cell
+    holding min(cut, mu^2/2) instead, and that first cell takes all the mass
+    below it. A delta query that no loss below the cut can reach reads the
+    same value from either lattice (evaluate_composite).
+    """
     if mesh <= 0:
         raise ConfigurationError("mesh must be > 0")
     if mu < 0:
@@ -152,11 +152,14 @@ def prv_of_gdp(mu: float, mesh: float = DEFAULT_MESH) -> PrvGrid:
             f"mesh {mesh} too coarse for mu={mu}; need mesh <= mu/10")
     mean, sd = 0.5 * mu * mu, mu
     half = _STD_SPAN * sd
-    i_lo, i_hi = _aligned_range(mean - half, mean + half, mesh)
+    lo = max(mean - half, min(cut, mean))   # never above the split (mean)
+    i_lo, i_hi = _aligned_range(lo, mean + half, mesh)
     edges = (np.arange(i_lo, i_hi + 2) - 0.5) * mesh
     k = np.searchsorted(edges, mean, side="right")
-    return PrvGrid(i_lo, mesh, *_masses(normal.cdf((edges[:k] - mean) / sd),
-                                        normal.cdf((mean - edges[k:]) / sd)))
+    F = normal.cdf((edges[:k] - mean) / sd)
+    if lo > mean - half:
+        F[0] = 0.0                          # the first cell takes the rest
+    return PrvGrid(i_lo, mesh, *_masses(F, normal.cdf((mean - edges[k:]) / sd)))
 
 
 def _gaussian_loss(t, p: float):
@@ -210,21 +213,46 @@ def prv_of_subsampled_gdp(mu: float, p: float,
 def convolve(a: PrvGrid, b: PrvGrid) -> PrvGrid:
     """Distribution of the sum of two independent PRVs (linear convolution).
 
-    Both PRVs must live on the same mesh.
+    Both PRVs must live on the same mesh. One FFT of the full length, unless
+    one lattice has more than _OLA_RATIO times the points of the other: then
+    overlap-add, in FFT blocks sized for the shorter one.
     """
     if a.mesh != b.mesh:
         raise DomainError(f"cannot convolve PRVs on meshes {a.mesh} and {b.mesh}")
     n = a.pmf.size + b.pmf.size - 1
-    nfft = sfft.next_fast_len(n)
-    fa = sfft.rfft(a.pmf, nfft)
-    fb = sfft.rfft(b.pmf, nfft)
-    out = sfft.irfft(fa * fb, nfft)[:n]
+    short, long = sorted((a.pmf, b.pmf), key=len)
+    if long.size > _OLA_RATIO * short.size:
+        out = _overlap_add(long, short)
+    else:
+        nfft = sfft.next_fast_len(n)
+        fa = sfft.rfft(a.pmf, nfft)
+        fb = sfft.rfft(b.pmf, nfft)
+        out = sfft.irfft(fa * fb, nfft)[:n]
     np.clip(out, 0.0, None, out=out)
     tail = a.tail_mass + b.tail_mass
     # Absorb the (tiny) mass defect from clipping FFT noise into the slack.
     tail += max(0.0, (1.0 - a.tail_mass) * (1.0 - b.tail_mass) - float(out.sum()))
     return PrvGrid(offset=a.offset + b.offset, mesh=a.mesh, pmf=out,
                    tail_mass=min(tail, 1.0))
+
+
+def _overlap_add(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Linear convolution of x with a shorter k: x is cut into blocks of
+    `step` points, each block is convolved with k by one batched FFT of
+    about (_OLA_RATIO + 1) * len(k) points, and the len(k) - 1 points each
+    block spills past its end are added onto the next block."""
+    m = k.size
+    nfft = sfft.next_fast_len(_OLA_RATIO * m + m - 1, real=True)
+    step = nfft - m + 1
+    blocks = -(-x.size // step)
+    buf = np.zeros(blocks * step)
+    buf[:x.size] = x
+    y = sfft.irfft(sfft.rfft(buf.reshape(blocks, step), nfft, axis=1)
+                   * sfft.rfft(k, nfft), nfft, axis=1)
+    out = np.zeros((blocks + 1) * step)
+    out[:blocks * step] = y[:, :step].reshape(-1)
+    out[step:].reshape(blocks, step)[:, :m - 1] += y[:, step:]
+    return out[:x.size + m - 1]
 
 
 def _check_budget(tail: float) -> None:
@@ -343,9 +371,11 @@ def evaluate_composite(composite, eps_list):
     """Evaluate a symbolic product of GdpFactor / SubsampledGdpFactor factors.
 
     `composite` is anything with a `.factors` iterable of those two types;
-    any other factor raises DomainError. Builds each factor's PRV on the
-    DEFAULT_MESH lattice, composes by FFT (accumulated truncation capped by
-    TAIL_BUDGET) and returns [(eps, delta)] pairs.
+    any other factor raises DomainError. Builds the PRVs on the DEFAULT_MESH
+    lattice: the subsampled factors composed by FFT first, then one Gaussian
+    for all GdpFactors, cut below what the eps can reach (module docstring).
+    Accumulated truncation is capped by TAIL_BUDGET. Returns [(eps, delta)]
+    pairs.
     An empty product is perfectly private: delta(eps) = max(0, 1 - e^eps).
     """
     factors = list(composite.factors)
@@ -354,18 +384,26 @@ def evaluate_composite(composite, eps_list):
         raise DomainError("eps must not be nan")
     if not factors:
         return [(e, max(0.0, -math.expm1(e))) for e in eps_list]
-    composed = None
+    rest, gauss = None, []
     for f in factors:
         if isinstance(f, SubsampledGdpFactor):
             prv = prv_of_subsampled_gdp(f.mu, f.p)
             if f.multiplicity > 1:
                 prv = self_compose(prv, f.multiplicity)
+            rest = prv if rest is None else convolve(rest, prv)
         elif isinstance(f, GdpFactor):
-            prv = prv_of_gdp(f.mu)
+            gauss.append(f.mu)
         else:
             raise DomainError(
                 f"unsupported composite factor {type(f).__name__}")
-        composed = prv if composed is None else convolve(composed, prv)
+    composed = rest
+    if gauss:
+        # Gaussian losses below the cut plus any point of the rest land at
+        # least two meshes below min(0, smallest eps), where no delta is read.
+        low = min([0.0] + [0.0 if e == math.inf else e for e in eps_list])
+        cut = low - (0.0 if rest is None else rest.hi) - 2.0 * DEFAULT_MESH
+        g = prv_of_gdp(math.hypot(*gauss), cut=cut)
+        composed = g if rest is None else convolve(rest, g)
     _check_budget(composed.tail_mass)
     return list(zip(eps_list, prv_delta(composed, eps_list)))
 

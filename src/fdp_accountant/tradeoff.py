@@ -101,11 +101,6 @@ class TradeoffCurve:
         """Evaluate the piecewise-linear interpolant."""
         return np.interp(alpha, self.alphas, self.values)
 
-    @classmethod
-    def from_csv(cls, path) -> "TradeoffCurve":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
-        return cls(data[:, 0], data[:, 1])
-
 
 def identity_curve(alphas=None) -> TradeoffCurve:
     """Id(alpha) = 1 - alpha, the fully private curve."""

@@ -9,6 +9,12 @@ from fdp_accountant import cli, oracle
 from fdp_accountant.tradeoff import TradeoffCurve, curve_of_gdp
 
 
+def read_curve_csv(path) -> TradeoffCurve:
+    """The curve of a CSV written by the CLI (header alpha,f)."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
+    return TradeoffCurve(data[:, 0], data[:, 1])
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -80,7 +86,7 @@ def test_curve_round_trip(tmp_path, capsys):
     path = tmp_path / "g.csv"
     code, _, _ = run(capsys, "curve", "--mu", "0.961", "--out", str(path))
     assert code == 0
-    back = TradeoffCurve.from_csv(path)
+    back = read_curve_csv(path)
     ref = curve_of_gdp(0.961)
     assert np.array_equal(back.alphas, ref.alphas)
     assert np.array_equal(back.values, ref.values)
@@ -102,7 +108,7 @@ def test_subsampled_curve_matches_library(tmp_path, capsys):
     code, _, _ = run(capsys, "curve", "--mu", "1.0", "--subsample-p", "0.25",
                      "--grid", "2001", "--out", str(path))
     assert code == 0
-    back = TradeoffCurve.from_csv(path)
+    back = read_curve_csv(path)
     ref = subsample(curve_of_gdp(1.0, 2001), 0.25)
     assert np.array_equal(back.values, ref.values)
 
@@ -258,7 +264,7 @@ def test_bound_curve_ref_and_csv_outputs(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["curve_ref"] == str(curve_path)
-    back = TradeoffCurve.from_csv(curve_path)
+    back = read_curve_csv(curve_path)
     assert back(0.5) == pytest.approx(curve_of_gdp(doc["mu"])(0.5), abs=1e-12)
 
     table_path = tmp_path / "deltas.csv"
@@ -393,3 +399,48 @@ def test_bound_gd_constrained_takes_tau(capsys):
     # The window form L sqrt(t - tau)/(n sigma) + D/(eta sigma sqrt(t - tau)).
     want = 0.5 * math.sqrt(50) / 8 + 1 / (0.1 * 8 * math.sqrt(50))
     assert json.loads(out)["mu"] == pytest.approx(want, rel=1e-12)
+
+
+SWEEP_SC = ("sweep-tau", "--kind", "sgd", "--sc", "--eta", "0.02", "--sigma",
+            "4", "--n", "400", "--b", "40", "--L", "4", "--steps", "40", "--m",
+            "1", "--M", "10", "--candidates", "3")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("convert", "gdp-to-rdp", "--mu", "2", "--grid", "5"), "--grid"),
+    (("table", "--name", "gd-sc", "--grid", "7"), "--grid"),
+    (("table", "--name", "gd-sc", "--seed", "3"), "--seed"),
+    (("--seed", "0", "convert", "gdp-to-epsdelta", "--mu", "1"), "--seed"),
+    (("curve", "--mu", "1", "--seed", "2", "--out", "c.csv"), "--seed"),
+    ((*GD_SC, "--m", "1", "--leff", "0.1", "--grid", "11"), "--grid"),
+    ((*GD_SC, "--m", "1", "--leff", "0.1", "--seed", "1"), "--seed"),
+    (("bound", *SGD_SC, "--tau", "30", "--eps", "1", "--grid", "11"), "--grid"),
+    ((*SWEEP_SC, "--grid", "5"), "--grid"),
+    ((*SWEEP_SC, "--seed", "0"), "--seed"),
+], ids=["convert-grid", "table-grid", "table-seed", "seed-before-convert",
+        "curve-seed", "gd-bound-grid", "gd-bound-seed", "sgd-bound-grid",
+        "sweep-grid", "sweep-seed-0"])
+def test_global_flags_without_effect_exit_2(argv, flag, tmp_path, capsys,
+                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_sizes_a_gd_bound_curve(tmp_path, capsys):
+    path = tmp_path / "bound.csv"
+    code, out, err = run(capsys, *GD_SC, "--m", "1", "--leff", "0.1",
+                         "--curve-out", str(path), "--grid", "11")
+    assert code == 0, err
+    back = read_curve_csv(path)
+    assert np.array_equal(back.values,
+                          curve_of_gdp(json.loads(out)["mu"], 11).values)
+
+
+def test_verify_seed_defaults_to_0(capsys):
+    default = run(capsys, "verify", "--trials", "2000")
+    assert default == run(capsys, "verify", "--trials", "2000", "--seed", "0")
+    assert json.loads(default[1])["seed"] == 0

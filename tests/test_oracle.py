@@ -28,6 +28,55 @@ def test_simulate_is_deterministic():
     assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
 
+def _expression_simulate(spec: oracle.SimSpec):
+    """simulate with each step as a fresh expression, c x - s z: the in-place
+    loop must reproduce it bit for bit."""
+    n_chunks = (spec.trials + oracle._CHUNK - 1) // oracle._CHUNK
+    seeds = np.random.SeedSequence(spec.seed).spawn(n_chunks)
+    xs, ys = [], []
+    for i, seed in enumerate(seeds):
+        n = min(oracle._CHUNK, spec.trials - i * oracle._CHUNK)
+        rng = np.random.default_rng(seed)
+        c, s = 1.0 - spec.eta * spec.m, spec.eta * spec.sigma
+        drifts = oracle._drifts(spec, rng)
+        shape = (n,) if spec.dimension == 1 else (n, spec.dimension)
+        x, y = np.zeros(shape), np.zeros(shape)
+        for k in range(spec.steps):
+            if spec.kind == "sgd":
+                inc = rng.random(n) < spec.b / spec.n
+                drift = np.where(inc, spec.eta * spec.L / spec.b, 0.0)
+            else:
+                drift = spec.eta * drifts[k]
+            zx = rng.standard_normal(shape)
+            zy = rng.standard_normal(shape)
+            x = c * x - s * zx
+            y = c * y - s * zy
+            if spec.dimension == 1:
+                y += drift
+            else:
+                y[:, 0] += drift
+            if math.isfinite(spec.diameter):
+                oracle._project_ball(x, spec.diameter / 2.0)
+                oracle._project_ball(y, spec.diameter / 2.0)
+        xs.append(x)
+        ys.append(y)
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("diameter", [math.inf, 1.5])
+@pytest.mark.parametrize("kind", ["gd", "cgd", "sgd"])
+def test_simulate_in_place_matches_the_expression_form(monkeypatch, kind,
+                                                       diameter, dimension):
+    monkeypatch.setattr(oracle, "_CHUNK", 700)   # three chunks, one partial
+    spec = oracle.SimSpec(kind=kind, dimension=dimension, m=0.5, eta=0.1,
+                          sigma=2.0, L=1.0, n=8, b=2, j_star=3, steps=25,
+                          trials=1500, seed=11, diameter=diameter)
+    x, y = oracle.simulate(spec)
+    want_x, want_y = _expression_simulate(spec)
+    assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+
+
 def test_simulate_moments_match_closed_form():
     eta, m, sigma, L, t = 0.1, 1.0, 1.0, 0.5, 30
     spec = oracle.SimSpec(kind="gd", m=m, eta=eta, sigma=sigma, L=L, n=1,

@@ -141,8 +141,29 @@ def test_one_delta_pass_per_composite(monkeypatch):
     assert sizes == [3] * len(out["taus"])
 
 
+_SYMMETRY_FLOOR = 1e-300  # smallest mass _symmetry_residual compares
+
+
+def _symmetry_residual(grid: prv.PrvGrid) -> float:
+    """Max relative deviation of pmf(t) from e^t pmf(-t) over mirrored
+    lattice pairs with both masses above _SYMMETRY_FLOOR. Zero-ish for PRVs
+    of symmetric tradeoff functions."""
+    n = grid.pmf.size
+    i = np.arange(n)
+    j = -(grid.offset + i) - grid.offset  # index of the mirrored point
+    ok = (j >= 0) & (j < n)
+    a = grid.pmf[i[ok]]
+    b = grid.pmf[j[ok]]
+    t = (grid.offset + i[ok]) * grid.mesh
+    mask = (a > _SYMMETRY_FLOOR) & (b > _SYMMETRY_FLOOR)
+    if not np.any(mask):
+        return 0.0
+    ratio = a[mask] / (np.exp(t[mask]) * b[mask])
+    return float(np.max(np.abs(ratio - 1.0)))
+
+
 def test_gdp_prv_symmetry_residual():
-    assert prv.prv_of_gdp(1.0).symmetry_residual() <= 1e-6
+    assert _symmetry_residual(prv.prv_of_gdp(1.0)) <= 1e-6
 
 
 def test_subsampled_prv_mass_and_symmetry():
@@ -151,8 +172,8 @@ def test_subsampled_prv_mass_and_symmetry():
     # the pmf(t) = e^t pmf(-t) identity holds to 1e-6 once the mesh resolves
     # the log-density slope at the truncation depth (O(mesh^2 slope^2 / 24))
     fine = prv.prv_of_subsampled_gdp(1.0, 0.1, mesh=5e-4)
-    assert fine.symmetry_residual() <= 1e-6
-    assert sp.symmetry_residual() <= 4.0 * fine.symmetry_residual() + 1e-7
+    assert _symmetry_residual(fine) <= 1e-6
+    assert _symmetry_residual(sp) <= 4.0 * _symmetry_residual(fine) + 1e-7
 
 
 def _phi(x: float) -> float:
@@ -316,6 +337,144 @@ def test_convolve_gaussian_closure():
     for eps in (0.0, 1.0):
         assert prv.prv_delta(same, eps) == pytest.approx(
             prv.prv_delta(g3, eps), abs=1e-12)
+
+
+def _random_grid(rng, size, offset=0):
+    pmf = rng.random(size) ** 4          # masses over several decades
+    return prv.PrvGrid(offset, prv.DEFAULT_MESH, pmf / pmf.sum(), 0.0)
+
+
+def _ola_step(m: int) -> int:
+    """Points of the long lattice per overlap-add block, for a short one of m."""
+    from scipy import fft
+    return fft.next_fast_len(prv._OLA_RATIO * m + m - 1, real=True) - m + 1
+
+
+@pytest.mark.parametrize("m, n", [
+    (1, 50), (1, 1), (7, 3 * _ola_step(7)), (12, 3 * _ola_step(12) + 1),
+    (20, 8 * 20), (20, 8 * 20 + 1), (33, 5000), (400, 30_000)],
+    ids=["m1", "m1-n1", "block-multiple", "block-multiple-plus-1", "ratio-8",
+         "ratio-8-plus-1", "m33", "m400"])
+def test_convolve_matches_direct_convolution(m, n):
+    rng = np.random.default_rng(m * 100_003 + n)
+    a, b = _random_grid(rng, n, offset=-3), _random_grid(rng, m, offset=5)
+    want = np.convolve(a.pmf, b.pmf)
+    for out in (prv.convolve(a, b), prv.convolve(b, a)):
+        assert (out.offset, out.pmf.size) == (2, n + m - 1)
+        assert np.max(np.abs(out.pmf - want)) <= 1e-15 * want.max()
+
+
+def _single_fft_convolve(a, b):
+    """convolve as one FFT of the full length (its form for lattices of
+    similar sizes)."""
+    from scipy import fft
+    n = a.pmf.size + b.pmf.size - 1
+    nfft = fft.next_fast_len(n)
+    out = fft.irfft(fft.rfft(a.pmf, nfft) * fft.rfft(b.pmf, nfft), nfft)[:n]
+    np.clip(out, 0.0, None, out=out)
+    return out
+
+
+@pytest.mark.parametrize("m, n", [(300, 300), (300, 2400), (2400, 301)])
+def test_convolve_of_similar_sizes_is_one_fft(m, n):
+    rng = np.random.default_rng(n)
+    a, b = _random_grid(rng, n), _random_grid(rng, m)
+    assert prv.convolve(a, b).pmf.tobytes() == _single_fft_convolve(a, b).tobytes()
+
+
+def test_gaussian_cut_moves_only_the_lower_tail():
+    full = prv.prv_of_gdp(1.3)
+    assert prv.prv_of_gdp(1.3, cut=-math.inf).pmf.tobytes() == full.pmf.tobytes()
+    assert prv.prv_of_gdp(1.3, cut=full.lo - 1.0).pmf.tobytes() == full.pmf.tobytes()
+    cut = prv.prv_of_gdp(1.3, cut=-0.25)
+    assert cut.lo <= -0.25 < cut.lo + cut.mesh
+    skip = cut.offset - full.offset
+    assert cut.pmf[1:].tobytes() == full.pmf[skip + 1:].tobytes()
+    assert cut.pmf[0] == pytest.approx(full.pmf[:skip + 1].sum(), rel=1e-12)
+    assert cut.tail_mass < full.tail_mass
+    # A cut above the mean is clamped to it (the lattice still covers 0): no
+    # mass moves past the split.
+    high = prv.prv_of_gdp(1.3, cut=5.0)
+    mesh, mean = high.mesh, 0.5 * 1.3 ** 2
+    assert high.offset == -1
+    assert high.pmf[0] == pytest.approx(_phi((-0.5 * mesh - mean) / 1.3),
+                                        rel=1e-12)
+    assert high.pmf[1:].tobytes() == full.pmf[-full.offset:].tobytes()
+
+
+def _uncut(composite):
+    """evaluate_composite's lattice with the Gaussian built uncut."""
+    rest = None
+    for f in composite.factors:
+        if isinstance(f, acc.SubsampledGdpFactor):
+            sp = prv.self_compose(prv.prv_of_subsampled_gdp(f.mu, f.p),
+                                  f.multiplicity)
+            rest = sp if rest is None else prv.convolve(rest, sp)
+    mu = math.hypot(*[f.mu for f in composite.factors
+                      if isinstance(f, acc.GdpFactor)])
+    g = prv.prv_of_gdp(mu)
+    return g if rest is None else prv.convolve(rest, g)
+
+
+@pytest.mark.parametrize("factors", [
+    (acc.GdpFactor(3.0),),
+    (acc.GdpFactor(0.5), acc.SubsampledGdpFactor(0.8, 0.2, 12)),
+    (acc.GdpFactor(4.0), acc.SubsampledGdpFactor(0.3, 0.05, 200),
+     acc.SubsampledGdpFactor(0.6, 0.05, 1)),
+    (acc.GdpFactor(0.2), acc.SubsampledGdpFactor(2.0, 1.0, 3)),
+], ids=["gauss", "head-and-window", "sc-like", "p1"])
+def test_cut_gaussian_gives_the_uncut_deltas(factors):
+    cb = acc.CompositeBound(factors)
+    eps = [0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, math.inf]
+    got = [d for _, d in prv.evaluate_composite(cb, eps)]
+    want = prv.prv_delta(_uncut(cb), eps)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+
+
+def test_lattice_does_not_depend_on_the_other_eps_asked(monkeypatch):
+    # Every request with eps >= 0 reads delta off the same composed lattice.
+    # (prv_delta itself sums a lone eps in one dot product and an eps among
+    # others by segments, which may differ in the last bit.)
+    read = []
+    real = prv.prv_delta
+
+    def recording(grid, eps):
+        read.append((grid.offset, grid.pmf.tobytes(), grid.tail_mass))
+        return real(grid, eps)
+
+    monkeypatch.setattr(prv, "prv_delta", recording)
+    cb = acc.CompositeBound((acc.GdpFactor(1.5),
+                             acc.SubsampledGdpFactor(0.8, 0.2, 12)))
+    (_, alone), = prv.evaluate_composite(cb, [1.0])
+    together = dict(prv.evaluate_composite(cb, [3.0, 1.0, 0.5]))
+    prv.evaluate_composite(cb, [1.0, math.inf])
+    assert read[0] == read[1] == read[2]
+    assert together[1.0] == pytest.approx(alone, rel=1e-13)
+    # A negative eps widens the lattice; delta(1) moves only by round-off.
+    (_, lower), _ = prv.evaluate_composite(cb, [1.0, -0.5])
+    assert read[3][1] != read[0][1]
+    assert abs(lower - alone) <= 1e-15
+
+
+def test_gaussian_factors_fold_into_one(monkeypatch):
+    built = []
+    real = prv.prv_of_gdp
+
+    def recording(mu, *args, **kwargs):
+        built.append(mu)
+        return real(mu, *args, **kwargs)
+
+    monkeypatch.setattr(prv, "prv_of_gdp", recording)
+    cb = acc.CompositeBound((acc.GdpFactor(3.0), acc.SubsampledGdpFactor(
+        0.8, 0.2, 4), acc.GdpFactor(4.0)))
+    prv.evaluate_composite(cb, [1.0])
+    assert built == [5.0]
+
+
+def test_tiny_gaussian_factor_still_too_coarse():
+    cb = acc.CompositeBound((acc.GdpFactor(1e-4),))
+    with pytest.raises(ConfigurationError):
+        prv.evaluate_composite(cb, [1.0])
 
 
 def test_subsampled_right_tail_beyond_expm1_overflow():
