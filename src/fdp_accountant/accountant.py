@@ -174,8 +174,8 @@ class GdpFactor:
     mu: float
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise DomainError("GDP factor needs mu >= 0")
+        if not 0.0 <= self.mu < math.inf:  # also rejects nan
+            raise DomainError(f"GDP factor needs a finite mu >= 0, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -186,9 +186,10 @@ class SubsampledGdpFactor:
     multiplicity: int = 1
 
     def __post_init__(self):
-        if self.mu < 0 or not 0.0 <= self.p <= 1.0 or self.multiplicity < 1:
-            raise DomainError("subsampled factor needs mu >= 0, p in [0,1], "
-                              "multiplicity >= 1")
+        if (not 0.0 <= self.mu < math.inf or not 0.0 <= self.p <= 1.0
+                or self.multiplicity < 1):
+            raise DomainError("subsampled factor needs a finite mu >= 0, "
+                              "p in [0,1], multiplicity >= 1")
 
 
 @dataclass(frozen=True)
@@ -503,7 +504,7 @@ def tau_window_grid(t: int, max_candidates: int = 64) -> list:
             f"candidate count must be >= 1, got {max_candidates}")
     import numpy as np  # deferred: closed-form bounds run without NumPy
     ws = np.unique(np.round(np.geomspace(1, t, max_candidates)).astype(int))
-    return [int(w) for w in ws if 1 <= w <= t]
+    return [int(w) for w in ws]
 
 
 def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",

@@ -170,8 +170,8 @@ def cmd_bound(args) -> int:
                 {"delta": d, "eps": conv.gdp_to_eps(mu, d)} for d in deltas]}
         if args.curve_out:
             from . import tradeoff  # deferred: only curves need NumPy
-            size = args.grid or tradeoff.DEFAULT_GRID_SIZE
-            _write(_curve_csv(tradeoff.curve_of_gdp(mu, size)), args.curve_out)
+            _write(_curve_csv(tradeoff.curve_of_gdp(mu, args.grid)),
+                   args.curve_out)
             report["curve_ref"] = args.curve_out
     _write_json(report, args.out)
     return EXIT_OK
@@ -180,14 +180,9 @@ def cmd_bound(args) -> int:
 def cmd_curve(args) -> int:
     from . import tradeoff  # deferred: only curves need NumPy
 
-    size = args.grid or tradeoff.DEFAULT_GRID_SIZE
+    curve = tradeoff.curve_of_gdp(args.mu, args.grid)
     if args.subsample_p is not None:
-        curve = tradeoff.subsample(tradeoff.curve_of_gdp(args.mu, size),
-                                   args.subsample_p)
-    elif args.mu is not None:
-        curve = tradeoff.curve_of_gdp(args.mu, size)
-    else:
-        curve = tradeoff.identity_curve(tradeoff.alpha_grid(size))
+        curve = tradeoff.subsample(curve, args.subsample_p)
     _write(_curve_csv(curve), args.out)
     return EXIT_OK
 
@@ -438,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("curve", help="emit a tradeoff curve as CSV")
     _add_global_flags(c)
-    c.add_argument("--mu", type=float, help="Gaussian curve parameter")
+    c.add_argument("--mu", type=float, default=0.0,
+                   help="Gaussian curve parameter (default 0: the identity)")
     c.add_argument("--subsample-p", type=float,
                    help="apply the subsampling operator at this rate")
     c.set_defaults(fn=cmd_curve)

@@ -11,7 +11,8 @@ optimized over the order.
 
 Everything except `curve_to_delta` is scalar arithmetic on the standard
 library's math module, so the closed-form conversions load neither NumPy nor
-SciPy. mu and rho must be finite; eps = +inf is valid and gives delta = 0.
+SciPy. mu and rho must be finite; eps = +inf is valid and gives delta = 0
+for GDP and 1 - f(0) for a curve f.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ if TYPE_CHECKING:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS_TOL = 1e-12      # gdp_to_eps: residual |delta(eps) - delta| accepted
 _MU_BRACKET = 100.0   # gdp_mu_from_delta: largest mu searched
+_EPS_EXP_MAX = 709.0  # curve_to_delta: largest eps whose e^eps is formed
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = math.log(_SQRT_2PI)
@@ -163,12 +165,12 @@ def gdp_to_rdp(mu: float, alpha: float) -> float:
     return 0.5 * mu * mu * alpha
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 200) -> float:
+def _golden_min(fn, lo: float, hi: float) -> float:
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
+    for _ in range(200):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -214,7 +216,14 @@ def curve_to_delta(f: TradeoffCurve, eps: float) -> float:
 
     For a piecewise-linear curve the objective is linear on each segment, so
     the supremum is attained at a grid node and the node maximum is exact for
-    the stored representation.
+    the stored representation. Above eps = 709, where e^eps nears overflow,
+    e^eps alpha > 1 at every positive normal double alpha, so only the
+    alpha = 0 node can be positive: delta = 1 - f(0).
     """
-    delta = float((1.0 - math.exp(eps) * f.alphas - f.values).max())
+    if math.isnan(eps):
+        raise DomainError("eps must be a number, got nan")
+    if eps > _EPS_EXP_MAX:
+        delta = 1.0 - float(f.values[0])
+    else:
+        delta = float((1.0 - math.exp(eps) * f.alphas - f.values).max())
     return min(max(delta, 0.0), 1.0)

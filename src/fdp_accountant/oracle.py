@@ -89,7 +89,7 @@ class SimSpec:
                 raise DomainError("j_star out of range")
 
 
-def _drifts(spec: SimSpec, rng) -> np.ndarray:
+def _drifts(spec: SimSpec) -> np.ndarray:
     """Per-step gradient-gap drifts of the perturbed process (units of eta)."""
     if spec.kind == "gd":
         return np.full(spec.steps, spec.L / spec.n)
@@ -115,7 +115,7 @@ def _run_chunk(spec: SimSpec, n_trials: int, seed) -> tuple:
     scale = spec.eta * spec.sigma
     half = spec.diameter / 2.0
     project = math.isfinite(spec.diameter)
-    drifts = _drifts(spec, rng)
+    drifts = _drifts(spec)
     shape = (n_trials,) if spec.dimension == 1 else (n_trials, spec.dimension)
 
     x = np.zeros(shape)
@@ -170,12 +170,6 @@ class EmpiricalCurve:
     alphas: np.ndarray
     values: np.ndarray
     ci_halfwidth: float
-    method: str
-    n_p: int
-    n_q: int
-
-    def __call__(self, alpha):
-        return np.interp(alpha, self.alphas, self.values)
 
 
 DEFAULT_ALPHAS = np.linspace(0.01, 0.99, 197)
@@ -214,7 +208,7 @@ def empirical_tradeoff(samples_p, samples_q, method: str = "exact-lr",
         thresholds = np.quantile(stat_p, 1.0 - alphas)
         stat_q_sorted = np.sort(stat_q)
         betas = np.searchsorted(stat_q_sorted, thresholds, side="right") / n_q
-        return EmpiricalCurve(alphas, betas, ci, method, n_p, n_q)
+        return EmpiricalCurve(alphas, betas, ci)
 
     if method == "histogram-lr":
         # Split-sample to avoid selection bias: the first halves order the
@@ -244,7 +238,7 @@ def empirical_tradeoff(samples_p, samples_q, method: str = "exact-lr",
         # Randomized interpolation between the discrete tests is linear.
         vals = np.interp(alphas, alpha_path, beta_path)
         ci = dkw_halfwidth(eval_p.size) + dkw_halfwidth(eval_q.size)
-        return EmpiricalCurve(alphas, vals, 1.5 * ci, method, n_p, n_q)
+        return EmpiricalCurve(alphas, vals, 1.5 * ci)
 
     raise DomainError(f"unknown method {method!r}")
 

@@ -22,31 +22,37 @@ from .errors import DomainError
 
 FEASIBILITY_TOL = -1e-10  # allowed round-off on z_k >= 0
 TERMINAL_TOL = 1e-9       # |z_t| considered zero, relative to s-scale
-REPLAY_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class ShiftSchedule:
-    """Sequences (lambda_k, a_k, z_k) for k in (tau, t], plus z_tau."""
+    """Sequences (a_k, z_k) for k in (tau, t], plus z_tau; t and lambda_k
+    follow from them."""
 
     tau: int
-    t: int
     c: float
     s_seq: np.ndarray   # per-step sensitivities, length t - tau
-    lambdas: np.ndarray
     a: np.ndarray
     z: np.ndarray       # residual distances z_tau..z_t, length t - tau + 1
 
     def __post_init__(self):
-        for name in ("s_seq", "lambdas", "a", "z"):
+        for name in ("s_seq", "a", "z"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             arr.flags.writeable = False
         self.validate()
 
     @property
-    def steps(self) -> int:
-        return self.t - self.tau
+    def t(self) -> int:
+        return self.tau + self.a.size
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        """lambda_k = a_k / (c z_{k-1} + s_k), with 0/0 defined as 0."""
+        denom = self.c * self.z[:-1] + self.s_seq
+        lam = np.divide(self.a, denom, out=np.zeros_like(self.a),
+                        where=denom > 0)
+        return np.clip(lam, 0.0, 1.0)
 
     @property
     def sum_sq(self) -> float:
@@ -57,12 +63,11 @@ class ShiftSchedule:
         return float(self.z[-1])
 
     def validate(self) -> None:
-        n = self.steps
-        if n < 0 or self.tau < 0:
-            raise DomainError("schedule needs 0 <= tau <= t")
-        for name in ("s_seq", "lambdas", "a"):
-            if getattr(self, name).shape != (n,):
-                raise DomainError(f"{name} must have length t - tau = {n}")
+        n = self.a.size
+        if self.tau < 0:
+            raise DomainError("schedule needs tau >= 0")
+        if self.a.shape != (n,) or self.s_seq.shape != (n,):
+            raise DomainError(f"a and s_seq must have length t - tau = {n}")
         if self.z.shape != (n + 1,):
             raise DomainError("z must have length t - tau + 1")
         if self.c < 0:
@@ -71,8 +76,6 @@ class ShiftSchedule:
             raise DomainError("sensitivities and shifts must be >= 0")
         if np.any(self.z < FEASIBILITY_TOL):
             raise DomainError("residual distances must be >= 0")
-        if np.any(self.lambdas < -1e-12) or np.any(self.lambdas > 1.0 + 1e-12):
-            raise DomainError("lambda values must lie in [0, 1]")
         # Recursion consistency: z_k + a_k = c z_{k-1} + s_k.
         lhs = self.z[1:] + self.a
         rhs = self.c * self.z[:-1] + self.s_seq
@@ -89,14 +92,6 @@ class ShiftSchedule:
         """Re-run the recursion from (c, s_seq, lambdas, z_tau)."""
         return recurse_schedule(self.c, self.s_seq, self.lambdas,
                                 z_tau=float(self.z[0]), tau=self.tau)
-
-
-def _lambda_from(a: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Recover lambda_k = a_k / (c z_{k-1} + s_k), with 0/0 defined as 0."""
-    lam = np.zeros_like(a)
-    nz = denom > 0
-    lam[nz] = a[nz] / denom[nz]
-    return np.clip(lam, 0.0, 1.0)
 
 
 def recurse_schedule(c: float, s_seq, lambdas, z_tau: float = 0.0,
@@ -122,8 +117,7 @@ def recurse_schedule(c: float, s_seq, lambdas, z_tau: float = 0.0,
         base = c * z[k] + s_seq[k]
         a[k] = lambdas[k] * base
         z[k + 1] = (1.0 - lambdas[k]) * base
-    return ShiftSchedule(tau=tau, t=tau + n, c=c, s_seq=s_seq,
-                         lambdas=lambdas, a=a, z=z)
+    return ShiftSchedule(tau=tau, c=c, s_seq=s_seq, a=a, z=z)
 
 
 def meta_mu(schedule: ShiftSchedule, sigma: float) -> float:
@@ -160,9 +154,7 @@ def optimal_sc_schedule(c: float, s: float, t: int):
     a = c ** (t - k) * (1.0 + c) * s / (1.0 + ct)
     kz = np.arange(0, t + 1, dtype=float)
     z = (1.0 - c ** kz) * (1.0 - c ** (t - kz)) * s / ((1.0 + ct) * (1.0 - c))
-    lam = _lambda_from(a, c * z[:-1] + s)
-    sched = ShiftSchedule(tau=0, t=t, c=c, s_seq=np.full(t, float(s)),
-                          lambdas=lam, a=a, z=z)
+    sched = ShiftSchedule(tau=0, c=c, s_seq=np.full(t, float(s)), a=a, z=z)
     sum_sq = (1.0 - ct) / (1.0 + ct) * (1.0 + c) / (1.0 - c) * s * s
     return sched, sum_sq
 
@@ -184,12 +176,9 @@ def optimal_proj_schedule(s: float, D: float, t: int, tau: int):
         raise DomainError(f"need 0 <= tau < t, got tau={tau}, t={t}")
     w = t - tau
     r = D / w
-    k = np.arange(tau + 1, t + 1, dtype=float)
     a = np.full(w, s + r)
     z = r * (t - np.arange(tau, t + 1, dtype=float))
-    lam = (s + r) / (s + r * (t - k + 1.0))
-    sched = ShiftSchedule(tau=tau, t=t, c=1.0, s_seq=np.full(w, float(s)),
-                          lambdas=lam, a=a, z=z)
+    sched = ShiftSchedule(tau=tau, c=1.0, s_seq=np.full(w, float(s)), a=a, z=z)
     return sched, (s + r) ** 2 * w, D / s
 
 
@@ -216,9 +205,7 @@ def _replay_cyclic(c: float, s_seq: np.ndarray, a: np.ndarray, z_tau: float,
     if abs(z[-1]) > TERMINAL_TOL * scale:
         raise DomainError("infeasible cyclic schedule: nonzero terminal residual")
     z[-1] = 0.0
-    lam = _lambda_from(a, c * z[:-1] + s_seq)
-    return ShiftSchedule(tau=tau, t=tau + n, c=c, s_seq=s_seq, lambdas=lam,
-                         a=a, z=z)
+    return ShiftSchedule(tau=tau, c=c, s_seq=s_seq, a=a, z=z)
 
 
 def cgd_sc_schedule(c: float, s: float, l: int, E: int, j_star: int):

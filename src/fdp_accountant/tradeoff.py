@@ -68,10 +68,6 @@ class TradeoffCurve:
         values.flags.writeable = False
 
     @property
-    def grid_size(self) -> int:
-        return self.alphas.size
-
-    @property
     def mesh(self) -> float:
         """Largest alpha spacing of the grid."""
         return float(np.max(np.diff(self.alphas)))
@@ -131,12 +127,10 @@ def gdp_eval(mu: float, alpha):
     return float(out) if np.isscalar(alpha) else out
 
 
-def curve_of_gdp(mu: float, grid_size: int | None = None, alphas=None) -> TradeoffCurve:
-    """Discretize G(mu) on the standard (or a supplied) alpha grid."""
-    if alphas is None:
-        alphas = alpha_grid(DEFAULT_GRID_SIZE if grid_size is None else grid_size)
-    else:
-        alphas = np.asarray(alphas, dtype=float)
+def curve_of_gdp(mu: float, grid_size: int | None = None) -> TradeoffCurve:
+    """Discretize G(mu) on the alpha grid of grid_size points (None: the
+    default size)."""
+    alphas = alpha_grid(DEFAULT_GRID_SIZE if grid_size is None else grid_size)
     return TradeoffCurve(alphas, gdp_eval(mu, alphas))
 
 
@@ -224,8 +218,7 @@ def subsample(f: TradeoffCurve, p: float) -> TradeoffCurve:
     return convexify(np.column_stack([f.alphas, m]))
 
 
-def mixture_gaussian_tradeoff(p: float, mu: float, grid_size: int | None = None,
-                              alphas=None) -> TradeoffCurve:
+def mixture_gaussian_tradeoff(p: float, mu: float) -> TradeoffCurve:
     """Exact curve of N(0,1) versus the mixture p*N(mu,1) + (1-p)*N(0,1).
 
     The likelihood ratio of the mixture against N(0,1) is increasing in the
@@ -237,10 +230,7 @@ def mixture_gaussian_tradeoff(p: float, mu: float, grid_size: int | None = None,
         raise DomainError(f"mixture weight must lie in [0, 1], got {p}")
     if mu < 0:
         raise DomainError(f"mu must be >= 0, got {mu}")
-    if alphas is None:
-        alphas = alpha_grid(DEFAULT_GRID_SIZE if grid_size is None else grid_size)
-    else:
-        alphas = np.asarray(alphas, dtype=float)
+    alphas = alpha_grid()
     if p == 0.0 or mu == 0.0:
         return identity_curve(alphas)
     z = normal.inv_upper(alphas)

@@ -240,6 +240,14 @@ def test_sweep_tau_rejects_nonpositive_candidate_count(count):
         acc.sweep_tau(p, [1.0], max_candidates=count)
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, -1.0])
+def test_factors_reject_a_non_finite_or_negative_mu(mu):
+    with pytest.raises(DomainError, match="mu"):
+        acc.GdpFactor(mu)
+    with pytest.raises(DomainError, match="mu"):
+        acc.SubsampledGdpFactor(mu, 0.5)
+
+
 # -- CLT approximations -------------------------------------------------------
 
 

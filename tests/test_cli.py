@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fdp_accountant import cli, oracle
-from fdp_accountant.tradeoff import TradeoffCurve, curve_of_gdp
+from fdp_accountant.tradeoff import TradeoffCurve, alpha_grid, curve_of_gdp
 
 
 def read_curve_csv(path) -> TradeoffCurve:
@@ -444,3 +444,42 @@ def test_verify_seed_defaults_to_0(capsys):
     default = run(capsys, "verify", "--trials", "2000")
     assert default == run(capsys, "verify", "--trials", "2000", "--seed", "0")
     assert json.loads(default[1])["seed"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve", "--mu", "1", "--grid", "0"),
+    (*GD_SC, "--m", "1", "--leff", "0.1", "--curve-out", "bound.csv",
+     "--grid", "0"),
+], ids=["curve", "bound-curve-out"])
+def test_grid_0_exits_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "grid_size" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_curve_without_mu_is_the_identity(capsys):
+    code, out, _ = run(capsys, "curve")
+    assert code == 0
+    data = np.loadtxt(out.splitlines()[1:], delimiter=",")
+    assert np.array_equal(data[:, 0], alpha_grid())
+    assert np.array_equal(data[:, 1], 1.0 - alpha_grid())
+
+    code, out, err = run(capsys, "curve", "--subsample-p", "0.5")
+    assert code == 0, err
+    sub = np.loadtxt(out.splitlines()[1:], delimiter=",")
+    assert np.array_equal(sub[:, 0], data[:, 0])
+    assert np.max(np.abs(sub[:, 1] - data[:, 1])) <= 1e-15
+
+
+def test_infinite_factor_mu_exits_2(capsys):
+    # eta = 1e-300 and D = 1e300 make the window's GDP factor G(inf)
+    code, out, err = run(capsys, "bound", "--kind", "sgd", "--constrained",
+                         "--eta", "1e-300", "--sigma", "1", "--n", "10",
+                         "--b", "5", "--L", "1", "--steps", "10", "--M", "1",
+                         "--D", "1e300", "--tau", "5", "--eps", "1")
+    assert code == 2
+    assert out == ""
+    assert "mu" in err and "inf" in err

@@ -199,3 +199,19 @@ def test_curve_to_delta_subsampled_linear_segment():
     level = (1 + p) * phi_erf(-mu / 2) + (1 - p) * phi_erf(mu / 2)
     assert cv.curve_to_delta(curve, 0.0) == pytest.approx(1.0 - level, abs=1e-6)
     assert cv.curve_to_delta(curve, 0.0) == pytest.approx(0.19718, abs=1e-5)
+
+
+@pytest.mark.parametrize("eps", [math.inf, 710.0, 1e6])
+def test_curve_to_delta_beyond_exp_overflow(eps):
+    # e^eps alpha > 1 at every positive grid alpha: only 1 - f(0) is left
+    kinked = tc.TradeoffCurve([0.0, 0.5, 1.0], [0.8, 0.3, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cv.curve_to_delta(tc.curve_of_gdp(1.0), eps) == 0.0
+        assert cv.curve_to_delta(kinked, eps) == pytest.approx(0.2, abs=1e-16)
+    assert cv.curve_to_delta(kinked, 709.0) == cv.curve_to_delta(kinked, eps)
+
+
+def test_curve_to_delta_rejects_nan():
+    with pytest.raises(DomainError, match="nan"):
+        cv.curve_to_delta(tc.curve_of_gdp(1.0), math.nan)

@@ -38,7 +38,7 @@ def _expression_simulate(spec: oracle.SimSpec):
         n = min(oracle._CHUNK, spec.trials - i * oracle._CHUNK)
         rng = np.random.default_rng(seed)
         c, s = 1.0 - spec.eta * spec.m, spec.eta * spec.sigma
-        drifts = oracle._drifts(spec, rng)
+        drifts = oracle._drifts(spec)
         shape = (n,) if spec.dimension == 1 else (n, spec.dimension)
         x, y = np.zeros(shape), np.zeros(shape)
         for k in range(spec.steps):

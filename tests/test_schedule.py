@@ -180,3 +180,39 @@ def test_meta_mu_reference_values():
     s, _ = sch.optimal_sc_schedule(0.99, 0.1, 100)
     assert sch.meta_mu(s, 1.0) == pytest.approx(0.961, abs=5e-4)
 
+
+
+def test_proj_lambdas_match_their_closed_form():
+    s_val, D, t, tau = 0.7, 5.3, 40, 12
+    s, _, _ = sch.optimal_proj_schedule(s_val, D, t, tau)
+    r = D / (t - tau)
+    k = np.arange(tau + 1, t + 1, dtype=float)
+    closed = (s_val + r) / (s_val + r * (t - k + 1.0))
+    assert np.all(np.abs(s.lambdas - closed) <= np.spacing(closed))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sch.optimal_sc_schedule(0.995, 0.1, 400)[0],
+    lambda: sch.optimal_sc_schedule(0.3, 1.0, 7)[0],
+    lambda: sch.optimal_proj_schedule(1.0, 4.0, 10, 6)[0],
+    lambda: sch.cgd_sc_schedule(0.95, 1.0, 4, 3, 2)[0],
+    lambda: sch.cgd_proj_schedule(1.0, 0.05, 10, 30, 5, 7)[0],
+], ids=["sc", "sc-short", "proj", "cgd-sc", "cgd-proj"])
+def test_terminal_schedules_end_with_lambda_1(build):
+    s = build()
+    assert s.is_terminal()
+    assert s.lambdas[-1] == pytest.approx(1.0, abs=1e-9)
+    assert np.all((s.lambdas >= 0.0) & (s.lambdas <= 1.0))
+
+
+@pytest.mark.parametrize("build,tau,t", [
+    (lambda: sch.optimal_sc_schedule(0.9, 1.0, 25)[0], 0, 25),
+    (lambda: sch.optimal_proj_schedule(1.0, 4.0, 10, 6)[0], 6, 10),
+    # t* = lE + j* - l - 1 and tau* = j* + l(tau - 1) - 1
+    (lambda: sch.cgd_sc_schedule(0.95, 1.0, 4, 3, 2)[0], 0, 9),
+    (lambda: sch.cgd_proj_schedule(1.0, 0.05, 10, 30, 5, 7)[0], 46, 296),
+], ids=["sc", "proj", "cgd-sc", "cgd-proj"])
+def test_horizon_is_tau_plus_the_shift_count(build, tau, t):
+    s = build()
+    assert (s.tau, s.t) == (tau, t)
+    assert s.t == s.tau + s.a.size == s.tau + s.z.size - 1
