@@ -27,7 +27,9 @@ if TYPE_CHECKING:
     from .tradeoff import TradeoffCurve
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_EPS_TOL = 1e-12      # gdp_to_eps: residual |delta(eps) - delta| accepted
+_EPS_STEP = 1e-12     # gdp_to_eps: last step accepted, relative to eps
+_NEWTON_ITERS = 200   # gdp_to_eps: cap on delta evaluations
+_EXP_SAFE = 700.0     # gdp_to_eps: largest |log slope| a Newton step uses
 _MU_BRACKET = 100.0   # gdp_mu_from_delta: largest mu searched
 _EPS_EXP_MAX = 709.0  # curve_to_delta: largest eps whose e^eps is formed
 
@@ -102,10 +104,17 @@ def gdp_to_delta(mu: float, eps: float) -> float:
 
 
 def gdp_to_eps(mu: float, delta: float) -> float:
-    """Unique eps >= 0 with gdp_to_delta(mu, eps) = delta, by bisection.
+    """Unique eps >= 0 with gdp_to_delta(mu, eps) = delta.
 
     Returns 0 when delta already exceeds the total variation bound
-    gdp_to_delta(mu, 0).
+    gdp_to_delta(mu, 0). Otherwise a safeguarded Newton iteration on
+    log delta(eps), whose slope is closed-form: d delta/d eps = -e^eps Phi(b)
+    with b = -eps/mu - mu/2. It starts from the Chernoff point
+    hi = mu (mu/2 + sqrt(2 log(1/(2 delta)))), where delta(hi) <= Phi(a) <=
+    e^{-a^2/2}/2 <= delta (a = b + mu), and keeps the root in [lo, hi]: a
+    Newton step that leaves the bracket, or is not at most half the step
+    before last, is replaced by bisection. It stops once a step is below
+    1e-12 eps.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
@@ -113,30 +122,38 @@ def gdp_to_eps(mu: float, delta: float) -> float:
         raise DomainError(f"mu must be a finite number >= 0, got {mu}")
     if mu == 0 or delta >= gdp_to_delta(mu, 0.0):
         return 0.0
-    # delta(eps) <= Phi(-eps/mu + mu/2) is 0 in doubles (Phi(-39) ~ 1e-333)
-    # once eps >= cap, so doubling from 1 stops below 2 cap.
-    cap = mu * (0.5 * mu + 39.0)
-    lo, hi = 0.0, 1.0
-    while gdp_to_delta(mu, hi) > delta:
-        hi *= 2.0
-        if not hi < 2.0 * cap:
-            raise DomainError(f"cannot bracket eps at delta={delta}: "
-                              f"mu={mu} is too large for double precision")
-    # Bisect on the monotone curve until the eps interval is exhausted; the
-    # residual target is unreachable in doubles when delta' is steep or delta
-    # is tiny, so interval convergence is the primary stop.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        res = gdp_to_delta(mu, mid)
-        if abs(res - delta) <= _EPS_TOL and hi - lo <= 1e-9 * max(1.0, hi):
-            return mid
+    lo = 0.0
+    hi = x = mu * (0.5 * mu
+                   + math.sqrt(2.0 * max(0.0, -math.log(2.0 * delta))))
+    res = gdp_to_delta(mu, x)
+    if res > delta:  # only if delta(eps) is wrong in doubles
+        raise DomainError(f"cannot bracket eps at delta={delta}: "
+                          f"mu={mu} is too large for double precision")
+    log_delta = math.log(delta)
+    step = before = hi
+    for _ in range(_NEWTON_ITERS):
+        tol = _EPS_STEP * x
+        new = 0.5 * (lo + hi)
+        # The slope -(log delta)'(x) = e^x Phi(b) / delta(x); where it or
+        # delta(x) leaves the double range, the step is a bisection.
+        log_res = math.log(res) if res > 0.0 else -math.inf
+        log_slope = x + normal.log_cdf(-x / mu - 0.5 * mu) - log_res
+        if abs(log_slope) < _EXP_SAFE:
+            newton = x + (log_res - log_delta) * math.exp(-log_slope)
+            if abs(newton - x) <= tol:
+                return min(max(newton, lo), hi)
+            if lo < newton < hi and abs(newton - x) <= 0.5 * abs(before):
+                new = newton
+        if hi - lo <= tol:
+            return new
+        before, step = step, new - x
+        x = new
+        res = gdp_to_delta(mu, x)
         if res > delta:
-            lo = mid
+            lo = x
         else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+            hi = x
+    return x
 
 
 def gdp_mu_from_delta(eps: float, delta: float) -> float:

@@ -54,6 +54,16 @@ plus any point of R lands below every eps asked, so no delta read changes
 beyond round-off, and every request with eps >= 0 reads the same lattice.
 That Gaussian is often far longer than R; convolve then uses overlap-add,
 with FFT blocks of about (_OLA_RATIO + 1) times the shorter lattice.
+
+self_compose and overlap-add run their FFTs at a 5-smooth length,
+next_fast_len(n, real=True), where real transforms are fastest; a raw window
+length can take several times longer. self_compose pads its cyclic window at
+the top, so the extra points hold composed mass that would otherwise wrap
+around, and raises to the k-th power only the spectrum bins with
+k log|fa| > -760: the others are exactly 0 after the power (the smallest
+subnormal double is e^-744.4), so at a given length the result is the same
+to the bit. convolve's single FFT runs at the complex fast length
+next_fast_len(n), which allows factors 7 and 11.
 """
 
 from __future__ import annotations
@@ -73,6 +83,9 @@ _STD_SPAN = 12.0  # lattice cuts and composed range: mean +- span * std
 TAIL_BUDGET = 1e-6  # cap on the accumulated truncated mass of a composition
 _EXPM1_SAFE = 700.0  # expm1(t) overflows above t ~ 709.8
 _OLA_RATIO = 8  # convolve overlap-adds above this ratio of lattice lengths
+# self_compose: a spectrum bin with k log|fa| below this is 0 after the k-th
+# power (the smallest subnormal double is e^-744.4).
+_LOG_UNDERFLOW = -760.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,11 +279,13 @@ def self_compose(prv: PrvGrid, k: int) -> PrvGrid:
     """k-fold self-composition by cyclic FFT exponentiation.
 
     The working window is the union of the single-factor support and the
-    composed moment range mean*k +- _STD_SPAN*sqrt(k)*std; truncated mass is
-    accounted k-fold and checked against TAIL_BUDGET. Composed mass beyond
-    that window is not negligible for heavy right tails: it wraps onto the
-    other end of the window and is not counted in tail_mass (mu=3, p=0.05,
-    k=12 wraps about 1.9e-9).
+    composed moment range mean*k +- _STD_SPAN*sqrt(k)*std, padded at the top
+    to the next 5-smooth length; truncated mass is accounted k-fold and
+    checked against TAIL_BUDGET. Only spectrum bins with k log|fa| above
+    _LOG_UNDERFLOW are raised to the k-th power; the others would be 0.
+    Composed mass beyond the window is not negligible for heavy right tails:
+    it wraps onto the other end of the window and is not counted in
+    tail_mass (mu=3, p=0.05, k=12 wraps about 7.4e-10).
     """
     if k < 1:
         raise DomainError(f"composition count must be >= 1, got {k}")
@@ -284,11 +299,14 @@ def self_compose(prv: PrvGrid, k: int) -> PrvGrid:
     lo = min(prv.lo, k * m1 - half)
     hi = max(prv.hi, k * m1 + half)
     i_lo, i_hi = _aligned_range(lo, hi, mesh)
-    n = i_hi - i_lo + 1
+    n = sfft.next_fast_len(i_hi - i_lo + 1, real=True)  # pads above i_hi
     buf = np.zeros(n)
     buf[prv.offset - i_lo: prv.offset - i_lo + prv.pmf.size] = prv.pmf
     fa = sfft.rfft(buf)
-    out = sfft.irfft(fa ** k, n)
+    live = np.abs(fa) > math.exp(_LOG_UNDERFLOW / k)
+    fk = np.zeros_like(fa)
+    fk[live] = fa[live] ** k
+    out = sfft.irfft(fk, n)
     # Cyclic indices live at k*offset + j (mod n); roll back onto offset + i.
     out = np.roll(out, ((k - 1) * i_lo) % n)
     np.clip(out, 0.0, None, out=out)

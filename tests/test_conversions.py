@@ -109,16 +109,40 @@ def test_gdp_to_eps_inverts_gdp_to_delta(log_mu, eps):
     if not 0.0 < delta < 1.0:
         return
     back = cv.gdp_to_eps(mu, delta)
-    # The bisection brackets the preimage of delta to 1e-9 relative.
+    # gdp_to_eps finds the preimage of delta to within 1e-9 relative.
     slack = 2e-9 * max(1.0, back)
     assert (cv.gdp_to_delta(mu, back + slack) <= delta
             <= cv.gdp_to_delta(mu, max(0.0, back - slack)))
+
+
+def test_gdp_to_eps_takes_a_few_delta_evaluations(monkeypatch):
+    # Newton on log delta, whose slope is closed-form, needs a handful of
+    # delta evaluations a solve.
+    calls = []
+    real = cv.gdp_to_delta
+
+    def counting(mu, eps):
+        calls.append(eps)
+        return real(mu, eps)
+
+    monkeypatch.setattr(cv, "gdp_to_delta", counting)
+    for mu in (0.01, 0.5, 1.0, 5.0, 40.0, 1000.0, 12000.0):
+        for delta in (0.5, 0.1, 1e-5, 1e-12, 1e-300):
+            calls.clear()
+            eps = cv.gdp_to_eps(mu, delta)
+            assert len(calls) <= 8, (mu, delta, len(calls))
+            if eps > 0.0:
+                assert real(mu, eps) == pytest.approx(delta, rel=1e-9, abs=0.0)
 
 
 def test_gdp_to_eps_edges():
     # delta above the total variation bound needs no positive eps
     assert cv.gdp_to_eps(0.5, 0.9) == 0.0
     assert cv.gdp_to_eps(1e-9, 1e-5) == 0.0  # mu -> 0 limit
+    # An eps far below 1 is found to relative, not absolute, accuracy.
+    eps = cv.gdp_to_eps(1e-13, 1e-14)
+    assert cv.gdp_to_delta(1e-13, eps) == pytest.approx(1e-14, rel=1e-9,
+                                                        abs=0.0)
     with pytest.raises(DomainError):
         cv.gdp_to_eps(1.0, 0.0)
     with pytest.raises(DomainError):

@@ -375,7 +375,10 @@ def _single_fft_convolve(a, b):
     return out
 
 
-@pytest.mark.parametrize("m, n", [(300, 300), (300, 2400), (2400, 301)])
+# 1200 + 1202 - 1 = 7^4: the complex fast length is 2401, the real one 2430,
+# so the bytes pin which of the two convolve uses.
+@pytest.mark.parametrize("m, n", [(300, 300), (300, 2400), (2400, 301),
+                                  (1200, 1202)])
 def test_convolve_of_similar_sizes_is_one_fft(m, n):
     rng = np.random.default_rng(n)
     a, b = _random_grid(rng, n), _random_grid(rng, m)
@@ -499,6 +502,110 @@ def test_self_compose_gaussian():
     # k = 1 is the identity
     same = prv.self_compose(g1, 1)
     assert np.array_equal(same.pmf, g1.pmf)
+
+
+@pytest.mark.parametrize("k", [2, 99, 100, 2500, 40000])
+@pytest.mark.parametrize("mu, p", [(0.2, 0.01), (1.0, 0.05), (0.8, 1.0),
+                                   (3.0, 0.05)])
+def test_self_compose_powers_only_the_surviving_bins(mu, p, k):
+    # NumPy raises complex bins to an integer power below 100 by
+    # multiplication and from 100 by cpow. Either way each bin self_compose
+    # skips is exactly 0 after the power, so at the same window the bytes
+    # equal those of the all-bin power. (A 1e-2 mesh keeps the k = 40000
+    # windows below 1.5e6 points.)
+    from scipy import fft
+    sp = prv.prv_of_subsampled_gdp(mu, p, 1e-2)
+    got = prv.self_compose(sp, k)
+    n, i_lo = got.pmf.size, got.offset
+    buf = np.zeros(n)
+    buf[sp.offset - i_lo: sp.offset - i_lo + sp.pmf.size] = sp.pmf
+    want = np.roll(fft.irfft(fft.rfft(buf) ** k, n), ((k - 1) * i_lo) % n)
+    np.clip(want, 0.0, None, out=want)
+    assert got.pmf.tobytes() == want.tobytes()
+
+
+def _on_window(grid, lo, size):
+    out = np.zeros(size)
+    out[grid.offset - lo: grid.offset - lo + grid.pmf.size] = grid.pmf
+    return out
+
+
+@pytest.mark.parametrize("mu, p, mesh", [
+    (0.2, 0.01, 1e-3), (1.0, 0.01, 1e-3), (1.0, 0.05, 1e-2), (0.8, 1.0, 1e-2),
+    (2.0, 0.5, 1e-2)])
+def test_self_compose_matches_linear_convolution(mu, p, mesh):
+    # No composed mass of these lattices lies beyond the cyclic window, so
+    # the k-th power equals k - 1 linear convolutions up to the FFT round-off
+    # of either side (up to about 2.4e-15 of the peak).
+    sp = prv.prv_of_subsampled_gdp(mu, p, mesh)
+    linear = sp
+    for k in range(2, 13):
+        linear = prv.convolve(linear, sp)
+        cyclic = prv.self_compose(sp, k)
+        lo = min(linear.offset, cyclic.offset)
+        size = max(linear.offset + linear.pmf.size,
+                   cyclic.offset + cyclic.pmf.size) - lo
+        diff = _on_window(cyclic, lo, size) - _on_window(linear, lo, size)
+        assert np.max(np.abs(diff)) <= 4e-15 * linear.pmf.max()
+
+
+def _largest_prime_factor(n: int) -> int:
+    f = 2
+    while f * f <= n:
+        while n % f == 0 and n > f:
+            n //= f
+        f += 1
+    return n
+
+
+def test_every_fft_runs_at_a_fast_length(monkeypatch):
+    # A raw window length can make an FFT several times slower. self_compose
+    # and overlap-add use the real fast lengths (no prime factor above 5),
+    # convolve's single FFT the complex ones (none above 11).
+    from scipy import fft
+    lengths = []
+    composing = []  # nonempty inside self_compose and _overlap_add
+
+    def rfft(x, n=None, axis=-1):
+        lengths.append((bool(composing), np.shape(x)[axis] if n is None else n))
+        return fft.rfft(x, n, axis=axis)
+
+    def irfft(x, n=None, axis=-1):
+        out = fft.irfft(x, n, axis=axis)
+        lengths.append((bool(composing), out.shape[axis]))
+        return out
+
+    def marking(real):
+        def wrapped(*args):
+            composing.append(True)
+            try:
+                return real(*args)
+            finally:
+                composing.pop()
+        return wrapped
+
+    monkeypatch.setattr(prv, "sfft", types.SimpleNamespace(
+        rfft=rfft, irfft=irfft, next_fast_len=fft.next_fast_len))
+    for name in ("self_compose", "_overlap_add"):
+        monkeypatch.setattr(prv, name, marking(getattr(prv, name)))
+    eps = [0.0, 0.5, 1.0, 3.0]
+    for factors in [
+            (acc.GdpFactor(0.5), acc.SubsampledGdpFactor(0.8, 0.2, 12)),
+            (acc.GdpFactor(4.0), acc.SubsampledGdpFactor(0.3, 0.05, 200),
+             acc.SubsampledGdpFactor(0.6, 0.05, 1)),
+            (acc.SubsampledGdpFactor(3.0, 0.05, 12),
+             acc.SubsampledGdpFactor(1.0, 0.05, 7)),
+            (acc.GdpFactor(0.2), acc.SubsampledGdpFactor(2.0, 1.0, 3))]:
+        prv.evaluate_composite(acc.CompositeBound(factors), eps)
+    sgd = dict(kind="sgd", eta=0.05, sigma=4.0, n=500, b=25, L=4.0, steps=50)
+    acc.sweep_tau(acc.AlgoParams(**sgd, M=20.0, D=1.0, constrained=True),
+                  eps, setting="proj", max_candidates=8)
+    acc.sweep_tau(acc.AlgoParams(**sgd, m=1.0, M=10.0), eps,
+                  max_candidates=8)
+    assert {real for real, _ in lengths} == {True, False}
+    slow = [(real, n) for real, n in lengths
+            if _largest_prime_factor(n) > (5 if real else 11)]
+    assert slow == []
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
