@@ -32,6 +32,9 @@ _NEWTON_ITERS = 200   # gdp_to_eps: cap on delta evaluations
 _EXP_SAFE = 700.0     # gdp_to_eps: largest |log slope| a Newton step uses
 _MU_BRACKET = 100.0   # gdp_mu_from_delta: largest mu searched
 _EPS_EXP_MAX = 709.0  # curve_to_delta: largest eps whose e^eps is formed
+# curve_to_delta: nodes with e^eps alpha >= this have a negative objective;
+# the margin over 1 must exceed tradeoff.MONOTONE_TOL plus rounding.
+_PREFIX_SLACK = 1.0 + 1e-11
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = math.log(_SQRT_2PI)
@@ -236,11 +239,29 @@ def curve_to_delta(f: TradeoffCurve, eps: float) -> float:
     the stored representation. Above eps = 709, where e^eps nears overflow,
     e^eps alpha > 1 at every positive normal double alpha, so only the
     alpha = 0 node can be positive: delta = 1 - f(0).
+
+    Otherwise only the nodes with alpha < (1 + 1e-11)/e^eps are scanned; the
+    rest cannot change the clamped result. Let s be the computed e^eps and
+    u = 2^-53. A node past the prefix has alpha >= fl(fl(1 + 1e-11)/s), and
+    each of the three roundings up to fl(s alpha) loses at most a relative u,
+    so fl(s alpha) > 1 + 1e-11 - 4u > 1 + 9.9e-12. Then 1 - fl(s alpha) is
+    exact (Sterbenz) or at most -1, and a valid curve has f >= -1e-12
+    (`tradeoff.MONOTONE_TOL`), so the computed objective there is below
+    -8.9e-12: strictly negative. If the maximum over all nodes falls there,
+    it and the prefix maximum, which is no larger, both clamp to 0; if not,
+    it is the prefix maximum. The objective is never -0.0 (x - x is +0.0),
+    so the two maxima agree bit for bit. The alpha = 0 node is always in the
+    prefix; eps = -inf (s = 0) scans every node.
     """
     if math.isnan(eps):
         raise DomainError("eps must be a number, got nan")
     if eps > _EPS_EXP_MAX:
         delta = 1.0 - float(f.values[0])
     else:
-        delta = float((1.0 - math.exp(eps) * f.alphas - f.values).max())
+        scale = math.exp(eps)
+        alphas, values = f.alphas, f.values
+        if scale > 0.0:
+            end = int(alphas.searchsorted(_PREFIX_SLACK / scale))
+            alphas, values = alphas[:end], values[:end]
+        delta = float((1.0 - scale * alphas - values).max())
     return min(max(delta, 0.0), 1.0)

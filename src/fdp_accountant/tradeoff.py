@@ -13,6 +13,8 @@ mixture curve p*f + (1-p)*Id.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,19 +37,25 @@ DEFAULT_ORDER_TOL = 1e-9
 CSV_HEADER = "alpha,f"
 
 
+@functools.lru_cache(maxsize=4)
 def alpha_grid(grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """Uniform alpha grid plus geometric refinement near both endpoints."""
+    """Uniform alpha grid plus geometric refinement near both endpoints.
+
+    The grid is built once per size and shared, so it is returned read-only.
+    """
     if grid_size < 3:
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
     base = np.linspace(0.0, 1.0, grid_size)
     mesh = 1.0 / (grid_size - 1)
     if mesh <= TAIL_FLOOR:
-        return base
-    decades = math.log10(mesh / TAIL_FLOOR)
-    n_tail = max(2, int(math.ceil(decades * TAIL_POINTS_PER_DECADE)))
-    tail = np.geomspace(TAIL_FLOOR, mesh, n_tail)
-    grid = np.unique(np.concatenate([base, tail, 1.0 - tail]))
-    grid[0], grid[-1] = 0.0, 1.0
+        grid = base
+    else:
+        decades = math.log10(mesh / TAIL_FLOOR)
+        n_tail = max(2, int(math.ceil(decades * TAIL_POINTS_PER_DECADE)))
+        tail = np.geomspace(TAIL_FLOOR, mesh, n_tail)
+        grid = np.unique(np.concatenate([base, tail, 1.0 - tail]))
+        grid[0], grid[-1] = 0.0, 1.0
+    grid.flags.writeable = False
     return grid
 
 
@@ -76,6 +84,9 @@ class TradeoffCurve:
         a, v = self.alphas, self.values
         if a.ndim != 1 or a.shape != v.shape or a.size < 2:
             raise InvalidCurveError("curve needs matching 1-d grids of size >= 2")
+        # Every check below is a comparison that a NaN passes.
+        if not (np.isfinite(a).all() and np.isfinite(v).all()):
+            raise InvalidCurveError("alphas and values must be finite")
         if a[0] != 0.0 or a[-1] != 1.0:
             raise InvalidCurveError("alpha grid must span [0, 1] exactly")
         if np.any(np.diff(a) <= 0):
@@ -130,7 +141,7 @@ def gdp_eval(mu: float, alpha):
 def curve_of_gdp(mu: float, grid_size: int | None = None) -> TradeoffCurve:
     """Discretize G(mu) on the alpha grid of grid_size points (None: the
     default size)."""
-    alphas = alpha_grid(DEFAULT_GRID_SIZE if grid_size is None else grid_size)
+    alphas = alpha_grid() if grid_size is None else alpha_grid(grid_size)
     return TradeoffCurve(alphas, gdp_eval(mu, alphas))
 
 
@@ -160,19 +171,51 @@ def invert_curve(f: TradeoffCurve) -> TradeoffCurve:
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray):
-    """Monotone-chain lower convex hull of points sorted by x."""
-    hx, hy = [], []
+    """Monotone-chain lower convex hull of points sorted by x.
+
+    The chain pops the stack top while it is not strictly below the segment
+    from the point under it to the new point. While the top two stack points
+    are the input points i - 2 and i - 1, that test at point i is the sign of
+    the consecutive-triple cross product c[i - 2], and NumPy forms c with the
+    same IEEE operations, in the same order, as the scalar test. So a run of
+    c > 0 pushes its points with no pop, in one step; the scalar loop runs
+    only at a point whose c <= 0, until the top two stack points are
+    consecutive again, which is as soon as a point pops nothing (every point
+    is pushed, so the top before point i is always i - 1). The hull is the
+    one the scalar chain builds, bit for bit, and with no c <= 0 at all it is
+    the input itself.
+    """
+    c = (x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2])
+    bad = np.flatnonzero(c <= 0.0).tolist()
+    if not bad:
+        return x, y
     # Python floats: the same IEEE arithmetic as float64 scalars, faster.
-    for px, py in zip(x.tolist(), y.tolist()):
+    xs, ys = x.tolist(), y.tolist()
+    n = len(xs)
+    i = bad[0] + 2
+    hx, hy = xs[:i], ys[:i]
+    while i < n:
+        px, py = xs[i], ys[i]
+        popped = False
         while len(hx) >= 2:
             cross = (hx[-1] - hx[-2]) * (py - hy[-2]) - (hy[-1] - hy[-2]) * (px - hx[-2])
             if cross <= 0.0:
                 hx.pop()
                 hy.pop()
+                popped = True
             else:
                 break
         hx.append(px)
         hy.append(py)
+        i += 1
+        if not popped:
+            # The top two are points i - 2 and i - 1 again: push up to the
+            # next triple with c <= 0.
+            j = bisect.bisect_left(bad, i - 2)
+            stop = bad[j] + 2 if j < len(bad) else n
+            hx.extend(xs[i:stop])
+            hy.extend(ys[i:stop])
+            i = stop
     return np.asarray(hx), np.asarray(hy)
 
 

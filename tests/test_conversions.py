@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -239,3 +240,60 @@ def test_curve_to_delta_beyond_exp_overflow(eps):
 def test_curve_to_delta_rejects_nan():
     with pytest.raises(DomainError, match="nan"):
         cv.curve_to_delta(tc.curve_of_gdp(1.0), math.nan)
+
+
+# -- curve_to_delta's prefix scan against the full scan -----------------------
+
+
+def full_scan_delta(f, eps):
+    """delta(eps) as the maximum over every grid node: the oracle."""
+    if eps > 709.0:
+        delta = 1.0 - float(f.values[0])
+    else:
+        delta = float((1.0 - math.exp(eps) * f.alphas - f.values).max())
+    return min(max(delta, 0.0), 1.0)
+
+
+def curve_with_a_negative_tail():
+    # Id with f(1) = -1e-12, the lowest value validation accepts: at eps = 0
+    # the only positive objective, 1e-12, sits at alpha = 1 = 1/e^eps.
+    a = tc.alpha_grid()
+    return tc.TradeoffCurve(a, np.append(1.0 - a[:-1], -tc.MONOTONE_TOL))
+
+
+PREFIX_CURVES = {
+    "gaussian": lambda: tc.curve_of_gdp(1.3),
+    "subsampled": lambda: tc.invert_curve(tc.subsample(tc.curve_of_gdp(2.5), 0.25)),
+    "identity": tc.identity_curve,
+    "negative-tail": curve_with_a_negative_tail,
+}
+
+
+@functools.cache
+def prefix_curve(name):
+    return PREFIX_CURVES[name]()
+
+
+# the privacy-profile benchmark's eps grid, and the edges of the exp range
+PREFIX_EPS = ([6.0 * i / 255 for i in range(256)]
+              + [-math.inf, -1.0, 0.0, 1e-300, 50.0, 708.9, 709.0, 710.0, math.inf])
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_CURVES))
+def test_curve_to_delta_prefix_scan_is_the_full_scan_bit_for_bit(name):
+    curve = prefix_curve(name)
+    for eps in PREFIX_EPS:
+        assert cv.curve_to_delta(curve, eps).hex() == full_scan_delta(curve, eps).hex(), eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-40.0, 40.0))
+def test_curve_to_delta_prefix_scan_at_any_eps(eps):
+    curve = prefix_curve("subsampled")
+    assert cv.curve_to_delta(curve, eps).hex() == full_scan_delta(curve, eps).hex()
+
+
+def test_curve_to_delta_prefix_keeps_the_node_at_one_over_e_eps():
+    assert cv.curve_to_delta(curve_with_a_negative_tail(), 0.0) == tc.MONOTONE_TOL
+    # the prefix margin covers the most negative valid value plus rounding
+    assert cv._PREFIX_SLACK - 1.0 - 4 * 2.0 ** -53 > tc.MONOTONE_TOL

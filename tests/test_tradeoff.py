@@ -68,6 +68,29 @@ def test_curve_validation_rejects_bad_curves():
         tc.TradeoffCurve(np.array([0.1, 0.5, 1.0]), np.array([0.9, 0.5, 0.0]))
 
 
+@pytest.mark.parametrize("alphas, values", [
+    ([0.0, 0.5, 1.0], [1.0, math.nan, 0.0]),
+    ([0.0, 0.5, 1.0], [1.0, 0.5, -math.inf]),
+    ([0.0, math.nan, 1.0], [1.0, 0.5, 0.0]),
+])
+def test_curve_validation_rejects_non_finite_points(alphas, values):
+    # every other check is a comparison, which a NaN passes
+    with pytest.raises(InvalidCurveError, match="finite"):
+        tc.TradeoffCurve(alphas, values)
+
+
+def test_alpha_grid_is_built_once_and_read_only():
+    first = tc.alpha_grid()
+    again = tc.alpha_grid()
+    assert again is first
+    assert np.array_equal(tc.alpha_grid(101), tc.alpha_grid(101))
+    assert tc.curve_of_gdp(1.0).alphas is first
+    for grid in (first, tc.alpha_grid(101)):
+        with pytest.raises(ValueError):
+            grid[1] = 0.5
+    assert first[1] == 1e-12
+
+
 def test_curves_are_immutable():
     c = tc.curve_of_gdp(1.0)
     with pytest.raises(ValueError):
@@ -209,3 +232,78 @@ def test_iterated_composition_matches_scaled_curve():
     probe = np.linspace(0.0, 1.0, 21)
     assert np.max(np.abs(tc.gdp_eval(total, probe)
                          - tc.gdp_eval(mu * math.sqrt(n), probe))) <= 1e-12
+
+
+# -- the hull against the scalar monotone chain -------------------------------
+
+
+def scalar_lower_hull(x, y):
+    """Monotone-chain lower hull, one point at a time: the oracle."""
+    hx, hy = [], []
+    for px, py in zip(x.tolist(), y.tolist()):
+        while len(hx) >= 2:
+            cross = (hx[-1] - hx[-2]) * (py - hy[-2]) - (hy[-1] - hy[-2]) * (px - hx[-2])
+            if cross <= 0.0:
+                hx.pop()
+                hy.pop()
+            else:
+                break
+        hx.append(px)
+        hy.append(py)
+    return np.asarray(hx), np.asarray(hy)
+
+
+def assert_hull_matches_scalar_chain(x, y):
+    hx, hy = tc._lower_hull(x, y)
+    ox, oy = scalar_lower_hull(x, y)
+    assert np.array_equal(hx, ox) and np.array_equal(hy, oy)
+
+
+def random_cloud(rng, n, convex):
+    x = np.unique(rng.random(n))
+    y = rng.random(x.size)
+    if convex:
+        # mostly convex runs, broken by bumps that the chain must pop
+        y = (1.0 - x) ** 2 + 1e-3 * (rng.random(x.size) < 0.05) * y
+    return x, y
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("convex", [False, True])
+def test_lower_hull_matches_scalar_chain_on_random_clouds(seed, convex):
+    rng = np.random.default_rng(seed)
+    for n in (0, 1, 2, 3, 4, 10, 1000):
+        assert_hull_matches_scalar_chain(*random_cloud(rng, n, convex))
+
+
+def test_lower_hull_matches_scalar_chain_on_collinear_runs():
+    ident = tc.identity_curve()
+    assert_hull_matches_scalar_chain(ident.alphas, ident.values)
+    x = np.linspace(0.0, 1.0, 1001)
+    assert_hull_matches_scalar_chain(x, np.abs(x - 0.5).round(12))
+    assert_hull_matches_scalar_chain(x, np.zeros_like(x))
+
+
+@pytest.mark.parametrize("mu", [0.5, 3.0])
+def test_lower_hull_matches_scalar_chain_on_round_off_dents(mu):
+    # at p = 1e-4 the mixture is within 1e-4 of a line, and rounding leaves
+    # dents all along it
+    mix = tc.mixture_gaussian_tradeoff(1e-4, mu)
+    assert_hull_matches_scalar_chain(mix.alphas, mix.values)
+    assert_hull_matches_scalar_chain(mix.alphas, 1.0 - mix.alphas - 1e-4 * mix.values)
+
+
+@pytest.mark.parametrize("mu, p", [(0.2, 1.0), (1.6, 0.009), (2.5, 0.25), (40.0, 1.0),
+                                   (1.0, 1e-4)])
+def test_lower_hull_matches_scalar_chain_on_subsample_inputs(monkeypatch, mu, p):
+    seen = []
+    hull = tc._lower_hull
+
+    def recording(x, y):
+        seen.append((x, y))
+        return hull(x, y)
+
+    monkeypatch.setattr(tc, "_lower_hull", recording)
+    tc.subsample(tc.curve_of_gdp(mu), p)
+    assert len(seen) == 1
+    assert_hull_matches_scalar_chain(*seen[0])
