@@ -11,6 +11,8 @@ estimates, never as certified bounds.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +84,12 @@ class SimSpec:
             raise DomainError("kind must be gd, cgd or sgd")
         if self.trials < 1 or self.steps < 1 or self.dimension < 1:
             raise DomainError("need trials >= 1, steps >= 1, dimension >= 1")
+        if not all(math.isfinite(v) for v in (self.eta, self.sigma, self.m, self.L)):
+            raise DomainError("need finite eta, sigma, m and L")
+        if min(self.eta, self.sigma, self.L) < 0:
+            raise DomainError("need eta, sigma and L >= 0")
+        if not self.diameter > 0:  # a NaN diameter fails too
+            raise DomainError(f"need diameter > 0 (inf: no projection), got {self.diameter}")
         if self.kind != "gd":
             if self.n % self.b != 0:
                 raise DomainError("need b dividing n for batch variants")
@@ -98,7 +106,7 @@ def _drifts(spec: SimSpec) -> np.ndarray:
         hit = (np.arange(1, spec.steps + 1) - 1) % l + 1 == spec.j_star
         return np.where(hit, spec.L / spec.b, 0.0)
     # sgd: uniform batches include the perturbed index w.p. b/n, fresh each step
-    return None  # drawn per trial chunk
+    return None  # drawn at each step of the perturbed process
 
 
 def _project_ball(x: np.ndarray, half: float) -> None:
@@ -106,54 +114,66 @@ def _project_ball(x: np.ndarray, half: float) -> None:
         np.clip(x, -half, half, out=x)
         return
     norms = np.linalg.norm(x, axis=1, keepdims=True)
-    np.multiply(x, np.where(norms > half, half / norms, 1.0), out=x)
+    # Rows inside the ball keep a factor of 1; only the others are divided.
+    x *= np.divide(half, norms, out=np.ones_like(norms), where=norms > half)
 
 
-def _run_chunk(spec: SimSpec, n_trials: int, seed) -> tuple:
+def _run_process(spec: SimSpec, state: np.ndarray, z: np.ndarray, seed,
+                 perturbed: bool) -> None:
+    """Run one process of the pair in place on state (zeros on entry), from
+    its own stream, with z as its noise buffer.
+
+    The baseline (perturbed=False) and the perturbed process share nothing,
+    so the two run on separate threads; only the perturbed one reads L and,
+    for sgd, draws the Bernoulli inclusions (before each step's noise).
+    """
     rng = np.random.default_rng(seed)
     c_step = 1.0 - spec.eta * spec.m
     scale = spec.eta * spec.sigma
     half = spec.diameter / 2.0
     project = math.isfinite(spec.diameter)
     drifts = _drifts(spec)
-    shape = (n_trials,) if spec.dimension == 1 else (n_trials, spec.dimension)
-
-    x = np.zeros(shape)
-    y = np.zeros(shape)
-    z = np.empty(shape)  # one noise buffer, drawn for x, then for y
+    head = state if spec.dimension == 1 else state[:, 0]  # perturbation axis
     for k in range(spec.steps):
-        if spec.kind == "sgd":
-            inc = rng.random(n_trials) < spec.b / spec.n
+        if perturbed and spec.kind == "sgd":
+            inc = rng.random(len(state)) < spec.b / spec.n
             drift = np.where(inc, spec.eta * spec.L / spec.b, 0.0)
-        else:
+        elif perturbed:
             drift = spec.eta * drifts[k]
-        for state in (x, y):  # state = c_step * state - scale * z, in place
-            rng.standard_normal(out=z)
-            z *= scale
-            state *= c_step
-            state -= z
-        if spec.dimension == 1:
-            y += drift
-        else:
-            y[:, 0] += drift  # perturbation direction is the first axis
+        rng.standard_normal(out=z)  # state = c_step * state - scale * z
+        z *= scale
+        state *= c_step
+        state -= z
+        if perturbed:
+            head += drift
         if project:
-            _project_ball(x, half)
-            _project_ball(y, half)
-    return x, y
+            _project_ball(state, half)
 
 
 def simulate(spec: SimSpec):
     """Terminal iterates of the adjacent pair: (baseline, perturbed) arrays.
 
-    Trials run in chunks of _CHUNK with independently derived seeds, so
-    results are reproducible given the master seed.
+    Trials run in chunks of _CHUNK. Each chunk spawns two seeds from its own
+    child of the master seed, one per process, and the 2 x chunks processes
+    run on a thread pool (NumPy releases the GIL while drawing). Each result
+    depends only on its seed, so the output depends only on spec.seed, not on
+    the number of workers.
     """
-    n_chunks = (spec.trials + _CHUNK - 1) // _CHUNK
-    sizes = [min(_CHUNK, spec.trials - i * _CHUNK) for i in range(n_chunks)]
-    seeds = np.random.SeedSequence(spec.seed).spawn(n_chunks)
-    parts = [_run_chunk(spec, size, seed) for size, seed in zip(sizes, seeds)]
-    return (np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]))
+    shape = (spec.trials,) if spec.dimension == 1 else (spec.trials, spec.dimension)
+    # The large arrays are allocated here: memory that a worker thread frees
+    # stays in that thread's malloc arena and adds to the peak RSS.
+    pair = (np.zeros(shape), np.zeros(shape))
+    noise = np.empty((2,) + shape)
+    starts = range(0, spec.trials, _CHUNK)
+    seeds = np.random.SeedSequence(spec.seed).spawn(len(starts))
+    tasks = [(pair[k][i:i + _CHUNK], noise[k, i:i + _CHUNK], child, k == 1)
+             for i, seed in zip(starts, seeds)
+             for k, child in enumerate(seed.spawn(2))]
+    workers = min(len(tasks), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in pool.map(lambda task: _run_process(spec, *task), tasks):
+            pass  # reading each result re-raises a worker's exception
+    return pair
 
 
 # -- empirical tradeoff curves ------------------------------------------------

@@ -35,6 +35,7 @@ MONOTONE_TOL = 1e-12
 DEFAULT_ORDER_TOL = 1e-9
 
 CSV_HEADER = "alpha,f"
+_TINY = math.ulp(0.0)  # smallest positive double, 5e-324
 
 
 @functools.lru_cache(maxsize=4)
@@ -122,7 +123,9 @@ def gdp_eval(mu: float, alpha):
     """G(mu)(alpha) = Phi(Phi^{-1}(1 - alpha) - mu).
 
     Endpoints are exact: alpha = 0 gives 1, alpha = 1 gives 0, and mu = 0
-    gives the identity curve.
+    gives the identity curve. A finite G(mu) is positive on alpha < 1, so
+    values that underflow there are floored at the smallest positive double:
+    an exact 0 plateau would put f^{-1}(0) at its left end instead of at 1.
     """
     if not mu >= 0:
         raise DomainError(f"mu must be >= 0, got {mu}")
@@ -134,6 +137,8 @@ def gdp_eval(mu: float, alpha):
     else:
         with np.errstate(invalid="ignore"):
             out = normal.cdf(normal.inv_upper(arr) - mu)
+        if math.isfinite(mu):
+            out = np.maximum(out, _TINY)
         out = np.where(arr == 0.0, 1.0, np.where(arr == 1.0, 0.0, out))
     return float(out) if np.isscalar(alpha) else out
 

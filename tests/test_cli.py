@@ -102,6 +102,12 @@ def test_curve_identity_endpoints(capsys):
     assert float(last[0]) == 1.0 and float(last[1]) == 0.0
 
 
+def test_subsampled_large_mu_curve_starts_at_1(capsys):
+    code, out, _ = run(capsys, "curve", "--mu", "40", "--subsample-p", "1")
+    assert code == 0
+    assert out.splitlines()[1] == "0,1"
+
+
 def test_subsampled_curve_matches_library(tmp_path, capsys):
     from fdp_accountant.tradeoff import subsample
     path = tmp_path / "c.csv"

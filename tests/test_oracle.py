@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,36 +23,39 @@ def test_worst_case_matches_bound_formula():
         0.308, abs=5e-4)
 
 
-def test_simulate_is_deterministic():
-    spec = oracle.SimSpec(trials=2000, seed=7)
+def test_simulate_is_deterministic(monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK", 700)   # three chunks, six streams
+    spec = oracle.SimSpec(kind="sgd", n=8, b=2, steps=12, trials=1500, seed=7)
     x1, y1 = oracle.simulate(spec)
     x2, y2 = oracle.simulate(spec)
-    assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
+    assert x1.tobytes() == x2.tobytes() and y1.tobytes() == y2.tobytes()
+    x3, _ = oracle.simulate(dataclasses.replace(spec, seed=8))
+    assert x3.tobytes() != x1.tobytes()
 
 
 def _expression_simulate(spec: oracle.SimSpec):
-    """simulate with each step as a fresh expression, c x - s z: the in-place
-    loop must reproduce it bit for bit."""
+    """simulate with each step as a fresh expression, c x - s z, and each
+    process drawn from its own stream: x from the chunk's child 0, y (with
+    its sgd inclusions) from child 1. The threaded in-place loop must
+    reproduce it bit for bit."""
     n_chunks = (spec.trials + oracle._CHUNK - 1) // oracle._CHUNK
     seeds = np.random.SeedSequence(spec.seed).spawn(n_chunks)
     xs, ys = [], []
     for i, seed in enumerate(seeds):
         n = min(oracle._CHUNK, spec.trials - i * oracle._CHUNK)
-        rng = np.random.default_rng(seed)
+        rng_x, rng_y = (np.random.default_rng(child) for child in seed.spawn(2))
         c, s = 1.0 - spec.eta * spec.m, spec.eta * spec.sigma
         drifts = oracle._drifts(spec)
         shape = (n,) if spec.dimension == 1 else (n, spec.dimension)
         x, y = np.zeros(shape), np.zeros(shape)
         for k in range(spec.steps):
             if spec.kind == "sgd":
-                inc = rng.random(n) < spec.b / spec.n
+                inc = rng_y.random(n) < spec.b / spec.n
                 drift = np.where(inc, spec.eta * spec.L / spec.b, 0.0)
             else:
                 drift = spec.eta * drifts[k]
-            zx = rng.standard_normal(shape)
-            zy = rng.standard_normal(shape)
-            x = c * x - s * zx
-            y = c * y - s * zy
+            x = c * x - s * rng_x.standard_normal(shape)
+            y = c * y - s * rng_y.standard_normal(shape)
             if spec.dimension == 1:
                 y += drift
             else:
@@ -63,18 +68,63 @@ def _expression_simulate(spec: oracle.SimSpec):
     return np.concatenate(xs), np.concatenate(ys)
 
 
+def _mixed_spec(**kw):
+    return oracle.SimSpec(**{**dict(m=0.5, eta=0.1, sigma=2.0, L=1.0, n=8, b=2,
+                                    j_star=3, steps=25, trials=1500, seed=11),
+                             **kw})
+
+
 @pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("diameter", [math.inf, 1.5])
 @pytest.mark.parametrize("kind", ["gd", "cgd", "sgd"])
 def test_simulate_in_place_matches_the_expression_form(monkeypatch, kind,
                                                        diameter, dimension):
     monkeypatch.setattr(oracle, "_CHUNK", 700)   # three chunks, one partial
-    spec = oracle.SimSpec(kind=kind, dimension=dimension, m=0.5, eta=0.1,
-                          sigma=2.0, L=1.0, n=8, b=2, j_star=3, steps=25,
-                          trials=1500, seed=11, diameter=diameter)
+    spec = _mixed_spec(kind=kind, dimension=dimension, diameter=diameter)
     x, y = oracle.simulate(spec)
     want_x, want_y = _expression_simulate(spec)
     assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, None, 64])
+def test_simulate_does_not_depend_on_the_worker_count(monkeypatch, cpus):
+    monkeypatch.setattr(oracle, "_CHUNK", 700)
+    spec = _mixed_spec(kind="sgd", dimension=2, diameter=1.5)
+    x, y = oracle.simulate(spec)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    x1, y1 = oracle.simulate(spec)
+    assert x1.tobytes() == x.tobytes() and y1.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gd", "cgd", "sgd"])
+def test_simulate_baseline_does_not_read_L(monkeypatch, kind):
+    monkeypatch.setattr(oracle, "_CHUNK", 700)
+    spec = _mixed_spec(kind=kind, diameter=1.5)
+    x, y = oracle.simulate(spec)
+    x2, y2 = oracle.simulate(dataclasses.replace(spec, L=3.0))
+    assert x2.tobytes() == x.tobytes()
+    assert y2.tobytes() != y.tobytes()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("eta", math.nan), ("eta", math.inf), ("eta", -0.1),
+    ("sigma", math.nan), ("sigma", math.inf), ("sigma", -1.0),
+    ("m", math.nan), ("m", -math.inf),
+    ("L", math.nan), ("L", math.inf), ("L", -1.0),
+    ("diameter", math.nan), ("diameter", 0.0), ("diameter", -1.0),
+])
+def test_simspec_rejects_bad_numbers(field, value):
+    with pytest.raises(DomainError):
+        oracle.SimSpec(**{field: value})
+
+
+def test_simulate_projects_a_zero_row_without_dividing_by_it():
+    # Both processes stay at the origin, whose norm is 0: projecting onto
+    # the ball must leave it there without a divide-by-zero warning.
+    spec = oracle.SimSpec(kind="gd", dimension=2, sigma=0.0, L=0.0,
+                          diameter=1.0, trials=50)
+    x, y = oracle.simulate(spec)
+    assert not x.any() and not y.any()
 
 
 def test_simulate_moments_match_closed_form():

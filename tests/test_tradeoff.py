@@ -5,6 +5,7 @@ import pytest
 
 from fdp_accountant import normal
 from fdp_accountant import tradeoff as tc
+from fdp_accountant.conversions import curve_to_delta
 from fdp_accountant.errors import DomainError, InvalidCurveError
 
 
@@ -39,6 +40,20 @@ def test_gdp_eval_domain():
         tc.gdp_eval(1.0, 1.5)
     with pytest.raises(DomainError):
         tc.gdp_eval(1.0, -0.01)
+
+
+def test_gdp_eval_floors_underflow_below_alpha_1():
+    # G(40) underflows from alpha ~ 0.0101; it stays positive below alpha = 1
+    a = tc.alpha_grid()
+    g = tc.gdp_eval(40.0, a)
+    assert np.all(g[:-1] > 0.0) and g[-1] == 0.0
+    assert tc.gdp_eval(40.0, 0.5) == 5e-324
+    # G(inf) is 0 on alpha > 0 and is not floored
+    assert tc.gdp_eval(math.inf, 0.5) == 0.0
+    # no G(mu <= 30) underflows on the grid, so the floor changes no value there
+    for mu in (5.0, 30.0):
+        raw = normal.cdf(normal.inv_upper(a[1:-1]) - mu)
+        assert np.array_equal(tc.gdp_eval(mu, a)[1:-1], raw)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 5.0, 20.0])
@@ -153,6 +168,12 @@ def test_subsample_endpoints():
     assert ok_lo and ok_hi
     with pytest.raises(DomainError):
         tc.subsample(g, 1.2)
+
+
+def test_subsample_keeps_the_alpha_0_end_of_an_underflowing_curve():
+    f = tc.subsample(tc.curve_of_gdp(40.0), 1.0)
+    assert f.values[0] == 1.0
+    assert curve_to_delta(f, math.inf) == 0.0
 
 
 def test_subsample_symmetry_and_domination():
