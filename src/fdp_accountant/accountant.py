@@ -497,24 +497,95 @@ def crossover_step(convergent_mu: float, composition_rate: float) -> int:
 # -- tau sweeps ---------------------------------------------------------------
 
 
-def tau_window_grid(t: int, max_candidates: int = 64) -> list:
-    """Log-spaced window lengths t - tau in [1, t], at most max_candidates."""
+def _require_candidates(max_candidates: int) -> None:
     if max_candidates < 1:
         raise DomainError(
             f"candidate count must be >= 1, got {max_candidates}")
+
+
+def tau_window_grid(t: int, max_candidates: int = 64) -> list:
+    """Log-spaced window lengths t - tau in [1, t], at most max_candidates."""
+    _require_candidates(max_candidates)
     import numpy as np  # deferred: closed-form bounds run without NumPy
     ws = np.unique(np.round(np.geomspace(1, t, max_candidates)).astype(int))
     return [int(w) for w in ws]
 
 
+def _proj_window_start(p: AlgoParams) -> int:
+    """The CLT window of the constrained convex SGD bound, rounded into
+    [1, t]."""
+    try:
+        w, _ = clt_sgd_proj(p)
+    except DomainError:
+        # D = 0 leaves no head factor, so delta grows with the window; L = 0
+        # makes the CLT term vanish, and delta falls with the window. Invalid
+        # parameters raise again when the first window is built.
+        w = 1 if p.D == 0 else p.t
+    return min(max(1, round(w)), p.t)
+
+
+def _search_windows(t: int, w0: int, columns: int, evaluate,
+                    cap: int) -> dict:
+    """Windows w in [1, t] mapped to evaluate(w), a row of `columns` deltas,
+    for the windows an integer search of each column visits.
+
+    Every column starts at w0. It walks downhill from w0 in steps that
+    double until delta stops falling, which brackets the minimum when delta
+    is unimodal in w. A ternary search whose two probes are adjacent, m and
+    m + 1, then halves the bracket until one window is left. The columns
+    share the evaluated rows. At most `cap` windows are evaluated: a window
+    past the cap reads as +inf, so no search moves onto it.
+    """
+    rows = {w0: evaluate(w0)}
+    for j in range(columns):
+        def f(w):
+            if w not in rows:
+                if len(rows) == cap:
+                    return math.inf
+                rows[w] = evaluate(w)
+            return rows[w][j]
+
+        if w0 < t and f(w0 + 1) < f(w0):
+            sign, back, cur = 1, w0, w0 + 1
+        else:
+            sign, back, cur = -1, min(w0 + 1, t), w0
+        step = 1
+        while True:
+            nxt = min(max(cur + sign * step, 1), t)
+            if nxt == cur or f(nxt) >= f(cur):
+                break
+            back, cur, step = cur, nxt, 2 * step
+        lo, hi = sorted((back, nxt))
+        while lo < hi:
+            m = (lo + hi) // 2
+            if f(m) <= f(m + 1):
+                hi = m
+            else:
+                lo = m + 1
+    return rows
+
+
 def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
               max_candidates: int = 64):
-    """Evaluate an SGD composite bound over a log grid of tau candidates and
-    report, per eps, the best delta (the theorems hold for every tau, so the
-    pointwise minimum is a valid bound).
+    """Evaluate an SGD composite bound over window starts tau and report,
+    per eps, the best delta (the theorems hold for every tau, so the
+    pointwise minimum over the evaluated windows is a valid bound).
 
-    Returns a dict with taus, the delta matrix (tau major), and per-eps
-    (best_delta, best_tau).
+    setting="proj" searches the integers: every eps column starts at the
+    CLT window w* = t - tau of clt_sgd_proj, rounded into [1, t] (w = 1 when
+    D = 0, which has no head factor; w = t when the CLT term vanishes,
+    L = 0), brackets its minimum by doubling steps and closes in by an
+    integer ternary search (_search_windows). The columns share one cache
+    of evaluated windows, and max_candidates caps how many are evaluated.
+    setting="sc" evaluates every window of tau_window_grid(t,
+    max_candidates). It stays on the grid until ROADMAP item 3: a search
+    there reaches windows whose head Gaussian has mu < 10 * DEFAULT_MESH,
+    which the grid skips and which fail the mesh check.
+
+    Returns a dict with taus (the evaluated windows, w ascending, so tau
+    descending), eps, the delta matrix (one row per tau, each row from one
+    evaluate_composite call that answers every eps) and best: per eps,
+    the column minimum of the matrix and its tau.
     """
     import numpy as np  # deferred: closed-form bounds run without NumPy
 
@@ -522,15 +593,22 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
 
     if setting not in ("sc", "proj"):
         raise DomainError("setting must be 'sc' or 'proj'")
+    _require_candidates(max_candidates)
     build = bound_sgd_sc if setting == "sc" else bound_sgd_proj
     eps_list = [float(e) for e in eps_list]
-    taus = [p.t - w for w in tau_window_grid(p.t, max_candidates)]
-    rows = []
-    for tau in taus:
-        cb = build(p, tau)
-        deltas = prv.evaluate_composite(cb, eps_list)
-        rows.append([d for _, d in deltas])
-    matrix = np.asarray(rows)
+
+    def evaluate(w):
+        deltas = prv.evaluate_composite(build(p, p.t - w), eps_list)
+        return [d for _, d in deltas]
+
+    if setting == "sc":
+        rows = {w: evaluate(w) for w in tau_window_grid(p.t, max_candidates)}
+    else:
+        rows = _search_windows(p.t, _proj_window_start(p), len(eps_list),
+                               evaluate, max_candidates)
+    windows = sorted(rows)
+    taus = [p.t - w for w in windows]
+    matrix = np.asarray([rows[w] for w in windows])
     best_idx = np.argmin(matrix, axis=0)
     best = [{"eps": eps_list[j], "delta": float(matrix[best_idx[j], j]),
              "tau": taus[best_idx[j]]} for j in range(len(eps_list))]

@@ -465,7 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(s)
     s.add_argument("--sc", action="store_true")
     s.add_argument("--eps", type=float, action="append")
-    s.add_argument("--candidates", type=int, default=64)
+    s.add_argument("--candidates", type=int, default=64,
+                   help="constrained bound (no --sc): cap on the windows the "
+                        "search from the CLT window evaluates; --sc: size of "
+                        "the log grid of windows")
     s.set_defaults(fn=cmd_sweep_tau)
     return parser
 

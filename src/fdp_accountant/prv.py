@@ -68,6 +68,7 @@ next_fast_len(n), which allows factors 7 and 11.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -218,6 +219,17 @@ def prv_of_subsampled_gdp(mu: float, p: float,
     S = (p * normal.cdf(mu / 2.0 - a[k:])
          + (1.0 - p) * normal.cdf(-a[k:] - mu / 2.0))
     return PrvGrid(i_lo, mesh, *_masses(F, S))
+
+
+@functools.lru_cache(maxsize=2)
+def _subsampled_base(mu: float, p: float, mesh: float) -> PrvGrid:
+    """prv_of_subsampled_gdp, kept for the last two (mu, p, mesh) asked.
+
+    Every window of a tau sweep has the same subsampled factors (one for
+    proj, two for sc), so the sweep builds each base lattice once. Sharing
+    is safe: a PrvGrid is frozen and its pmf is read-only.
+    """
+    return prv_of_subsampled_gdp(mu, p, mesh)
 
 
 # -- composition ---------------------------------------------------------------
@@ -392,6 +404,8 @@ def evaluate_composite(composite, eps_list):
     any other factor raises DomainError. Builds the PRVs on the DEFAULT_MESH
     lattice: the subsampled factors composed by FFT first, then one Gaussian
     for all GdpFactors, cut below what the eps can reach (module docstring).
+    The base lattices of the last two subsampled (mu, p) are reused
+    (_subsampled_base).
     Accumulated truncation is capped by TAIL_BUDGET. Returns [(eps, delta)]
     pairs.
     An empty product is perfectly private: delta(eps) = max(0, 1 - e^eps).
@@ -405,7 +419,7 @@ def evaluate_composite(composite, eps_list):
     rest, gauss = None, []
     for f in factors:
         if isinstance(f, SubsampledGdpFactor):
-            prv = prv_of_subsampled_gdp(f.mu, f.p)
+            prv = _subsampled_base(f.mu, f.p, DEFAULT_MESH)
             if f.multiplicity > 1:
                 prv = self_compose(prv, f.multiplicity)
             rest = prv if rest is None else convolve(rest, prv)

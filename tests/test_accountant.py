@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -238,6 +239,87 @@ def test_sweep_tau_rejects_nonpositive_candidate_count(count):
         acc.tau_window_grid(60, count)
     with pytest.raises(DomainError, match="candidate count"):
         acc.sweep_tau(p, [1.0], max_candidates=count)
+
+
+def _proj_runs(count=12, seed=1):
+    """Seeded constrained SGD runs with t <= 600 and 1 to 3 eps in [0.5, 3].
+    The CLT window, about kappa / (2 rate ratio), falls on both sides of t."""
+    rng = random.Random(seed)
+    runs = []
+    for _ in range(count):
+        b = rng.randint(16, 128)
+        rate = math.exp(rng.uniform(math.log(0.02), math.log(0.2)))
+        eta, sigma = rng.uniform(0.01, 0.1), rng.uniform(2.0, 6.0)
+        ratio, kappa = rng.uniform(0.03, 0.1), rng.uniform(1.0, 4.0)
+        eps = sorted(round(rng.uniform(0.5, 3.0), 2)
+                     for _ in range(rng.randint(1, 3)))
+        runs.append((acc.AlgoParams(
+            kind="sgd", eta=eta, sigma=sigma, n=round(b / rate), b=b,
+            L=ratio * b * sigma, steps=rng.randint(100, 600), M=1.0 / eta,
+            D=kappa * eta * sigma, constrained=True), eps))
+    return runs
+
+
+PROJ_RUNS = _proj_runs()
+
+
+def clt_start(p):
+    return min(max(1, round(acc.clt_sgd_proj(p)[0])), p.t)
+
+
+@pytest.mark.parametrize("p, eps", PROJ_RUNS,
+                         ids=[f"run{i}" for i in range(len(PROJ_RUNS))])
+def test_proj_sweep_is_no_worse_than_the_grid(p, eps):
+    out = acc.sweep_tau(p, eps, setting="proj")
+    grid = [[d for _, d in prv.evaluate_composite(
+        acc.bound_sgd_proj(p, p.t - w), eps)] for w in acc.tau_window_grid(p.t)]
+    for j, entry in enumerate(out["best"]):
+        ref = min(row[j] for row in grid)
+        if ref > 1e-14:
+            assert entry["delta"] <= ref
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 64])
+def test_proj_sweep_evaluates_at_most_the_cap_from_the_clt_window(cap):
+    inside = 0
+    for p, eps in PROJ_RUNS:
+        w0 = clt_start(p)
+        inside += w0 < p.t
+        out = acc.sweep_tau(p, eps, setting="proj", max_candidates=cap)
+        taus = out["taus"]
+        assert 1 <= len(taus) <= cap
+        assert p.t - w0 in taus
+        assert taus == sorted(set(taus), reverse=True)
+        matrix = np.asarray(out["deltas"])
+        assert matrix.shape == (len(taus), len(eps))
+        for j, entry in enumerate(out["best"]):
+            assert entry["delta"] == matrix[:, j].min()
+            assert entry["tau"] == taus[int(np.argmin(matrix[:, j]))]
+    # Some runs start inside the run, some at w = t.
+    assert 2 <= inside <= len(PROJ_RUNS) - 2
+
+
+PROJ_BASE = dict(kind="sgd", eta=0.05, sigma=4.0, n=500, b=25, L=4.0,
+                 steps=50, M=20.0, D=1.0, constrained=True)
+
+
+@pytest.mark.parametrize("change, cap, best_w", [
+    (dict(D=0.0), 64, 1),         # no head factor; clt_sgd_proj raises
+    (dict(L=0.0), 64, 50),        # the CLT term vanishes
+    (dict(steps=1), 1, 1),
+], ids=["D=0", "L=0", "t=1-cap=1"])
+def test_proj_sweep_edge_cases(change, cap, best_w):
+    p = acc.AlgoParams(**(PROJ_BASE | change))
+    out = acc.sweep_tau(p, [0.5, 2.0], setting="proj", max_candidates=cap)
+    assert p.t - best_w in out["taus"]
+    assert [entry["tau"] for entry in out["best"]] == [p.t - best_w] * 2
+
+
+def test_proj_sweep_repeats_exactly():
+    p, eps = PROJ_RUNS[0]
+    prv._subsampled_base.cache_clear()
+    cold = acc.sweep_tau(p, eps, setting="proj")
+    assert acc.sweep_tau(p, eps, setting="proj") == cold
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, -1.0])

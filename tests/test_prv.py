@@ -141,6 +141,29 @@ def test_one_delta_pass_per_composite(monkeypatch):
     assert sizes == [3] * len(out["taus"])
 
 
+def test_a_sweep_builds_each_base_lattice_once(monkeypatch):
+    # Every window shares the subsampled factors' (mu, p): one base lattice
+    # for proj, two for sc.
+    builds = []
+    real = prv.prv_of_subsampled_gdp
+
+    def counting(mu, p, mesh=prv.DEFAULT_MESH):
+        builds.append((mu, p))
+        return real(mu, p, mesh)
+
+    monkeypatch.setattr(prv, "prv_of_subsampled_gdp", counting)
+    sgd = dict(kind="sgd", eta=0.05, sigma=4.0, n=500, b=25, L=4.0, steps=50)
+    for params, setting, bases in [
+            (acc.AlgoParams(**sgd, M=20.0, D=1.0, constrained=True), "proj", 1),
+            (acc.AlgoParams(**sgd, m=1.0, M=10.0), "sc", 2)]:
+        builds.clear()
+        prv._subsampled_base.cache_clear()
+        out = acc.sweep_tau(params, [0.5, 1.0], setting=setting,
+                            max_candidates=8)
+        assert len(out["taus"]) > bases
+        assert len(builds) == len(set(builds)) == bases
+
+
 _SYMMETRY_FLOOR = 1e-300  # smallest mass _symmetry_residual compares
 
 
