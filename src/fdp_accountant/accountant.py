@@ -28,8 +28,13 @@ from .errors import DomainError
 GD, CGD, SGD = "gd", "cgd", "sgd"
 _KINDS = (GD, CGD, SGD)
 
-_JSON_FIELDS = ("kind", "eta", "sigma", "n", "b", "epochs", "steps",
-                "L", "m", "M", "D", "constrained")
+# JSON parameter fields, in report order, with the type each must have.
+_NUMBER = ((int, float), "a number")
+_INTEGER = (int, "an integer")
+_JSON_FIELDS = {"kind": (str, "a string"), "eta": _NUMBER, "sigma": _NUMBER,
+                "n": _INTEGER, "b": _INTEGER, "epochs": _INTEGER,
+                "steps": _INTEGER, "L": _NUMBER, "m": _NUMBER, "M": _NUMBER,
+                "D": _NUMBER, "constrained": (bool, "a boolean")}
 _SNAP_TOL = 1e-9  # relative distance to an integer that ceil_snap rounds to
 
 
@@ -154,15 +159,31 @@ class AlgoParams:
     def from_dict(cls, doc: dict) -> "AlgoParams":
         """Parameters from a decoded JSON document; None fields take the
         defaults."""
-        unknown = set(doc) - set(_JSON_FIELDS)
-        if unknown:
-            raise DomainError(f"unknown parameter fields: {sorted(unknown)}")
+        _check_json_doc(doc)
         given = {k: v for k, v in doc.items() if v is not None}
         missing = [f.name for f in fields(cls)
                    if f.default is MISSING and f.name not in given]
         if missing:
             raise DomainError(f"missing parameter fields: {missing}")
         return cls(**given)
+
+
+def _check_json_doc(doc) -> None:
+    """Reject a decoded JSON parameter document that is not an object, has
+    an unknown field or has a field of the wrong type (_JSON_FIELDS). None
+    (JSON null) passes for every field."""
+    if not isinstance(doc, dict):
+        raise DomainError("parameters must be a JSON object, got "
+                          f"{type(doc).__name__}")
+    unknown = set(doc) - set(_JSON_FIELDS)
+    if unknown:
+        raise DomainError(f"unknown parameter fields: {sorted(unknown)}")
+    for name, value in doc.items():
+        types, want = _JSON_FIELDS[name]
+        # bool is a subclass of int, but true is not a number.
+        if value is not None and (not isinstance(value, types) or (
+                isinstance(value, bool) and types is not bool)):
+            raise DomainError(f"{name} must be {want}, got {value!r}")
 
 
 # -- symbolic composite bounds ------------------------------------------------
@@ -306,8 +327,16 @@ def bound_cgd_proj(p: AlgoParams) -> float:
 # -- stochastic-batch bounds --------------------------------------------------
 
 
+def _require_sgd(p: AlgoParams) -> None:
+    # The subsampled factors assume amplification by random batch sampling,
+    # which full and cyclic batches do not have.
+    if p.kind != SGD:
+        raise DomainError(f"stochastic-batch bounds need kind 'sgd', got {p.kind!r}")
+
+
 def bound_sgd_composition(p: AlgoParams) -> CompositeBound:
     """C_{b/n}(G(L/(b sigma)))^{x t}."""
+    _require_sgd(p)
     return CompositeBound((SubsampledGdpFactor(p.L / (p.b * p.sigma),
                                                p.b / p.n, p.t),))
 
@@ -319,6 +348,7 @@ def bound_sgd_sc(p: AlgoParams, tau: int) -> CompositeBound:
         x C_{b/n}(G(2 sqrt(2) L/(b sigma)))
         x C_{b/n}(G(2 L/(b sigma)))^{x (t-tau)}
     """
+    _require_sgd(p)
     c = p.require_strongly_convex()
     if not 0 <= tau <= p.t - 1:
         raise DomainError(f"need 0 <= tau <= t-1, got tau={tau}")
@@ -341,6 +371,7 @@ def bound_sgd_proj(p: AlgoParams, tau: int) -> CompositeBound:
         G(sqrt(2) D / (eta sigma sqrt(t-tau)))
         x C_{b/n}(G(2 sqrt(2) L/(b sigma)))^{x (t-tau)}
     """
+    _require_sgd(p)
     p.require_constrained()
     if not 0 <= tau <= p.t - 1:
         raise DomainError(f"need 0 <= tau <= t-1, got tau={tau}")
@@ -613,25 +644,3 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
     best = [{"eps": eps_list[j], "delta": float(matrix[best_idx[j], j]),
              "tau": taus[best_idx[j]]} for j in range(len(eps_list))]
     return {"taus": taus, "eps": eps_list, "deltas": matrix.tolist(), "best": best}
-
-
-# -- consistency helpers ------------------------------------------------------
-
-
-def gd_sc_mu_via_schedule(p: AlgoParams) -> float:
-    """bound_gd_sc recomputed as schedule + meta bound (equal to 1e-12 rel)."""
-    from .schedule import meta_mu, optimal_sc_schedule
-    c = p.require_strongly_convex()
-    sched, _ = optimal_sc_schedule(c, p.eta * p.L / p.n, p.t)
-    return meta_mu(sched, p.eta * p.sigma)
-
-
-def gd_proj_mu_via_schedule(p: AlgoParams) -> float:
-    """Plateau constrained bound recomputed as schedule + meta bound; equals
-    bound_gd_proj exactly when D n / (eta L) is an integer."""
-    from .schedule import meta_mu, optimal_proj_schedule
-    p.require_constrained()
-    s = p.eta * p.L / p.n
-    w = ceil_snap(p.D * p.n / (p.eta * p.L))
-    sched, _, _ = optimal_proj_schedule(s, p.D, w, 0)
-    return meta_mu(sched, p.eta * p.sigma)

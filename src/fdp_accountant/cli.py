@@ -72,6 +72,10 @@ def _load_params(args) -> acct.AlgoParams:
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
+        # The one untyped input: check it before the --leff arithmetic. A
+        # null field takes its default, as in AlgoParams.from_dict.
+        acct._check_json_doc(doc)
+        doc = {k: v for k, v in doc.items() if v is not None}
     overrides = {
         "kind": args.kind, "eta": args.eta, "sigma": args.sigma, "n": args.n,
         "b": args.b, "epochs": args.epochs, "steps": args.steps, "L": args.L,

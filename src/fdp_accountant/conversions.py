@@ -30,7 +30,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS_STEP = 1e-12     # gdp_to_eps: last step accepted, relative to eps
 _NEWTON_ITERS = 200   # gdp_to_eps: cap on delta evaluations
 _EXP_SAFE = 700.0     # gdp_to_eps: largest |log slope| a Newton step uses
-_MU_BRACKET = 100.0   # gdp_mu_from_delta: largest mu searched
 _EPS_EXP_MAX = 709.0  # curve_to_delta: largest eps whose e^eps is formed
 # curve_to_delta: nodes with e^eps alpha >= this have a negative objective;
 # the margin over 1 must exceed tradeoff.MONOTONE_TOL plus rounding.
@@ -157,23 +156,6 @@ def gdp_to_eps(mu: float, delta: float) -> float:
         else:
             hi = x
     return x
-
-
-def gdp_mu_from_delta(eps: float, delta: float) -> float:
-    """mu with gdp_to_delta(mu, eps) = delta (the GDP level matching a given
-    privacy-curve point); delta is increasing in mu."""
-    if eps < 0 or not 0.0 < delta < 1.0:
-        raise DomainError("need eps >= 0 and delta in (0, 1)")
-    if gdp_to_delta(_MU_BRACKET, eps) < delta:
-        raise DomainError("delta not reachable below the mu bracket")
-    lo, hi = 0.0, _MU_BRACKET
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gdp_to_delta(mid, eps) < delta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def gdp_to_rdp(mu: float, alpha: float) -> float:

@@ -390,13 +390,6 @@ def prv_delta(prv: PrvGrid, eps):
     return out[0] if scalar else out
 
 
-def discretization_estimate(prv: PrvGrid) -> float:
-    """Heuristic discretization error scale for delta queries (midpoint-rule
-    second-order bound); mesh halving should move delta by at most about 4x
-    this value."""
-    return 0.5 * prv.mesh ** 2
-
-
 def evaluate_composite(composite, eps_list):
     """Evaluate a symbolic product of GdpFactor / SubsampledGdpFactor factors.
 
@@ -442,7 +435,9 @@ def evaluate_composite(composite, eps_list):
 
 def delta_table_rows(composite, eps_list):
     """(eps, delta, uncertainty) rows for CSV export; uncertainty is the
-    discretization heuristic of the DEFAULT_MESH lattice."""
+    discretization heuristic of the DEFAULT_MESH lattice, 0.5 * mesh^2 (the
+    midpoint rule's second-order scale; halving the mesh should move delta
+    by at most about 4x this value)."""
     pairs = evaluate_composite(composite, eps_list)
     unc = 0.5 * DEFAULT_MESH ** 2
     return [(e, d, unc) for e, d in pairs]

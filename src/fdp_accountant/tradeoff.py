@@ -32,7 +32,6 @@ TAIL_POINTS_PER_DECADE = 16
 CONVEXITY_TOL = 1e-12
 UPPER_BOUND_TOL = 1e-12
 MONOTONE_TOL = 1e-12
-DEFAULT_ORDER_TOL = 1e-9
 
 CSV_HEADER = "alpha,f"
 _TINY = math.ulp(0.0)  # smallest positive double, 5e-324
@@ -75,11 +74,6 @@ class TradeoffCurve:
         self.validate()
         alphas.flags.writeable = False
         values.flags.writeable = False
-
-    @property
-    def mesh(self) -> float:
-        """Largest alpha spacing of the grid."""
-        return float(np.max(np.diff(self.alphas)))
 
     def validate(self) -> None:
         a, v = self.alphas, self.values
@@ -264,41 +258,3 @@ def subsample(f: TradeoffCurve, p: float) -> TradeoffCurve:
     fp_inv = _inverse_values(f.alphas, fp, f.alphas)
     m = np.minimum(fp, fp_inv)
     return convexify(np.column_stack([f.alphas, m]))
-
-
-def mixture_gaussian_tradeoff(p: float, mu: float) -> TradeoffCurve:
-    """Exact curve of N(0,1) versus the mixture p*N(mu,1) + (1-p)*N(0,1).
-
-    The likelihood ratio of the mixture against N(0,1) is increasing in the
-    observation, so optimal tests reject above a threshold z. Scanning z with
-    type-I error alpha(z) = 1 - Phi(z) gives type-II error
-    (1-p)*Phi(z) + p*Phi(z - mu); the grid parametrizes z = Phi^{-1}(1-alpha).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"mixture weight must lie in [0, 1], got {p}")
-    if mu < 0:
-        raise DomainError(f"mu must be >= 0, got {mu}")
-    alphas = alpha_grid()
-    if p == 0.0 or mu == 0.0:
-        return identity_curve(alphas)
-    z = normal.inv_upper(alphas)
-    with np.errstate(invalid="ignore"):
-        vals = (1.0 - p) * (1.0 - alphas) + p * normal.cdf(z - mu)
-    vals = np.where(alphas == 0.0, 1.0, np.where(alphas == 1.0, 0.0, vals))
-    return TradeoffCurve(alphas, vals)
-
-
-# -- comparison --------------------------------------------------------------
-
-
-def curve_geq(f: TradeoffCurve, g: TradeoffCurve, tol: float | None = None):
-    """Pointwise f >= g - tol on the common grid; returns (holds, max violation).
-
-    The default tolerance is 1e-9 plus one mesh width of interpolation slack.
-    """
-    if not np.array_equal(f.alphas, g.alphas):
-        raise DomainError("curves must share the same alpha grid")
-    if tol is None:
-        tol = DEFAULT_ORDER_TOL + f.mesh
-    violation = float(np.max(g.values - f.values))
-    return violation <= tol, violation

@@ -19,6 +19,8 @@ from fdp_accountant import oracle
 from fdp_accountant import prv
 from fdp_accountant import schedule as sch
 from fdp_accountant import tradeoff as tc
+from oracles import (cgd, curve_geq, gd, gd_sc_mu_via_schedule,
+                     gdp_mu_from_delta, mesh, mixture_gaussian_tradeoff, phi)
 
 ALPHA_GRID = np.linspace(0.05, 0.95, 19)
 
@@ -26,16 +28,6 @@ ALPHA_GRID = np.linspace(0.05, 0.95, 19)
 def report(name: str, passed: bool, detail: str = "") -> None:
     status = "PASS" if passed else "FAIL"
     print(f"ACCEPTANCE {name}: {status}" + (f"  [{detail}]" if detail else ""))
-
-
-def gd(c, t, leff=0.1):
-    return acc.AlgoParams(kind="gd", eta=1.0 - c, sigma=1.0, n=1, L=leff,
-                          steps=t, m=1.0, M=1.0)
-
-
-def cgd(c, l, E, lbs=0.2):
-    return acc.AlgoParams(kind="cgd", eta=1.0 - c, sigma=1.0, n=l, b=1,
-                          L=lbs, epochs=E, m=1.0, M=1.0)
 
 
 # -- criterion 1: GD strongly convex table ------------------------------------
@@ -191,7 +183,7 @@ def test_criterion_5_theorem_equals_schedule():
         for t in ts:
             p = gd(c, t)
             a = acc.bound_gd_sc(p)
-            b = acc.gd_sc_mu_via_schedule(p)
+            b = gd_sc_mu_via_schedule(p)
             worst = max(worst, abs(a - b) / a)
     ok = worst <= 1e-12
     report("criterion 5 (theorem = schedule + meta, 1e-12 rel, 100 points)",
@@ -241,7 +233,7 @@ def test_criterion_6_monte_carlo():
 def test_criterion_7_subsampling_operator():
     g1 = tc.curve_of_gdp(1.0)
     c1 = tc.subsample(g1, 1.0)
-    ok = tc.curve_geq(c1, g1)[0] and tc.curve_geq(g1, c1)[0]
+    ok = curve_geq(c1, g1)[0] and curve_geq(g1, c1)[0]
 
     c0 = tc.subsample(g1, 0.0)
     ok &= bool(np.array_equal(c0.values, 1.0 - c0.alphas))
@@ -249,15 +241,14 @@ def test_criterion_7_subsampling_operator():
     p, mu = 0.25, 2.5
     cp = tc.subsample(tc.curve_of_gdp(mu), p)
     sym = float(np.max(np.abs(tc.invert_curve(cp).values - cp.values)))
-    ok &= sym <= 2.0 * cp.mesh
+    ok &= sym <= 2.0 * mesh(cp)
 
     fp = p * tc.gdp_eval(mu, cp.alphas) + (1 - p) * (1 - cp.alphas)
-    ok &= float(np.max(cp.values - fp)) <= 1e-9 + cp.mesh
+    ok &= float(np.max(cp.values - fp)) <= 1e-9 + mesh(cp)
 
-    target = (1 + p) * 0.5 * math.erfc(mu / 2 / math.sqrt(2)) + \
-             (1 - p) * 0.5 * math.erfc(-mu / 2 / math.sqrt(2))
-    lo = 0.5 * math.erfc(mu / 2 / math.sqrt(2))
-    hi = p * lo + (1 - p) * 0.5 * math.erfc(-mu / 2 / math.sqrt(2))
+    target = (1 + p) * phi(-mu / 2) + (1 - p) * phi(mu / 2)
+    lo = phi(-mu / 2)
+    hi = p * lo + (1 - p) * phi(mu / 2)
     tangency_ok = all(
         abs(a + cp(a) - target) <= 1e-6
         for a in np.linspace(lo + 0.05, hi - 0.05, 9))
@@ -299,7 +290,7 @@ def test_criterion_8c_clt_composition():
     mu_clt = acc.clt_subsampled(1.0, 0.01, 10 ** 4)
     cb = acc.CompositeBound((acc.SubsampledGdpFactor(1.0, 0.01, 10 ** 4),))
     (_, delta), = prv.evaluate_composite(cb, [1.0])
-    mu_eq = cv.gdp_mu_from_delta(1.0, delta)
+    mu_eq = gdp_mu_from_delta(1.0, delta)
     gap = abs(mu_eq - mu_clt)
     elapsed = time.monotonic() - start
     ok = gap <= 0.02 and elapsed < 60.0
@@ -313,7 +304,6 @@ def test_criterion_8c_clt_composition():
 
 
 def test_criterion_9_conversions():
-    phi = lambda x: math.erfc(-x / math.sqrt(2.0)) / 2.0
     ok = abs(cv.gdp_to_delta(1.0, 0.0) - (2 * phi(0.5) - 1)) <= 1e-12
     ok &= abs(cv.gdp_to_delta(1.0, 0.0) - 0.38292) <= 1e-5
     ok &= abs(cv.gdp_to_delta(1.0, 1.0) - (phi(-0.5) - math.e * phi(-1.5))) <= 1e-12
@@ -366,7 +356,7 @@ def test_criterion_11_monotonicity_and_invariants():
     curves = [tc.curve_of_gdp(m) for m in (0.0, 0.3, 1.0, 5.0, 20.0)]
     curves += [tc.subsample(tc.curve_of_gdp(m), p)
                for m in (0.5, 1.0, 2.5) for p in (0.1, 0.25, 0.9, 1.0)]
-    curves += [tc.mixture_gaussian_tradeoff(0.3, 1.5)]
+    curves += [mixture_gaussian_tradeoff(0.3, 1.5)]
     curves += [tc.invert_curve(curve) for curve in curves[:6]]
     for curve in curves:
         curve.validate()

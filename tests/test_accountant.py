@@ -9,16 +9,8 @@ from fdp_accountant import accountant as acc
 from fdp_accountant import conversions as cv
 from fdp_accountant import prv
 from fdp_accountant.errors import DomainError
-
-
-def gd(c, t, leff=0.1):
-    return acc.AlgoParams(kind="gd", eta=1.0 - c, sigma=1.0, n=1, L=leff,
-                          steps=t, m=1.0, M=1.0)
-
-
-def cgd(c, l, E, lbs=0.2):
-    return acc.AlgoParams(kind="cgd", eta=1.0 - c, sigma=1.0, n=l, b=1,
-                          L=lbs, epochs=E, m=1.0, M=1.0)
+from oracles import (cgd, gd, gd_proj_mu_via_schedule, gd_sc_mu_via_schedule,
+                     phi)
 
 
 # -- parameter plumbing -------------------------------------------------------
@@ -113,17 +105,17 @@ def test_gd_sc_equals_schedule_plus_meta():
         for t in (1, 7, 64):
             p = gd(c, t)
             assert acc.bound_gd_sc(p) == pytest.approx(
-                acc.gd_sc_mu_via_schedule(p), rel=1e-12)
+                gd_sc_mu_via_schedule(p), rel=1e-12)
 
 
 def test_gd_proj_plateau_equals_schedule_at_integer_ratio():
     # D n / (eta L) = 20 exactly
     p = proj_gd(0.5, 0.1)
     assert acc.bound_gd_proj(p) == pytest.approx(
-        acc.gd_proj_mu_via_schedule(p), rel=1e-12)
+        gd_proj_mu_via_schedule(p), rel=1e-12)
     # plateau form never undercuts the schedule value
     q = proj_gd(0.37, 0.13)
-    assert acc.bound_gd_proj(q) >= acc.gd_proj_mu_via_schedule(q) - 1e-12
+    assert acc.bound_gd_proj(q) >= gd_proj_mu_via_schedule(q) - 1e-12
 
 
 # -- cyclic batch -------------------------------------------------------------
@@ -219,6 +211,16 @@ def test_bound_sgd_proj_structure():
     # D = 0 drops the distance factor
     cb0 = acc.bound_sgd_proj(sgd(t=100, D=0.0, m=0.0, constrained=True), tau=96)
     assert len(cb0.factors) == 1
+
+
+@pytest.mark.parametrize("kind", ["gd", "cgd"])
+def test_sgd_bounds_reject_runs_that_are_not_sgd(kind):
+    p = sgd(t=100, kind=kind, D=2.0)
+    for build in (acc.bound_sgd_composition,
+                  lambda q: acc.bound_sgd_sc(q, 96),
+                  lambda q: acc.bound_sgd_proj(q, 96)):
+        with pytest.raises(DomainError, match="kind 'sgd'"):
+            build(p)
 
 
 def test_sweep_tau_reports_pointwise_best():
@@ -366,10 +368,6 @@ def test_clt_sgd_proj_consistency():
         acc.clt_sgd_proj(acc.AlgoParams(kind="sgd", eta=0.05, sigma=5.0,
                                         n=10000, b=100, L=10.0, steps=10,
                                         M=10.0, D=0.0, constrained=True))
-
-
-def phi(x):
-    return math.erfc(-x / math.sqrt(2.0)) / 2.0
 
 
 # -- sampling corollaries -----------------------------------------------------

@@ -82,6 +82,34 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert json.loads(out)["mu"] == pytest.approx(0.624, abs=5e-4)
 
 
+CONFIG_GD_SC = ("bound", "--sc", "--m", "1", "--M", "10", "--steps", "160",
+                "--leff", "0.1")
+
+
+@pytest.mark.parametrize("doc, err_part", [
+    ([1, 2], "JSON object"),
+    ({"kind": "gd", "eta": "0.05"}, "eta must be a number"),
+    ({"kind": "gd", "eta": 0.05, "n": 1.5}, "n must be an integer"),
+    ({"kind": "gd", "eta": 0.05, "n": math.inf}, "n must be an integer"),
+    ({"kind": "gd", "eta": 0.05, "sigma": True}, "sigma must be a number"),
+], ids=["array", "string-eta", "float-n", "infinite-n", "bool-sigma"])
+def test_config_file_of_the_wrong_type_exits_2(doc, err_part, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))  # math.inf is written as Infinity
+    code, out, err = run(capsys, *CONFIG_GD_SC, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err_part in err
+
+
+def test_config_file_null_takes_the_default(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"kind": "gd", "eta": 0.05, "n": None}))
+    code, out, _ = run(capsys, *CONFIG_GD_SC, "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["mu"] == pytest.approx(0.624, abs=5e-4)
+
+
 def test_curve_round_trip(tmp_path, capsys):
     path = tmp_path / "g.csv"
     code, _, _ = run(capsys, "curve", "--mu", "0.961", "--out", str(path))
@@ -209,6 +237,21 @@ def test_sweep_tau_rejects_zero_candidates(capsys):
 SGD_SC = ("--kind", "sgd", "--sc", "--eta", "0.02", "--sigma", "4",
           "--n", "400", "--b", "40", "--L", "4", "--steps", "40", "--m", "1",
           "--M", "10")
+SWEEP_PROJ = ("sweep-tau", "--eta", "0.02", "--sigma", "4", "--n", "1000",
+              "--b", "10", "--L", "160", "--M", "50", "--D", "0.5", "--eps", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    (*SWEEP_PROJ, "--steps", "200"),
+    (*SWEEP_PROJ, "--kind", "cgd", "--epochs", "2"),
+    ("sweep-tau", *SGD_SC[2:], "--candidates", "3"),
+], ids=["proj-no-kind", "proj-cgd", "sc-no-kind"])
+def test_sweep_tau_rejects_runs_that_are_not_sgd(argv, capsys):
+    # The sgd bounds assume amplification by random batch sampling.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "kind 'sgd'" in err
 
 
 @pytest.mark.parametrize("argv", [
