@@ -435,7 +435,15 @@ def build_parser() -> argparse.ArgumentParser:
                                        "as CSV and reference it in the report")
     b.set_defaults(fn=cmd_bound)
 
-    c = sub.add_parser("curve", help="emit a tradeoff curve as CSV")
+    c = sub.add_parser(
+        "curve", help="emit a tradeoff curve as CSV",
+        description="Emit a tradeoff curve as CSV (alpha,f) on the alpha "
+                    "grid. The curve is an estimate: read as the "
+                    "piecewise-linear curve through its nodes, it runs along "
+                    "chords, which lie above the convex tradeoff function "
+                    "between the nodes. So a delta read off it can fall below "
+                    "the exact value. For G(0.5) that shortfall is 1.8e-3 "
+                    "relative at eps = 2, and at eps = 4 delta reads 0.")
     _add_global_flags(c)
     c.add_argument("--mu", type=float, default=0.0,
                    help="Gaussian curve parameter (default 0: the identity)")

@@ -147,6 +147,15 @@ def test_subsampled_curve_matches_library(tmp_path, capsys):
     assert np.array_equal(back.values, ref.values)
 
 
+def test_curve_help_labels_the_curve_an_estimate(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["curve", "--help"])
+    assert done.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "The curve is an estimate" in out
+    assert "can fall below the exact value" in out
+
+
 def test_convert_commands(capsys):
     code, out, _ = run(capsys, "convert", "gdp-to-epsdelta", "--mu", "1",
                        "--delta", "1e-5")

@@ -310,3 +310,127 @@ def test_lower_hull_matches_scalar_chain_on_subsample_inputs(monkeypatch, mu, p)
     tc.subsample(tc.curve_of_gdp(mu), p)
     assert len(seen) == 1
     assert_hull_matches_scalar_chain(*seen[0])
+
+
+# -- the block step across the slope -1 bridge --------------------------------
+
+
+def subsample_hull_input(mu, p):
+    """The points subsample(curve_of_gdp(mu), p) hands to the hull."""
+    f = tc.curve_of_gdp(mu)
+    fp = p * f.values + (1 - p) * (1 - f.alphas)
+    return f.alphas, np.minimum(fp, tc._inverse_values(f.alphas, fp, f.alphas))
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """(first point, points offered, points accepted) of every block step."""
+    seen = []
+    step = tc._cross_block
+
+    def recording(x, y, hx, hy, top, i, m):
+        k, low = step(x, y, hx, hy, top, i, m)
+        seen.append((i, m, k))
+        return k, low
+
+    monkeypatch.setattr(tc, "_cross_block", recording)
+    return seen
+
+
+def test_subsample_hands_the_hull_its_grid_and_the_minimum(monkeypatch):
+    seen = []
+    hull = tc._lower_hull
+    monkeypatch.setattr(tc, "_lower_hull", lambda x, y: seen.append((x, y)) or hull(x, y))
+    tc.subsample(tc.curve_of_gdp(2.0), 0.02)
+    x, y = subsample_hull_input(2.0, 0.02)
+    assert np.array_equal(seen[0][0], x) and np.array_equal(seen[0][1], y)
+
+
+# Log-uniform (mu, p) over the benchmark's ranges, rounded to 3 digits.
+_rng = np.random.default_rng(19)
+SWEEP = [(float(f"{mu:.3g}"), float(f"{p:.3g}")) for mu, p in zip(
+    np.exp(_rng.uniform(math.log(0.5), math.log(5.0), 6)),
+    np.exp(_rng.uniform(math.log(0.001), math.log(0.05), 6)))]
+
+
+@pytest.mark.parametrize("mu, p", SWEEP + [(2.5, 0.25), (5.0, 0.3)])
+def test_block_step_matches_scalar_chain_on_subsample_inputs(blocks, mu, p):
+    # (2.5, 0.25) and (5, 0.3) end in long runs of collinear round-off
+    assert_hull_matches_scalar_chain(*subsample_hull_input(mu, p))
+    assert sum(k for _, _, k in blocks) > 500  # the bridge went through blocks
+
+
+def tie_cloud(n=200, bridge=90):
+    """A convex chain y = (n - x)^2 at x = 0 .. n; then a bridge of points,
+    point j exactly on the line of the chain edge into point n - 1 - 2j; then
+    one point that pops nothing. The coordinates are integers, so every cross
+    product is exact and the chain's ties at 0 really occur."""
+    x, y = list(np.arange(n + 1.0)), list((n - np.arange(n + 1.0)) ** 2)
+    for j in range(bridge):
+        k, px = n - 1 - 2 * j, n + 1.0 + j
+        x.append(px)
+        y.append((n - k) ** 2 - (2 * (n - k) + 1) * (px - k))
+    return np.array(x + [x[-1] + 1.0]), np.array(y + [y[-1] + 1e6])
+
+
+@pytest.mark.parametrize("cloud", ["subsample", "ties"])
+@pytest.mark.parametrize("sabotage", ["up", "down", "random", "bottom", "top"])
+def test_block_step_survives_a_wrong_predictor(monkeypatch, blocks, cloud, sabotage):
+    rng = np.random.default_rng(3)
+    predict = tc._tangent_depths
+
+    def wrong(sx, sy, px, py):
+        t = predict(sx, sy, px, py)
+        return {"up": t + 1, "down": t - 1,
+                "random": rng.integers(-3, sx.size + 3, t.size),
+                "bottom": np.zeros_like(t), "top": t * 0 + sx.size}[sabotage]
+
+    monkeypatch.setattr(tc, "_tangent_depths", wrong)
+    x, y = subsample_hull_input(2.0, 0.02) if cloud == "subsample" else tie_cloud()
+    assert_hull_matches_scalar_chain(x, y)
+    assert blocks  # the wrong depths reached the replay
+
+
+def test_block_step_stops_at_a_planted_bump(blocks):
+    x, y = subsample_hull_input(2.0, 0.02)
+    tc._lower_hull(x, y)
+    i, m, _ = next(b for b in blocks if b[1] == b[2] > 100)
+    blocks.clear()
+    # a dent in the middle of a block that verified in full: the next point
+    # no longer pops it, so the replay must stop there
+    y = y.copy()
+    y[i + m // 2] -= 1e-5
+    assert_hull_matches_scalar_chain(x, y)
+    assert any(0 < k < m for _, m, k in blocks)
+
+
+def test_block_step_is_quiet_where_slopes_overflow(blocks):
+    # edge slopes of order 1e320 overflow to -inf; the chain's Python floats
+    # would not warn, and neither may the block step
+    t = np.linspace(1e-3, 0.5, 200)
+    x = np.concatenate([[0.0, 5e-324, 1e-323], t, [0.6, 1.0]])
+    y = np.concatenate([[1.0, 0.999, 0.998], 0.9 * (1.0 - t) ** 2, [0.0, 0.0]])
+    assert_hull_matches_scalar_chain(x, y)
+    assert blocks
+
+
+@pytest.mark.parametrize("mu, p", [(0.5, 0.001), (2.0, 0.02), (2.5, 0.25), (1.0, 1.0),
+                                   (40.0, 1.0)])
+def test_subsample_equals_convexify_of_its_points(mu, p):
+    x, y = subsample_hull_input(mu, p)
+    ref = tc.convexify(np.column_stack([x, y]))
+    out = tc.subsample(tc.curve_of_gdp(mu), p)
+    assert out.alphas.tobytes() == ref.alphas.tobytes()
+    assert out.values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.parametrize("grid_size", [None, 3001])
+def test_curve_of_gdp_reuses_the_grid_quantiles(grid_size):
+    z = tc._grid_quantiles(grid_size)
+    assert tc._grid_quantiles(grid_size) is z
+    with pytest.raises(ValueError):
+        z[1] = 0.0
+    alphas = tc.alpha_grid() if grid_size is None else tc.alpha_grid(grid_size)
+    for mu in (0.0, 0.5, 2.0, 40.0, math.inf):
+        assert (tc.curve_of_gdp(mu, grid_size).values.tobytes()
+                == tc.gdp_eval(mu, alphas).tobytes())
