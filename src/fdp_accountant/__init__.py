@@ -6,7 +6,7 @@ Submodules:
     accountant   privacy bounds for GD / CGD / SGD, CLT approximations
     conversions  f-DP <-> (eps, delta) <-> RDP conversions
     prv          privacy-loss random variables and FFT composition
-    oracle       worst-case, Monte-Carlo and convex-QP schedule verification
+    oracle       worst-case and Monte-Carlo verification
     cli          command-line front end
 """
 

@@ -1,6 +1,5 @@
-"""Independent verification: exact worst-case constructions, Monte-Carlo
-tradeoff estimation for simulated noisy optimizers, and a convex-QP solver
-for optimal shift schedules.
+"""Independent verification: exact worst-case constructions and Monte-Carlo
+tradeoff estimation for simulated noisy optimizers.
 
 The worst-case strongly convex pair is rank-1, so one-dimensional quadratic
 simulations capture it exactly; empirical curves are Neyman-Pearson estimates
@@ -11,16 +10,17 @@ estimates, never as certified bounds.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, VerificationError
+from .errors import DomainError
 from .tradeoff import gdp_eval
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 14
 _DKW_CONFIDENCE = 0.99  # coverage of every empirical curve's band
 _MIN_BINS = 64          # histogram-lr bin-count floor
 
@@ -82,8 +82,11 @@ class SimSpec:
     def __post_init__(self):
         if self.kind not in ("gd", "cgd", "sgd"):
             raise DomainError("kind must be gd, cgd or sgd")
-        if self.trials < 1 or self.steps < 1 or self.dimension < 1:
-            raise DomainError("need trials >= 1, steps >= 1, dimension >= 1")
+        for name in ("n", "b", "trials", "steps", "dimension"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
         if not all(math.isfinite(v) for v in (self.eta, self.sigma, self.m, self.L)):
             raise DomainError("need finite eta, sigma, m and L")
         if min(self.eta, self.sigma, self.L) < 0:
@@ -106,74 +109,82 @@ def _drifts(spec: SimSpec) -> np.ndarray:
         hit = (np.arange(1, spec.steps + 1) - 1) % l + 1 == spec.j_star
         return np.where(hit, spec.L / spec.b, 0.0)
     # sgd: uniform batches include the perturbed index w.p. b/n, fresh each step
-    return None  # drawn at each step of the perturbed process
+    return None  # drawn at each step, from the chunk's stream
 
 
-def _project_ball(x: np.ndarray, half: float) -> None:
-    if x.ndim == 1:
+def _project(x: np.ndarray, half: float, ball: bool) -> None:
+    """Project each iterate of x onto the centered interval (ball=False: x
+    holds scalars) or the ball along the last axis (ball=True)."""
+    if not ball:
         np.clip(x, -half, half, out=x)
         return
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
     # Rows inside the ball keep a factor of 1; only the others are divided.
     x *= np.divide(half, norms, out=np.ones_like(norms), where=norms > half)
 
 
-def _run_process(spec: SimSpec, state: np.ndarray, z: np.ndarray, seed,
-                 perturbed: bool) -> None:
-    """Run one process of the pair in place on state (zeros on entry), from
-    its own stream, with z as its noise buffer.
+def _run_chunk(spec: SimSpec, pair: np.ndarray, z: np.ndarray, seed) -> None:
+    """Run one chunk of the pair in place: pair[0] is the baseline, pair[1]
+    the perturbed process (zeros on entry), and z the chunk's noise buffer.
 
-    The baseline (perturbed=False) and the perturbed process share nothing,
-    so the two run on separate threads; only the perturbed one reads L and,
-    for sgd, draws the Bernoulli inclusions (before each step's noise).
+    Each step draws one noise vector from the chunk's stream and both rows
+    take it; only row 1 takes the drift. For sgd the Bernoulli inclusions
+    come from the same stream, before each step's noise, whatever L is, so
+    the baseline never depends on L.
     """
     rng = np.random.default_rng(seed)
     c_step = 1.0 - spec.eta * spec.m
     scale = spec.eta * spec.sigma
     half = spec.diameter / 2.0
     project = math.isfinite(spec.diameter)
+    ball = spec.dimension > 1
     drifts = _drifts(spec)
-    head = state if spec.dimension == 1 else state[:, 0]  # perturbation axis
+    head = pair[1, ..., 0] if ball else pair[1]  # perturbation axis
     for k in range(spec.steps):
-        if perturbed and spec.kind == "sgd":
-            inc = rng.random(len(state)) < spec.b / spec.n
+        if spec.kind == "sgd":
+            inc = rng.random(len(z)) < spec.b / spec.n
             drift = np.where(inc, spec.eta * spec.L / spec.b, 0.0)
-        elif perturbed:
+        else:
             drift = spec.eta * drifts[k]
-        rng.standard_normal(out=z)  # state = c_step * state - scale * z
+        rng.standard_normal(out=z)  # pair = c_step * pair - scale * z
         z *= scale
-        state *= c_step
-        state -= z
-        if perturbed:
-            head += drift
+        pair *= c_step
+        pair -= z
+        head += drift
         if project:
-            _project_ball(state, half)
+            _project(pair, half, ball)
 
 
 def simulate(spec: SimSpec):
     """Terminal iterates of the adjacent pair: (baseline, perturbed) arrays.
 
-    Trials run in chunks of _CHUNK. Each chunk spawns two seeds from its own
-    child of the master seed, one per process, and the 2 x chunks processes
-    run on a thread pool (NumPy releases the GIL while drawing). Each result
-    depends only on its seed, so the output depends only on spec.seed, not on
-    the number of workers.
+    The two processes are coupled: at every step both take the same noise
+    draw, so half as many random numbers are drawn. Each process on its own
+    still has exactly its law, and a tradeoff curve depends only on the two
+    marginal laws; the DKW band of empirical_tradeoff is a union of one
+    event per sample set, so it holds under the coupling too. Without
+    projection a gd or cgd perturbed iterate is the baseline plus a fixed
+    drift, so one noise sample serves both laws.
+
+    Trials run in chunks of _CHUNK, each from its own stream, spawned from
+    the master seed, on a thread pool (NumPy releases the GIL while
+    drawing). Each chunk depends only on its seed, so the output depends
+    only on spec.seed, not on the number of workers.
     """
     shape = (spec.trials,) if spec.dimension == 1 else (spec.trials, spec.dimension)
     # The large arrays are allocated here: memory that a worker thread frees
     # stays in that thread's malloc arena and adds to the peak RSS.
-    pair = (np.zeros(shape), np.zeros(shape))
-    noise = np.empty((2,) + shape)
+    pair = np.zeros((2,) + shape)
+    noise = np.empty(shape)
     starts = range(0, spec.trials, _CHUNK)
     seeds = np.random.SeedSequence(spec.seed).spawn(len(starts))
-    tasks = [(pair[k][i:i + _CHUNK], noise[k, i:i + _CHUNK], child, k == 1)
-             for i, seed in zip(starts, seeds)
-             for k, child in enumerate(seed.spawn(2))]
+    tasks = [(pair[:, i:i + _CHUNK], noise[i:i + _CHUNK], seed)
+             for i, seed in zip(starts, seeds)]
     workers = min(len(tasks), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(lambda task: _run_process(spec, *task), tasks):
+        for _ in pool.map(lambda task: _run_chunk(spec, *task), tasks):
             pass  # reading each result re-raises a worker's exception
-    return pair
+    return pair[0], pair[1]
 
 
 # -- empirical tradeoff curves ------------------------------------------------
@@ -203,6 +214,14 @@ def empirical_tradeoff(samples_p, samples_q, method: str = "exact-lr",
     (identity by default, valid for location families); histogram-lr builds a
     1-d histogram density-ratio test (Freedman-Diaconis bins with a floor,
     99% confidence band inflated 1.5x for the density estimation).
+
+    The two sample sets may be coupled, as simulate's pairs are: the band
+    dkw(n_p) + dkw(n_q) is a union of two DKW events, each about one set's
+    own empirical CDF, so it holds whatever the joint law of the sets.
+    histogram-lr fits its bins on the first half of each set and estimates
+    the errors on the second. In a coupled pair of equal sizes the halves
+    hold disjoint trials, and trials are independent, so the eval samples
+    stay independent of the fitted bins.
     """
     samples_p = np.asarray(samples_p, dtype=float)
     samples_q = np.asarray(samples_q, dtype=float)
@@ -219,6 +238,8 @@ def empirical_tradeoff(samples_p, samples_q, method: str = "exact-lr",
     n_p = samples_p.shape[0]
     n_q = samples_q.shape[0]
     alphas = DEFAULT_ALPHAS if alphas is None else np.asarray(alphas, dtype=float)
+    if not np.all((alphas >= 0.0) & (alphas <= 1.0)):  # NaN fails too
+        raise DomainError("alphas must lie in [0, 1]")
     ci = dkw_halfwidth(n_p) + dkw_halfwidth(n_q)
 
     if method == "exact-lr":
@@ -278,6 +299,8 @@ def check_gdpinf(s: float, sigma: float, w_law, n_trials: int, seed: int = 0,
     (passed, margin, curve); margin is the worst signed slack against
     G(s/sigma) - ci over the alpha grid.
     """
+    if not (math.isfinite(s) and math.isfinite(sigma)):
+        raise DomainError("need finite s and sigma")
     if s < 0 or sigma <= 0 or n_trials < 2:
         raise DomainError("need s >= 0, sigma > 0, n_trials >= 2")
     rng = np.random.default_rng(seed)
@@ -289,44 +312,3 @@ def check_gdpinf(s: float, sigma: float, w_law, n_trials: int, seed: int = 0,
     emp = empirical_tradeoff(w + z_p, z_q, method="histogram-lr", alphas=alphas)
     margin = curve_margin(emp, gdp_eval(s / sigma, emp.alphas))
     return margin >= 0.0, margin, emp
-
-
-# -- optimal shift schedules ---------------------------------------------------
-
-
-def optimal_schedule_qp(c: float, s_seq, z_tau: float = 0.0):
-    """Minimum of sum a_k^2 over shifts closing the recursion from z_tau.
-
-    With z_k = c z_{k-1} + s_k - a_k, the constraints a_k >= 0, z_k >= 0
-    (k < n) and z_n = 0 are exactly lambda_k in [0, 1] with lambda_n = 1. As
-    z = c^k z_tau + M (s - a) with M_kj = c^{k-j} (j <= k), this is a strictly
-    convex QP, so one SLSQP solve from the feasible greedy start
-    (a = s, a_1 += c z_tau) finds its unique optimum. Independent numerical
-    check of the closed-form schedules; returns (sum_sq, a).
-    """
-    s_arr = np.asarray(s_seq, dtype=float).ravel()
-    if s_arr.size == 0:
-        raise DomainError("need at least one step")
-    if c < 0 or z_tau < 0 or np.any(s_arr < 0):
-        raise DomainError("need c >= 0, z_tau >= 0 and sensitivities >= 0")
-    from scipy import optimize
-
-    k = np.arange(s_arr.size)
-    powers = float(c) ** np.arange(s_arr.size + 1)
-    M = np.tril(powers[np.abs(k[:, None] - k[None, :])])
-    z0 = powers[1:] * z_tau + M @ s_arr  # z with every a_k = 0
-    a0 = s_arr.copy()
-    a0[0] += c * z_tau
-    res = optimize.minimize(
-        lambda a: a @ a, a0, jac=lambda a: 2.0 * a, method="SLSQP",
-        bounds=[(0.0, None)] * s_arr.size,
-        constraints=[
-            {"type": "ineq", "fun": lambda a: z0[:-1] - M[:-1] @ a,
-             "jac": lambda a: -M[:-1]},
-            {"type": "eq", "fun": lambda a: z0[-1:] - M[-1:] @ a,
-             "jac": lambda a: -M[-1:]},
-        ],
-        options={"ftol": 1e-15, "maxiter": 1000})
-    if not res.success:
-        raise VerificationError(f"schedule QP did not converge: {res.message}")
-    return float(res.x @ res.x), res.x

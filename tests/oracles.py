@@ -14,6 +14,7 @@ from fdp_accountant import conversions as cv
 from fdp_accountant import normal
 from fdp_accountant import schedule as sch
 from fdp_accountant import tradeoff as tc
+from fdp_accountant.errors import DomainError, VerificationError
 
 ORDER_TOL = 1e-9     # curve_geq: slack on top of one mesh width
 MU_BRACKET = 100.0   # gdp_mu_from_delta: largest mu searched
@@ -54,6 +55,47 @@ def gd_proj_mu_via_schedule(p):
     w = acc.ceil_snap(p.D * p.n / (p.eta * p.L))
     sched, _, _ = sch.optimal_proj_schedule(s, p.D, w, 0)
     return sch.meta_mu(sched, p.eta * p.sigma)
+
+
+# -- optimal shift schedules ---------------------------------------------------
+
+
+def optimal_schedule_qp(c: float, s_seq, z_tau: float = 0.0):
+    """Minimum of sum a_k^2 over shifts closing the recursion from z_tau.
+
+    With z_k = c z_{k-1} + s_k - a_k, the constraints a_k >= 0, z_k >= 0
+    (k < n) and z_n = 0 are exactly lambda_k in [0, 1] with lambda_n = 1. As
+    z = c^k z_tau + M (s - a) with M_kj = c^{k-j} (j <= k), this is a strictly
+    convex QP, so one SLSQP solve from the feasible greedy start
+    (a = s, a_1 += c z_tau) finds its unique optimum. Independent numerical
+    check of the closed-form schedules; returns (sum_sq, a).
+    """
+    s_arr = np.asarray(s_seq, dtype=float).ravel()
+    if s_arr.size == 0:
+        raise DomainError("need at least one step")
+    if c < 0 or z_tau < 0 or np.any(s_arr < 0):
+        raise DomainError("need c >= 0, z_tau >= 0 and sensitivities >= 0")
+    from scipy import optimize
+
+    k = np.arange(s_arr.size)
+    powers = float(c) ** np.arange(s_arr.size + 1)
+    M = np.tril(powers[np.abs(k[:, None] - k[None, :])])
+    z0 = powers[1:] * z_tau + M @ s_arr  # z with every a_k = 0
+    a0 = s_arr.copy()
+    a0[0] += c * z_tau
+    res = optimize.minimize(
+        lambda a: a @ a, a0, jac=lambda a: 2.0 * a, method="SLSQP",
+        bounds=[(0.0, None)] * s_arr.size,
+        constraints=[
+            {"type": "ineq", "fun": lambda a: z0[:-1] - M[:-1] @ a,
+             "jac": lambda a: -M[:-1]},
+            {"type": "eq", "fun": lambda a: z0[-1:] - M[-1:] @ a,
+             "jac": lambda a: -M[-1:]},
+        ],
+        options={"ftol": 1e-15, "maxiter": 1000})
+    if not res.success:
+        raise VerificationError(f"schedule QP did not converge: {res.message}")
+    return float(res.x @ res.x), res.x
 
 
 # -- tradeoff curves ----------------------------------------------------------

@@ -20,7 +20,8 @@ from fdp_accountant import prv
 from fdp_accountant import schedule as sch
 from fdp_accountant import tradeoff as tc
 from oracles import (cgd, curve_geq, gd, gd_sc_mu_via_schedule,
-                     gdp_mu_from_delta, mesh, mixture_gaussian_tradeoff, phi)
+                     gdp_mu_from_delta, mesh, mixture_gaussian_tradeoff,
+                     optimal_schedule_qp, phi)
 
 ALPHA_GRID = np.linspace(0.05, 0.95, 19)
 
@@ -158,7 +159,7 @@ def test_criterion_4_schedule_optimality():
         # the closed form answers the same problem the oracle is given
         ok &= (sched.c == c and sched.z[0] == z_tau
                and np.array_equal(sched.s_seq, s_seq))
-        qp, a = oracle.optimal_schedule_qp(c, s_seq, z_tau=z_tau)
+        qp, a = optimal_schedule_qp(c, s_seq, z_tau=z_tau)
         rel = abs(qp - closed) / closed
         shift = np.max(np.abs(a - sched.a)) / max(max(s_seq), z_tau)
         ok &= rel <= 1e-9 and shift <= 1e-6

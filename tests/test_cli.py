@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from statistics import NormalDist
@@ -204,6 +205,30 @@ def test_verify_pass_and_tamper(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--trials", "50000", "--seed", "0")
     assert code == 4
     assert "FAIL" in err
+
+
+@pytest.mark.parametrize("tamper,trials,failing", [
+    ("drift", 50_000, "gd-sc-exact-curve"),
+    ("contraction", 50_000, "gd-sc-exact-curve"),
+    pytest.param("projection", 50_000, "gd-proj-one-sided", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="an unprojected pair (mu 0.625) falls below "
+        "G(0.559) by at most about 0.026, inside the 50,000-trial band (0.031)")),
+    ("projection", 200_000, "gd-proj-one-sided"),
+])
+def test_verify_fails_on_a_tampered_simulation(capsys, monkeypatch, tamper,
+                                               trials, failing):
+    if tamper == "drift":   # every drift 20% too large
+        drifts = oracle._drifts
+        monkeypatch.setattr(oracle, "_drifts", lambda spec: 1.2 * drifts(spec))
+    elif tamper == "contraction":   # c = 1 - eta m / 2 = 0.975, not 0.95
+        run_chunk = oracle._run_chunk
+        monkeypatch.setattr(oracle, "_run_chunk", lambda spec, *task: run_chunk(
+            dataclasses.replace(spec, m=spec.m / 2), *task))
+    else:                   # the iterates are never projected
+        monkeypatch.setattr(oracle, "_project", lambda x, half, ball: None)
+    code, _, err = run(capsys, "verify", "--trials", str(trials), "--seed", "0")
+    assert code == 4
+    assert f"FAIL  {failing} " in err
 
 
 def test_verify_deterministic_reruns(tmp_path, capsys):

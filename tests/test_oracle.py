@@ -9,6 +9,7 @@ from fdp_accountant import accountant as acc
 from fdp_accountant import oracle
 from fdp_accountant import tradeoff as tc
 from fdp_accountant.errors import DomainError, VerificationError
+from oracles import optimal_schedule_qp
 
 GRID = np.linspace(0.05, 0.95, 19)
 
@@ -24,7 +25,7 @@ def test_worst_case_matches_bound_formula():
 
 
 def test_simulate_is_deterministic(monkeypatch):
-    monkeypatch.setattr(oracle, "_CHUNK", 700)   # three chunks, six streams
+    monkeypatch.setattr(oracle, "_CHUNK", 700)   # three chunks, three streams
     spec = oracle.SimSpec(kind="sgd", n=8, b=2, steps=12, trials=1500, seed=7)
     x1, y1 = oracle.simulate(spec)
     x2, y2 = oracle.simulate(spec)
@@ -34,35 +35,37 @@ def test_simulate_is_deterministic(monkeypatch):
 
 
 def _expression_simulate(spec: oracle.SimSpec):
-    """simulate with each step as a fresh expression, c x - s z, and each
-    process drawn from its own stream: x from the chunk's child 0, y (with
-    its sgd inclusions) from child 1. The threaded in-place loop must
-    reproduce it bit for bit."""
+    """simulate with each step as a fresh expression, c x - s z, for each
+    process on its own: one stream per chunk, whose draws are (for sgd) the
+    inclusions, then one z that both x and y take. The threaded in-place
+    loop on the stacked pair must reproduce it bit for bit."""
     n_chunks = (spec.trials + oracle._CHUNK - 1) // oracle._CHUNK
     seeds = np.random.SeedSequence(spec.seed).spawn(n_chunks)
     xs, ys = [], []
     for i, seed in enumerate(seeds):
         n = min(oracle._CHUNK, spec.trials - i * oracle._CHUNK)
-        rng_x, rng_y = (np.random.default_rng(child) for child in seed.spawn(2))
+        rng = np.random.default_rng(seed)
         c, s = 1.0 - spec.eta * spec.m, spec.eta * spec.sigma
         drifts = oracle._drifts(spec)
         shape = (n,) if spec.dimension == 1 else (n, spec.dimension)
+        ball = spec.dimension > 1
         x, y = np.zeros(shape), np.zeros(shape)
         for k in range(spec.steps):
             if spec.kind == "sgd":
-                inc = rng_y.random(n) < spec.b / spec.n
+                inc = rng.random(n) < spec.b / spec.n
                 drift = np.where(inc, spec.eta * spec.L / spec.b, 0.0)
             else:
                 drift = spec.eta * drifts[k]
-            x = c * x - s * rng_x.standard_normal(shape)
-            y = c * y - s * rng_y.standard_normal(shape)
+            z = rng.standard_normal(shape)
+            x = c * x - s * z
+            y = c * y - s * z
             if spec.dimension == 1:
                 y += drift
             else:
                 y[:, 0] += drift
             if math.isfinite(spec.diameter):
-                oracle._project_ball(x, spec.diameter / 2.0)
-                oracle._project_ball(y, spec.diameter / 2.0)
+                oracle._project(x, spec.diameter / 2.0, ball)
+                oracle._project(y, spec.diameter / 2.0, ball)
         xs.append(x)
         ys.append(y)
     return np.concatenate(xs), np.concatenate(ys)
@@ -112,10 +115,44 @@ def test_simulate_baseline_does_not_read_L(monkeypatch, kind):
     ("m", math.nan), ("m", -math.inf),
     ("L", math.nan), ("L", math.inf), ("L", -1.0),
     ("diameter", math.nan), ("diameter", 0.0), ("diameter", -1.0),
+    ("n", 0), ("n", -4), ("n", 2.0), ("b", 0), ("b", -2),
+    ("trials", 0), ("trials", 1.5), ("trials", True), ("steps", 0),
+    ("steps", 2.5), ("dimension", 0), ("dimension", 1.5),
 ])
 def test_simspec_rejects_bad_numbers(field, value):
     with pytest.raises(DomainError):
         oracle.SimSpec(**{field: value})
+
+
+@pytest.mark.parametrize("kind,counts", [
+    ("cgd", dict(b=0)), ("sgd", dict(b=0)), ("cgd", dict(n=0)),
+    ("sgd", dict(n=-4, b=-2)), ("sgd", dict(n=4.0, b=2)),
+], ids=["cgd-b0", "sgd-b0", "cgd-n0", "sgd-n-4-b-2", "sgd-n-float"])
+def test_simspec_rejects_bad_batch_counts(kind, counts):
+    # Before the integer checks these divided by zero, or (n=-4, b=-2) ran
+    # with an inclusion probability of 0.5.
+    with pytest.raises(DomainError):
+        oracle.SimSpec(kind=kind, **counts)
+
+
+@pytest.mark.parametrize("kind", ["gd", "cgd"])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_coupled_pair_differs_by_the_drift(kind, dimension):
+    # Both processes take the same noise, so without projection y - x is
+    # the drift alone: sum over k of c^(t-k) eta drift_k, on the first axis.
+    spec = _mixed_spec(kind=kind, dimension=dimension, trials=3000)
+    x, y = oracle.simulate(spec)
+    c = 1.0 - spec.eta * spec.m
+    k = np.arange(1, spec.steps + 1)
+    drift = spec.L / (spec.n if kind == "gd" else spec.b)
+    l = spec.n // spec.b
+    hit = np.ones(spec.steps, bool) if kind == "gd" else (k - 1) % l + 1 == spec.j_star
+    gap = float(np.sum(c ** (spec.steps - k) * spec.eta * drift * hit))
+    assert gap > 0.1
+    diff = (y - x) if dimension == 1 else (y - x)[:, 0]
+    assert np.max(np.abs(diff - gap)) <= 1e-12
+    if dimension > 1:
+        assert not (y - x)[:, 1:].any()
 
 
 def test_simulate_projects_a_zero_row_without_dividing_by_it():
@@ -195,6 +232,15 @@ def test_empirical_tradeoff_errors():
         oracle.empirical_tradeoff([1.0], [1.0], method="kde")
 
 
+@pytest.mark.parametrize("method", ["exact-lr", "histogram-lr"])
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+def test_empirical_tradeoff_rejects_alphas_outside_the_unit_interval(method, bad):
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal(1000), rng.standard_normal(1000) + 1.0
+    with pytest.raises(DomainError):
+        oracle.empirical_tradeoff(a, b, method=method, alphas=[0.5, bad])
+
+
 def test_check_gdpinf_equality_and_slack_cases():
     const = lambda rng, size: np.full(size, 1.0)
     ok, margin, emp = oracle.check_gdpinf(1.0, 2.0, const, 150_000, seed=0)
@@ -236,6 +282,14 @@ def test_check_gdpinf_randomized_laws():
         assert ok, f"law {trial} violated the floor by {margin}"
 
 
+@pytest.mark.parametrize("s,sigma", [
+    (1.0, math.inf), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+])
+def test_check_gdpinf_rejects_nonfinite_parameters(s, sigma):
+    with pytest.raises(DomainError):
+        oracle.check_gdpinf(s, sigma, lambda rng, size: np.zeros(size), 1000)
+
+
 def test_check_gdpinf_rejects_unbounded_law():
     with pytest.raises(DomainError):
         oracle.check_gdpinf(0.5, 1.0, lambda rng, size: np.full(size, 1.0),
@@ -244,24 +298,24 @@ def test_check_gdpinf_rejects_unbounded_law():
 
 def test_optimal_schedule_qp_small_cases(monkeypatch):
     # one step: the whole residual c z_tau + s_1 is shifted at once
-    val, a = oracle.optimal_schedule_qp(0.5, [1.0], z_tau=2.0)
+    val, a = optimal_schedule_qp(0.5, [1.0], z_tau=2.0)
     assert val == pytest.approx(4.0, rel=1e-12) and a == pytest.approx([2.0])
     # two steps at c = 1/2: (1 - c^2)/(1 + c^2) (1 + c)/(1 - c) = 1.8
-    val, a = oracle.optimal_schedule_qp(0.5, [1.0, 1.0])
+    val, a = optimal_schedule_qp(0.5, [1.0, 1.0])
     assert val == pytest.approx(1.8, rel=1e-12)
     assert a == pytest.approx([0.6, 1.2], abs=1e-9)
     # no sensitivity at all: nothing to shift
-    val, a = oracle.optimal_schedule_qp(0.9, [0.0, 0.0, 0.0])
+    val, a = optimal_schedule_qp(0.9, [0.0, 0.0, 0.0])
     assert val == 0.0 and np.all(a == 0.0)
     for c, s_seq, z_tau in ((0.5, [], 0.0), (-0.1, [1.0], 0.0),
                             (0.5, [1.0, -1.0], 0.0), (1.0, [1.0], -1.0)):
         with pytest.raises(DomainError):
-            oracle.optimal_schedule_qp(c, s_seq, z_tau=z_tau)
+            optimal_schedule_qp(c, s_seq, z_tau=z_tau)
     from scipy import optimize
     failed = optimize.OptimizeResult(success=False, message="stub", x=np.ones(2))
     monkeypatch.setattr(optimize, "minimize", lambda *args, **kw: failed)
     with pytest.raises(VerificationError):
-        oracle.optimal_schedule_qp(0.5, [1.0, 1.0])
+        optimal_schedule_qp(0.5, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("c", [0.2, 0.5, 0.8])
@@ -270,14 +324,14 @@ def test_optimal_schedule_qp_matches_closed_form(c):
     # schedule.optimal_sc_schedule: a_k = c^{t-k} (1+c) s / (1+c^t)
     s = 0.7
     for t in (1, 3, 6, 40):
-        val, a = oracle.optimal_schedule_qp(c, np.full(t, s))
+        val, a = optimal_schedule_qp(c, np.full(t, s))
         k = np.arange(1, t + 1)
         want = c ** (t - k) * (1 + c) * s / (1 + c ** t)
         assert val == pytest.approx(float(want @ want), rel=1e-9)
         assert np.max(np.abs(a - want)) <= 1e-6 * s
     # projected (c = 1) window of 8 steps from z_tau = D: shifts s + D/8
     D = 2.0 * c
-    val, a = oracle.optimal_schedule_qp(1.0, np.full(8, s), z_tau=D)
+    val, a = optimal_schedule_qp(1.0, np.full(8, s), z_tau=D)
     assert val == pytest.approx(8 * (s + D / 8) ** 2, rel=1e-9)
     assert np.max(np.abs(a - (s + D / 8))) <= 1e-6 * s
 
