@@ -408,6 +408,8 @@ def clt_sgd_sc(p: AlgoParams):
     """CLT-approximate strongly convex SGD bound with the window length
     optimized in closed form. Returns (t_minus_tau, mu)."""
     c = p.require_strongly_convex()
+    if c == 0:
+        raise DomainError("CLT window is degenerate for contraction c = 0")
     ratio = p.L / (p.b * p.sigma)
     K = _clt_inner(2.0 * ratio)
     if K <= 0:
@@ -528,30 +530,17 @@ def crossover_step(convergent_mu: float, composition_rate: float) -> int:
 # -- tau sweeps ---------------------------------------------------------------
 
 
-def _require_candidates(max_candidates: int) -> None:
-    if max_candidates < 1:
-        raise DomainError(
-            f"candidate count must be >= 1, got {max_candidates}")
-
-
-def tau_window_grid(t: int, max_candidates: int = 64) -> list:
-    """Log-spaced window lengths t - tau in [1, t], at most max_candidates."""
-    _require_candidates(max_candidates)
-    import numpy as np  # deferred: closed-form bounds run without NumPy
-    ws = np.unique(np.round(np.geomspace(1, t, max_candidates)).astype(int))
-    return [int(w) for w in ws]
-
-
-def _proj_window_start(p: AlgoParams) -> int:
-    """The CLT window of the constrained convex SGD bound, rounded into
-    [1, t]."""
+def _window_start(p: AlgoParams, setting: str) -> int:
+    """The CLT window t - tau of the setting's SGD bound (clt_sgd_sc or
+    clt_sgd_proj), rounded into [1, t]."""
     try:
-        w, _ = clt_sgd_proj(p)
+        w, _ = clt_sgd_sc(p) if setting == "sc" else clt_sgd_proj(p)
     except DomainError:
-        # D = 0 leaves no head factor, so delta grows with the window; L = 0
-        # makes the CLT term vanish, and delta falls with the window. Invalid
-        # parameters raise again when the first window is built.
-        w = 1 if p.D == 0 else p.t
+        # With no head factor (proj D = 0, sc c = 0) delta grows with the
+        # window. L = 0 makes the CLT term vanish: a proj delta then falls
+        # with the window, and an sc delta is the same at every window.
+        # Invalid parameters raise again when the first window is built.
+        w = p.t if setting == "proj" and p.D != 0 else 1
     return min(max(1, round(w)), p.t)
 
 
@@ -602,16 +591,14 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
     per eps, the best delta (the theorems hold for every tau, so the
     pointwise minimum over the evaluated windows is a valid bound).
 
-    setting="proj" searches the integers: every eps column starts at the
-    CLT window w* = t - tau of clt_sgd_proj, rounded into [1, t] (w = 1 when
-    D = 0, which has no head factor; w = t when the CLT term vanishes,
-    L = 0), brackets its minimum by doubling steps and closes in by an
+    setting chooses the bound, bound_sgd_sc ("sc") or bound_sgd_proj
+    ("proj"), and the CLT window w* = t - tau where the search starts:
+    clt_sgd_sc's or clt_sgd_proj's, rounded into [1, t] (w = 1 where the
+    bound has no head factor, proj D = 0 or sc c = 0, or where an sc CLT term
+    vanishes; w = t where a proj CLT term vanishes, L = 0). Every eps column
+    brackets its minimum from there by doubling steps and closes in by an
     integer ternary search (_search_windows). The columns share one cache
     of evaluated windows, and max_candidates caps how many are evaluated.
-    setting="sc" evaluates every window of tau_window_grid(t,
-    max_candidates). It stays on the grid until ROADMAP item 3: a search
-    there reaches windows whose head Gaussian has mu < 10 * DEFAULT_MESH,
-    which the grid skips and which fail the mesh check.
 
     Returns a dict with taus (the evaluated windows, w ascending, so tau
     descending), eps, the delta matrix (one row per tau, each row from one
@@ -624,7 +611,9 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
 
     if setting not in ("sc", "proj"):
         raise DomainError("setting must be 'sc' or 'proj'")
-    _require_candidates(max_candidates)
+    if max_candidates < 1:
+        raise DomainError(
+            f"candidate count must be >= 1, got {max_candidates}")
     build = bound_sgd_sc if setting == "sc" else bound_sgd_proj
     eps_list = [float(e) for e in eps_list]
 
@@ -632,11 +621,8 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
         deltas = prv.evaluate_composite(build(p, p.t - w), eps_list)
         return [d for _, d in deltas]
 
-    if setting == "sc":
-        rows = {w: evaluate(w) for w in tau_window_grid(p.t, max_candidates)}
-    else:
-        rows = _search_windows(p.t, _proj_window_start(p), len(eps_list),
-                               evaluate, max_candidates)
+    rows = _search_windows(p.t, _window_start(p, setting), len(eps_list),
+                           evaluate, max_candidates)
     windows = sorted(rows)
     taus = [p.t - w for w in windows]
     matrix = np.asarray([rows[w] for w in windows])

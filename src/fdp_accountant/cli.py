@@ -142,14 +142,20 @@ def cmd_bound(args) -> int:
     report: dict = {"params": params.to_dict(), "mode": mode}
     if params.kind == "sgd":
         from . import prv  # deferred: only sgd bounds need SciPy's FFT
+        eps_list = args.eps or [1.0]
         if mode == "composition":
             cb = acct.bound_sgd_composition(params)
         else:
-            builder = acct.bound_sgd_sc if mode == "sc" else acct.bound_sgd_proj
-            tau = args.tau if args.tau is not None else max(0, params.t - 1)
+            setting, builder = (("sc", acct.bound_sgd_sc) if mode == "sc"
+                                else ("proj", acct.bound_sgd_proj))
+            tau = args.tau
+            if tau is None:
+                # The bound holds for every window: take the sweep's best at
+                # the first eps.
+                tau = acct.sweep_tau(params, eps_list,
+                                     setting=setting)["best"][0]["tau"]
             cb = builder(params, tau)
             report["tau"] = tau
-        eps_list = args.eps or [1.0]
         report["composite"] = cb.describe()
         if args.out and args.out.endswith(".csv"):
             rows = prv.delta_table_rows(cb, eps_list)
@@ -478,9 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sc", action="store_true")
     s.add_argument("--eps", type=float, action="append")
     s.add_argument("--candidates", type=int, default=64,
-                   help="constrained bound (no --sc): cap on the windows the "
-                        "search from the CLT window evaluates; --sc: size of "
-                        "the log grid of windows")
+                   help="cap on the windows the search from the CLT "
+                        "window evaluates")
     s.set_defaults(fn=cmd_sweep_tau)
     return parser
 

@@ -53,7 +53,13 @@ as 0): its mass below the cut goes into its first cell, and a loss there
 plus any point of R lands below every eps asked, so no delta read changes
 beyond round-off, and every request with eps >= 0 reads the same lattice.
 That Gaussian is often far longer than R; convolve then uses overlap-add,
-with FFT blocks of about (_OLA_RATIO + 1) times the shorter lattice.
+with FFT blocks of about (_OLA_RATIO + 1) times the shorter lattice. A head
+too narrow for the lattice (0 < mu < 10 mesh) next to a subsampled rest gets
+no lattice: it is added at query time, delta(eps) = prv_delta(R, eps) +
+sum_j pmf_j [delta_G(eps - y_j) - (1 - e^{eps - y_j})_+] over the points y_j
+of R within mu^2/2 + 13 mu + mesh of eps (_add_narrow_head), with the
+Gaussian profile delta_G(x) = Phi(-x/mu + mu/2) - e^x Phi(-x/mu - mu/2),
+which holds for every real x (Balle and Wang, ICML 2018).
 
 self_compose and overlap-add run their FFTs at a 5-smooth length,
 next_fast_len(n, real=True), where real transforms are fastest; a raw window
@@ -397,6 +403,9 @@ def evaluate_composite(composite, eps_list):
     any other factor raises DomainError. Builds the PRVs on the DEFAULT_MESH
     lattice: the subsampled factors composed by FFT first, then one Gaussian
     for all GdpFactors, cut below what the eps can reach (module docstring).
+    A Gaussian with 0 < mu < 10 * DEFAULT_MESH, too narrow for the lattice,
+    is added at query time instead when there are subsampled factors
+    (_add_narrow_head); without them it raises ConfigurationError.
     The base lattices of the last two subsampled (mu, p) are reused
     (_subsampled_base).
     Accumulated truncation is capped by TAIL_BUDGET. Returns [(eps, delta)]
@@ -421,16 +430,49 @@ def evaluate_composite(composite, eps_list):
         else:
             raise DomainError(
                 f"unsupported composite factor {type(f).__name__}")
-    composed = rest
-    if gauss:
+    composed, mu = rest, math.hypot(*gauss)
+    # A head too narrow for the lattice is added at query time.
+    narrow = rest is not None and mu > 0.0 and DEFAULT_MESH > mu / 10.0
+    if gauss and not narrow:
         # Gaussian losses below the cut plus any point of the rest land at
         # least two meshes below min(0, smallest eps), where no delta is read.
         low = min([0.0] + [0.0 if e == math.inf else e for e in eps_list])
         cut = low - (0.0 if rest is None else rest.hi) - 2.0 * DEFAULT_MESH
-        g = prv_of_gdp(math.hypot(*gauss), cut=cut)
+        g = prv_of_gdp(mu, cut=cut)
         composed = g if rest is None else convolve(rest, g)
     _check_budget(composed.tail_mass)
-    return list(zip(eps_list, prv_delta(composed, eps_list)))
+    deltas = prv_delta(composed, eps_list)
+    if narrow:
+        deltas = _add_narrow_head(rest, mu, eps_list, deltas)
+    return list(zip(eps_list, deltas))
+
+
+def _add_narrow_head(rest: PrvGrid, mu: float, eps_list, deltas) -> list:
+    """delta of rest x G(mu) from deltas = prv_delta(rest, eps_list).
+
+    Exactly, delta(eps) = sum_j pmf_j delta_G(eps - y_j) over the rest's
+    points y_j (module docstring), and prv_delta is the same sum with
+    delta_G(x) replaced by the hinge (1 - e^x)_+. Their difference is
+    e^min(x, 0) delta_G(|x|) >= 0, formed without cancelling against the
+    hinge, and it is below Phi(-13) for |x| > mu^2/2 + 13 mu: only the points
+    within that distance of eps, plus a mesh, are summed. The result is
+    clamped to [0, 1]; a non-finite eps keeps its prv_delta value.
+    """
+    reach = 0.5 * mu * mu + 13.0 * mu + rest.mesh
+    out = []
+    for e, d in zip(eps_list, deltas):
+        if math.isfinite(e):
+            lo, hi = (min(max(i - rest.offset, 0), rest.pmf.size) for i in (
+                math.ceil((e - reach) / rest.mesh),
+                math.floor((e + reach) / rest.mesh) + 1))
+            x = e - (rest.offset + np.arange(lo, hi)) * rest.mesh
+            a = np.abs(x)
+            gap = np.exp(np.minimum(x, 0.0)) * (
+                normal.cdf(0.5 * mu - a / mu)
+                - np.exp(a) * normal.cdf(-0.5 * mu - a / mu))
+            d = min(max(d + float(np.dot(rest.pmf[lo:hi], gap)), 0.0), 1.0)
+        out.append(d)
+    return out
 
 
 def delta_table_rows(composite, eps_list):

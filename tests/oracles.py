@@ -153,3 +153,13 @@ def gdp_mu_from_delta(eps, delta):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# -- tau sweeps ---------------------------------------------------------------
+
+
+def tau_window_grid(t, count=64):
+    """Log-spaced window lengths t - tau in [1, t], at most `count` of them:
+    the fixed grid a window search must do no worse than."""
+    ws = np.unique(np.round(np.geomspace(1, t, count)).astype(int))
+    return [int(w) for w in ws]

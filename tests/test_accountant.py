@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -10,7 +11,7 @@ from fdp_accountant import conversions as cv
 from fdp_accountant import prv
 from fdp_accountant.errors import DomainError
 from oracles import (cgd, gd, gd_proj_mu_via_schedule, gd_sc_mu_via_schedule,
-                     phi)
+                     phi, tau_window_grid)
 
 
 # -- parameter plumbing -------------------------------------------------------
@@ -238,8 +239,6 @@ def test_sweep_tau_rejects_nonpositive_candidate_count(count):
     p = acc.AlgoParams(kind="sgd", eta=0.02, sigma=4.0, n=400, b=40, L=4.0,
                        steps=60, m=1.0, M=10.0)
     with pytest.raises(DomainError, match="candidate count"):
-        acc.tau_window_grid(60, count)
-    with pytest.raises(DomainError, match="candidate count"):
         acc.sweep_tau(p, [1.0], max_candidates=count)
 
 
@@ -265,29 +264,70 @@ def _proj_runs(count=12, seed=1):
 PROJ_RUNS = _proj_runs()
 
 
-def clt_start(p):
-    return min(max(1, round(acc.clt_sgd_proj(p)[0])), p.t)
+def _sc_runs(count=8, seed=1):
+    """Seeded strongly convex SGD runs with t <= 600. Their eps are the
+    (eps, delta) points of the CLT mu at delta 1e-3, 1e-6 or 1e-9, so the
+    best delta of a sweep lies near [1e-9, 1e-3]. The CLT window, 86 to 242
+    steps here, lies inside every run."""
+    rng = random.Random(seed)
+    runs = []
+    for _ in range(count):
+        b = rng.randint(16, 128)
+        rate = math.exp(rng.uniform(math.log(0.02), math.log(0.2)))
+        eta, sigma = rng.uniform(0.02, 0.06), rng.uniform(2.0, 6.0)
+        ratio = rng.uniform(0.01, 0.1)
+        p = acc.AlgoParams(
+            kind="sgd", eta=eta, sigma=sigma, n=round(b / rate), b=b,
+            L=ratio * b * sigma, steps=rng.randint(100, 600), m=1.0, M=10.0)
+        mu = acc.clt_sgd_sc(p)[1]
+        deltas = rng.sample([1e-3, 1e-6, 1e-9], rng.randint(1, 3))
+        runs.append((p, sorted(cv.gdp_to_eps(mu, d) for d in deltas)))
+    return runs
+
+
+SC_RUNS = _sc_runs()
+
+SETTINGS = {"proj": (acc.bound_sgd_proj, acc.clt_sgd_proj),
+            "sc": (acc.bound_sgd_sc, acc.clt_sgd_sc)}
+
+
+def clt_start(p, setting="proj"):
+    return min(max(1, round(SETTINGS[setting][1](p)[0])), p.t)
+
+
+def _no_worse_than_the_grid(p, eps, setting):
+    out = acc.sweep_tau(p, eps, setting=setting)
+    build = SETTINGS[setting][0]
+    grid = [[d for _, d in prv.evaluate_composite(build(p, p.t - w), eps)]
+            for w in tau_window_grid(p.t)]
+    for j, entry in enumerate(out["best"]):
+        ref = min(row[j] for row in grid)
+        if ref > 1e-14:
+            assert entry["delta"] <= ref
+    return out
 
 
 @pytest.mark.parametrize("p, eps", PROJ_RUNS,
                          ids=[f"run{i}" for i in range(len(PROJ_RUNS))])
 def test_proj_sweep_is_no_worse_than_the_grid(p, eps):
-    out = acc.sweep_tau(p, eps, setting="proj")
-    grid = [[d for _, d in prv.evaluate_composite(
-        acc.bound_sgd_proj(p, p.t - w), eps)] for w in acc.tau_window_grid(p.t)]
-    for j, entry in enumerate(out["best"]):
-        ref = min(row[j] for row in grid)
-        if ref > 1e-14:
-            assert entry["delta"] <= ref
+    _no_worse_than_the_grid(p, eps, "proj")
 
 
-@pytest.mark.parametrize("cap", [1, 2, 3, 64])
-def test_proj_sweep_evaluates_at_most_the_cap_from_the_clt_window(cap):
+@pytest.mark.parametrize("p, eps", SC_RUNS,
+                         ids=[f"run{i}" for i in range(len(SC_RUNS))])
+def test_sc_sweep_is_no_worse_than_the_grid(p, eps):
+    # The grid reaches heads too narrow for the lattice (mu < 10 mesh), which
+    # evaluate_composite adds at query time.
+    out = _no_worse_than_the_grid(p, eps, "sc")
+    assert all(1e-10 <= entry["delta"] <= 2e-3 for entry in out["best"])
+
+
+def _check_cap_and_start(runs, setting, cap):
     inside = 0
-    for p, eps in PROJ_RUNS:
-        w0 = clt_start(p)
+    for p, eps in runs:
+        w0 = clt_start(p, setting)
         inside += w0 < p.t
-        out = acc.sweep_tau(p, eps, setting="proj", max_candidates=cap)
+        out = acc.sweep_tau(p, eps, setting=setting, max_candidates=cap)
         taus = out["taus"]
         assert 1 <= len(taus) <= cap
         assert p.t - w0 in taus
@@ -298,7 +338,22 @@ def test_proj_sweep_evaluates_at_most_the_cap_from_the_clt_window(cap):
             assert entry["delta"] == matrix[:, j].min()
             assert entry["tau"] == taus[int(np.argmin(matrix[:, j]))]
     # Some runs start inside the run, some at w = t.
-    assert 2 <= inside <= len(PROJ_RUNS) - 2
+    assert 2 <= inside <= len(runs) - 2
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 64])
+def test_proj_sweep_evaluates_at_most_the_cap_from_the_clt_window(cap):
+    _check_cap_and_start(PROJ_RUNS, "proj", cap)
+
+
+# SC_RUNS cut to half their CLT window, which then starts at w = t.
+SHORT_SC_RUNS = [(dataclasses.replace(p, steps=clt_start(p, "sc") // 2), eps)
+                 for p, eps in SC_RUNS[:3]]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 64])
+def test_sc_sweep_evaluates_at_most_the_cap_from_the_clt_window(cap):
+    _check_cap_and_start(SC_RUNS[3:] + SHORT_SC_RUNS, "sc", cap)
 
 
 PROJ_BASE = dict(kind="sgd", eta=0.05, sigma=4.0, n=500, b=25, L=4.0,
@@ -315,6 +370,21 @@ def test_proj_sweep_edge_cases(change, cap, best_w):
     out = acc.sweep_tau(p, [0.5, 2.0], setting="proj", max_candidates=cap)
     assert p.t - best_w in out["taus"]
     assert [entry["tau"] for entry in out["best"]] == [p.t - best_w] * 2
+
+
+SC_BASE = dict(kind="sgd", eta=0.05, sigma=4.0, n=500, b=25, L=4.0,
+               steps=50, m=1.0, M=10.0)
+
+
+@pytest.mark.parametrize("change", [
+    dict(L=0.0),                  # every factor is G(0): delta is the same
+    dict(eta=0.1, m=10.0),        # c = 0 leaves the head at 0
+], ids=["L=0", "c=0"])
+def test_sc_sweep_edge_cases(change):
+    # clt_sgd_sc raises; the search starts at w = 1, the best window.
+    p = acc.AlgoParams(**(SC_BASE | change))
+    out = acc.sweep_tau(p, [0.5, 2.0], setting="sc")
+    assert [entry["tau"] for entry in out["best"]] == [p.t - 1] * 2
 
 
 def test_proj_sweep_repeats_exactly():

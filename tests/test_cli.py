@@ -6,6 +6,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from fdp_accountant import accountant as acct
 from fdp_accountant import cli, oracle
 from fdp_accountant.tradeoff import TradeoffCurve, alpha_grid, curve_of_gdp
 
@@ -70,6 +71,36 @@ def test_bound_sgd_composite(capsys):
     doc = json.loads(out)
     assert len(doc["composite"]) == 3
     assert doc["delta_at_eps"][0]["eps"] == 1.0
+
+
+SGD_README_SC = ("--kind", "sgd", "--sc", "--eta", "0.05", "--sigma", "5",
+                 "--n", "1000", "--b", "100", "--L", "10", "--steps", "500",
+                 "--m", "1", "--M", "10")
+SGD_PROJ = ("--kind", "sgd", "--constrained", "--eta", "0.05", "--sigma", "4",
+            "--n", "500", "--b", "25", "--L", "4", "--steps", "300",
+            "--M", "20", "--D", "1")
+
+
+@pytest.mark.parametrize("argv, setting", [(SGD_README_SC, "sc"),
+                                           (SGD_PROJ, "proj")],
+                         ids=["sc", "proj"])
+def test_sgd_bound_defaults_to_the_sweeps_best_tau(argv, setting, capsys):
+    eps = [0.05, 0.5]
+    code, out, err = run(capsys, "bound", *argv, "--eps", "0.05",
+                         "--eps", "0.5")
+    assert code == 0, err
+    doc = json.loads(out)
+    params = acct.AlgoParams.from_dict(doc["params"])
+    best = acct.sweep_tau(params, eps, setting=setting)["best"][0]
+    assert doc["tau"] == best["tau"]
+    assert doc["delta_at_eps"][0]["delta"] == best["delta"]
+    # --tau still overrides it: a one-step window reads far worse.
+    code, out, err = run(capsys, "bound", *argv, "--eps", "0.05",
+                         "--eps", "0.5", "--tau", str(params.t - 1))
+    assert code == 0, err
+    one_step = json.loads(out)
+    assert one_step["tau"] == params.t - 1 != doc["tau"]
+    assert one_step["delta_at_eps"][0]["delta"] > 2 * best["delta"]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

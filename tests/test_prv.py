@@ -13,7 +13,7 @@ from fdp_accountant import normal
 from fdp_accountant import prv
 from fdp_accountant import tradeoff as tc
 from fdp_accountant.errors import AccuracyError, ConfigurationError, DomainError
-from oracles import gdp_mu_from_delta
+from oracles import gdp_mu_from_delta, phi
 
 
 def test_prv_of_gdp_moments_and_mass():
@@ -144,7 +144,7 @@ def test_one_delta_pass_per_composite(monkeypatch):
 
 def test_a_sweep_builds_each_base_lattice_once(monkeypatch):
     # Every window shares the subsampled factors' (mu, p): one base lattice
-    # for proj, two for sc.
+    # for proj, two for sc. The sc search may stop after two windows.
     builds = []
     real = prv.prv_of_subsampled_gdp
 
@@ -154,14 +154,15 @@ def test_a_sweep_builds_each_base_lattice_once(monkeypatch):
 
     monkeypatch.setattr(prv, "prv_of_subsampled_gdp", counting)
     sgd = dict(kind="sgd", eta=0.05, sigma=4.0, n=500, b=25, L=4.0, steps=50)
-    for params, setting, bases in [
-            (acc.AlgoParams(**sgd, M=20.0, D=1.0, constrained=True), "proj", 1),
-            (acc.AlgoParams(**sgd, m=1.0, M=10.0), "sc", 2)]:
+    for params, setting, bases, windows in [
+            (acc.AlgoParams(**sgd, M=20.0, D=1.0, constrained=True), "proj", 1,
+             2),
+            (acc.AlgoParams(**sgd, m=1.0, M=10.0), "sc", 2, 1)]:
         builds.clear()
         prv._subsampled_base.cache_clear()
         out = acc.sweep_tau(params, [0.5, 1.0], setting=setting,
                             max_candidates=8)
-        assert len(out["taus"]) > bases
+        assert len(out["taus"]) >= windows
         assert len(builds) == len(set(builds)) == bases
 
 
@@ -502,6 +503,90 @@ def test_tiny_gaussian_factor_still_too_coarse():
     cb = acc.CompositeBound((acc.GdpFactor(1e-4),))
     with pytest.raises(ConfigurationError):
         prv.evaluate_composite(cb, [1.0])
+
+
+# -- heads too narrow for the lattice -------------------------------------------
+
+NARROW_REST = (acc.SubsampledGdpFactor(0.4, 0.1, 10),
+               acc.SubsampledGdpFactor(0.6, 0.1, 1))
+NARROW_EPS = [0.0, 0.3, 1.0, 1.5]
+
+
+def _narrow_rest():
+    """The rest lattice evaluate_composite composes for NARROW_REST."""
+    a = prv.self_compose(prv.prv_of_subsampled_gdp(0.4, 0.1, prv.DEFAULT_MESH),
+                         10)
+    return prv.convolve(a, prv.prv_of_subsampled_gdp(0.6, 0.1, prv.DEFAULT_MESH))
+
+
+def _narrow(mu, eps=NARROW_EPS):
+    cb = acc.CompositeBound((acc.GdpFactor(mu),) + NARROW_REST)
+    return [d for _, d in prv.evaluate_composite(cb, eps)]
+
+
+@pytest.mark.parametrize("mu", [5e-4, 5e-3, 9.9e-3])
+def test_narrow_head_matches_a_lattice_fine_enough_for_it(mu):
+    # The rest lattice put unchanged on a lattice k times finer, with
+    # mesh <= mu/10, and composed there with the head's own lattice: only the
+    # head's discretization is left, and it shrinks with the mesh. At k and
+    # 2k, the query-time value is within the finer lattice's halving error.
+    rest = _narrow_rest()
+
+    def lattice(k):
+        pmf = np.zeros((rest.pmf.size - 1) * k + 1)
+        pmf[::k] = rest.pmf
+        fine = prv.PrvGrid(rest.offset * k, rest.mesh / k, pmf, rest.tail_mass)
+        return prv.prv_delta(prv.convolve(fine, prv.prv_of_gdp(mu, fine.mesh)),
+                             NARROW_EPS)
+
+    k = math.ceil(10.0 * prv.DEFAULT_MESH / mu)
+    coarse, fine = lattice(k), lattice(2 * k)
+    for got, c, f in zip(_narrow(mu), coarse, fine):
+        assert abs(got - f) <= abs(c - f) + 1e-16
+
+
+@pytest.mark.parametrize("mu", [5e-4, 5e-3, 9.9e-3])
+def test_narrow_head_matches_the_unwindowed_sum(mu):
+    # delta(eps) = sum_j pmf_j delta_G(eps - y_j) over every point of the
+    # rest, delta_G(x) = Phi(-x/mu + mu/2) - e^x Phi(-x/mu - mu/2) for every
+    # real x, summed here without the query's window or its split at the
+    # hinge.
+    rest = _narrow_rest()
+    ys = rest.grid().tolist()
+    for eps, got in zip(NARROW_EPS, _narrow(mu)):
+        want = math.fsum(
+            pj * (phi(-(eps - y) / mu + mu / 2)
+                  - math.exp(eps - y) * phi(-(eps - y) / mu - mu / 2))
+            for y, pj in zip(ys, rest.pmf.tolist()))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_narrow_head_skips_the_gaussian_lattice(monkeypatch):
+    built = []
+    real = prv.prv_of_gdp
+    monkeypatch.setattr(prv, "prv_of_gdp",
+                        lambda *a, **k: built.append(a) or real(*a, **k))
+    rest = _narrow_rest()
+    eps = [-math.inf, rest.lo - 1.0, 0.5, rest.hi + 1.0, math.inf]
+    got = _narrow(5e-3, eps)
+    assert built == []
+    # An eps out of the head's reach of every point of the rest keeps the
+    # rest's value, as does a non-finite one: its mass at -inf, 0 at +inf.
+    want = prv.prv_delta(rest, eps)
+    kept = [got[i] for i in (0, 1, 3, 4)]
+    assert kept == [want[i] for i in (0, 1, 3, 4)]
+    assert kept[-2:] == [0.0, 0.0]
+    assert 0.0 < got[2] < 1.0
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.01, 0.3])
+def test_heads_the_lattice_takes_stay_on_the_lattice(mu):
+    # A head of mu = 0 or mu >= 10 mesh is composed on the lattice, exactly
+    # as without query-time heads.
+    rest = _narrow_rest()
+    cut = min(0.0, min(NARROW_EPS)) - rest.hi - 2.0 * prv.DEFAULT_MESH
+    composed = prv.convolve(rest, prv.prv_of_gdp(mu, cut=cut))
+    assert _narrow(mu) == prv.prv_delta(composed, NARROW_EPS)
 
 
 def test_subsampled_right_tail_beyond_expm1_overflow():

@@ -30,20 +30,13 @@ def _cli_commands():
 COMMANDS = _cli_commands()
 
 
-def _case(i, argv):
-    marks = ()
-    if argv[0] == "sweep-tau":
-        # exits 2: the default mesh is too coarse for the head GDP factor
-        marks = pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
-    return pytest.param(argv, marks=marks, id=f"{i:02d}-{argv[0]}")
-
-
 def test_readme_covers_every_subcommand():
     assert {argv[0] for argv in COMMANDS} == {
         "bound", "curve", "convert", "table", "verify", "sweep-tau"}
 
 
-@pytest.mark.parametrize("argv", [_case(i, a) for i, a in enumerate(COMMANDS)])
+@pytest.mark.parametrize("argv", COMMANDS, ids=[
+    f"{i:02d}-{argv[0]}" for i, argv in enumerate(COMMANDS)])
 def test_readme_cli_example_exits_0(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 0
@@ -109,8 +102,7 @@ PROBE_TRIALS = 5000
 
 def test_closed_form_examples_do_not_load_scipy(tmp_path):
     closed = [argv for argv in COMMANDS if _closed_form(argv)]
-    rest = [argv for argv in COMMANDS
-            if not _closed_form(argv) and argv[0] != "sweep-tau"]
+    rest = [argv for argv in COMMANDS if not _closed_form(argv)]
     assert len(closed) == 8
     runs, _ = _probe(closed, tmp_path)
     assert runs == [[0, []]] * len(closed)
