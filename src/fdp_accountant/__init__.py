@@ -2,7 +2,6 @@
 
 Submodules:
     tradeoff     tradeoff-curve arithmetic (Gaussian curves, subsampling)
-    schedule     shift schedules and their closed-form optima
     accountant   privacy bounds for GD / CGD / SGD, CLT approximations
     conversions  f-DP <-> (eps, delta) <-> RDP conversions
     prv          privacy-loss random variables and FFT composition

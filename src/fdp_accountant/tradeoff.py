@@ -7,13 +7,13 @@ on a fixed alpha grid and are immutable: every operation returns a new curve
 that is validated against those invariants on construction.
 
 The Gaussian curve G(mu)(alpha) = Phi(Phi^{-1}(1 - alpha) - mu) is the basic
-building block; the subsampling operator symmetrizes and convexifies the
-mixture curve p*f + (1-p)*Id.
+building block; the subsampling operator takes the smaller of the mixture
+curve p*f + (1-p)*Id and its inverse, and bridges them with the line of
+slope -1 that touches both.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -159,7 +159,7 @@ def curve_of_gdp(mu: float, grid_size: int | None = None) -> TradeoffCurve:
     return TradeoffCurve(alphas, _gdp_values(mu, alphas, _grid_quantiles(grid_size)))
 
 
-# -- inversion and convexification ------------------------------------------
+# -- inversion --------------------------------------------------------------
 
 
 def _inverse_values(alphas: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -184,200 +184,34 @@ def invert_curve(f: TradeoffCurve) -> TradeoffCurve:
     return TradeoffCurve(f.alphas, vals)
 
 
-# The hull's block step (see _lower_hull). A popping run goes to blocks of at
-# most _BLOCK points once it has removed more than _BLOCK_AFTER points, and
-# the predictor takes at most _TANGENT_ITERATIONS. On subsampled Gaussian
-# curves, smaller blocks or fewer iterations were slower and larger ones no
-# faster.
-_BLOCK_AFTER = 16
-_BLOCK = 1024
-_TANGENT_ITERATIONS = 8
-
-
-def _tangent_depths(sx, sy, px, py):
-    """For each point (px, py) right of the lower convex chain (sx, sy), the
-    index t of the chain point that maximizes the slope from it to the point:
-    the tangent point.
-
-    Dinkelbach iterations from the top of the chain: each guess t is replaced
-    by the chain point where the edge slopes cross the slope from chain point
-    t to the point, until no guess moves by more than one.
-    """
-    slopes = (sy[1:] - sy[:-1]) / (sx[1:] - sx[:-1])
-    t = np.searchsorted(slopes, (py - sy[-1]) / (px - sx[-1]))
-    for _ in range(_TANGENT_ITERATIONS - 1):
-        u = np.searchsorted(slopes, (py - sy[t]) / (px - sx[t]))
-        settled = (u - t).max() <= 1
-        t = u
-        if settled:
-            break
-    return t
-
-
-def _cross_block(x, y, hx, hy, top, i, m):
-    """Replay the chain's tests for points i .. i + m - 1 in one pass.
-
-    The stack is hx, hy[:top + 2]: point i - 1 on top of stack points 0 ..
-    top. _tangent_depths predicts the depth g[q + 1] that point i + q pops
-    down to; clipped to [0, top] and made non-increasing, the prediction
-    fixes every test the chain would make: point i + q pops point i + q - 1,
-    then each stack point above g[q + 1], and stops at g[q + 1]. Each test is
-    the chain's own expression on the same operands, and pops where the
-    chain's does, at cross <= 0. Returns the number k of leading points whose
-    tests all agree, and the depth g[k] the last of them stops at.
-    """
-    sx, sy = hx[:top + 1], hy[:top + 1]
-    px, py = x[i:i + m], y[i:i + m]
-    g = np.empty(m + 1, dtype=np.intp)
-    g[0] = top
-    depths = np.clip(_tangent_depths(sx, sy, px, py), 0, top)
-    np.minimum.accumulate(depths, out=g[1:])
-    x1, y1 = sx[g], sy[g]
-    x0, y0 = sx[g - 1], sy[g - 1]   # index -1 only where g = 0: no stop test
-    qx, qy = x[i - 1:i + m - 1], y[i - 1:i + m - 1]
-    # Point i + q pops point i + q - 1 ...
-    fail = ~((qx - x1[:-1]) * (py - y1[:-1]) - (qy - y1[:-1]) * (px - x1[:-1]) <= 0.0)
-    # ... and stops at stack point g[q + 1], or at the bottom of the stack.
-    x0, y0, x1, y1 = x0[1:], y0[1:], x1[1:], y1[1:]
-    fail |= ((x1 - x0) * (py - y0) - (y1 - y0) * (px - x0) <= 0.0) & (g[1:] > 0)
-    first = np.flatnonzero(fail)
-    k = int(first[0]) if first.size else m
-    low = int(g[k])
-    if low < top:
-        # The stack points low + 1 .. top, each popped by the first point whose
-        # depth lies below it; bottom up, their poppers run from k - 1 down.
-        owner = np.repeat(np.arange(k - 1, -1, -1), g[k - 1::-1] - g[k:0:-1])
-        ox, oy = px[owner], py[owner]
-        ax, ay, bx, by = sx[low:top], sy[low:top], sx[low + 1:], sy[low + 1:]
-        kept = np.flatnonzero(~((bx - ax) * (oy - ay) - (by - ay) * (ox - ax) <= 0.0))
-        if kept.size:
-            k = int(owner[kept[-1]])
-    return k, int(g[k])
-
-
-def _lower_hull(x: np.ndarray, y: np.ndarray):
-    """Monotone-chain lower convex hull of points with strictly increasing x.
-
-    The chain pops the stack top while it is not strictly below the segment
-    from the point under it to the new point; every point is pushed, so the
-    top before point i is always point i - 1. The hull is the one that scalar
-    chain builds, bit for bit: two kinds of step replay its tests in bulk,
-    each with the chain's own expression on the same operands, and NumPy
-    forms them with the same IEEE operations as the scalar test.
-
-    - While the top two stack points are the input points i - 2 and i - 1,
-      the test at point i is the sign of the consecutive-triple cross product
-      c[i - 2]. So a run of c > 0 is pushed at once, and with no c <= 0 at all
-      the hull is the input itself.
-    - Across the slope -1 bridge of a subsampled curve every point pops its
-      predecessor, then some points of a stack below that only shrinks.
-      Once a run has popped more than _BLOCK_AFTER points, _cross_block
-      predicts how deep each point of a block pops, replays
-      every test that prediction implies and accepts the longest prefix whose
-      tests all come out as the chain's did. An accepted point has made the
-      chain's decisions, so a bad prediction costs time, never bits.
-
-    The scalar step runs everywhere else, and at the first point a block
-    rejects. The stack lives in two arrays: the steps read and write them
-    through memoryviews, as Python floats with the same values.
-    """
-    c = (x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2])
-    bad = np.flatnonzero(c <= 0.0).tolist()
-    if not bad:
-        return x, y
-    n = x.size
-    hx, hy = np.empty(n), np.empty(n)
-    xs, ys, sx, sy = memoryview(x), memoryview(y), memoryview(hx), memoryview(hy)
-    i = bad[0] + 2
-    sx[:i], sy[:i] = xs[:i], ys[:i]
-    d = i           # stack size; sx[d - 1] is point i - 1
-    run = 0         # points popped since the last step that popped none
-    while i < n:
-        if run > _BLOCK_AFTER:
-            m = min(_BLOCK, n - i)
-            # Overflow and nan pass silently here, as in the chain's floats.
-            with np.errstate(all="ignore"):
-                k, low = _cross_block(x, y, hx, hy, d - 2, i, m)
-            if k:
-                i += k
-                d = low + 2
-                sx[d - 1], sy[d - 1] = xs[i - 1], ys[i - 1]
-            if k == m:
-                continue
-            # The point the block rejected takes a scalar step, and the next
-            # block waits for the run to pop more than _BLOCK_AFTER points.
-            run = 0
-        px, py = xs[i], ys[i]
-        top = d
-        bx, by = sx[d - 1], sy[d - 1]
-        while d > 1:
-            ax, ay = sx[d - 2], sy[d - 2]
-            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0.0:
-                d -= 1
-                bx, by = ax, ay
-            else:
-                break
-        sx[d], sy[d] = px, py
-        d += 1
-        i += 1
-        if d <= top:
-            run += top + 1 - d
-        else:
-            # The top two are points i - 2 and i - 1 again: push up to the
-            # next triple with c <= 0.
-            run = 0
-            j = bisect.bisect_left(bad, i - 2)
-            stop = bad[j] + 2 if j < len(bad) else n
-            if stop > i:
-                sx[d:d + stop - i], sy[d:d + stop - i] = xs[i:stop], ys[i:stop]
-                d += stop - i
-                i = stop
-    return hx[:d], hy[:d]
-
-
-def _minorant(x: np.ndarray, y: np.ndarray) -> TradeoffCurve:
-    """Greatest convex non-increasing minorant of the points (x, y), x strictly
-    increasing from 0 to 1, clipped to [0, 1 - x], on the grid x."""
-    hx, hy = _lower_hull(x, y)
-    vals = np.interp(x, hx, hy)
-    vals = np.minimum.accumulate(vals)
-    np.clip(vals, 0.0, 1.0 - x, out=vals)
-    return TradeoffCurve(x, vals)
-
-
-def convexify(points) -> TradeoffCurve:
-    """Greatest convex non-increasing minorant of a point cloud covering [0, 1],
-    clipped to [0, 1 - alpha]."""
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        raise DomainError("convexify needs a nonempty point cloud")
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DomainError("points must be (alpha, value) pairs")
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    x, y = pts[order, 0], pts[order, 1]
-    if x[0] != 0.0 or x[-1] != 1.0:
-        raise DomainError("point cloud must cover alpha in [0, 1]")
-    # Ties on alpha keep the lower value: first occurrence after the lexsort.
-    ux, starts = np.unique(x, return_index=True)
-    return _minorant(ux, y[starts])
-
-
 # -- subsampling operator ----------------------------------------------------
 
 
 def subsample(f: TradeoffCurve, p: float) -> TradeoffCurve:
-    """Subsampling operator: convexified symmetrization of p*f + (1-p)*Id.
+    """Subsampling operator C_p: the greatest tradeoff function below both the
+    mixture curve f_p = p*f + (1-p)*Id and its inverse.
 
-    The result is the largest tradeoff function below both the mixture curve
-    f_p and its inverse; it is symmetric (equal to its own inverse) up to grid
-    error. p = 0 returns Id exactly, p = 1 the symmetrization of f.
+    f must be symmetric (equal to its own inverse), as every curve the
+    library builds is. Then C_p(f) is f_p up to its slope -1 point, one line
+    of slope -1, and f_p^{-1} after it (Dong-Roth-Su, Gaussian Differential
+    Privacy, section 4). So the result is m = min(f_p, f_p^{-1}) with the
+    line alpha + value = c drawn between the node where alpha + m reaches its
+    minimum c and its mirror image: no node of m lies below that line. Where
+    m needs more than one such bridge to be convex, which a symmetric f does
+    not, validation raises InvalidCurveError. p = 0 returns Id exactly, p = 1
+    the symmetrization of f.
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"subsampling rate must lie in [0, 1], got {p}")
     if p == 0.0:
         return identity_curve(f.alphas)
-    fp = p * f.values + (1.0 - p) * (1.0 - f.alphas)
-    fp_inv = _inverse_values(f.alphas, fp, f.alphas)
-    # A curve's grid is strictly increasing from 0 to 1, so convexify's sort
-    # and de-duplication would leave these points as they are.
-    return _minorant(f.alphas, np.minimum(fp, fp_inv))
+    a = f.alphas
+    fp = p * f.values + (1.0 - p) * (1.0 - a)
+    m = np.minimum(fp, _inverse_values(a, fp, a))
+    s = a + m
+    i = int(np.argmin(s))
+    lo, hi = sorted((a[i], s[i] - a[i]))
+    vals = np.where((a > lo) & (a < hi), s[i] - a, m)
+    vals = np.minimum.accumulate(vals)
+    np.clip(vals, 0.0, 1.0 - a, out=vals)
+    return TradeoffCurve(a, vals)

@@ -12,9 +12,9 @@ import numpy as np
 from fdp_accountant import accountant as acc
 from fdp_accountant import conversions as cv
 from fdp_accountant import normal
-from fdp_accountant import schedule as sch
 from fdp_accountant import tradeoff as tc
 from fdp_accountant.errors import DomainError, VerificationError
+import schedule as sch
 
 ORDER_TOL = 1e-9     # curve_geq: slack on top of one mesh width
 MU_BRACKET = 100.0   # gdp_mu_from_delta: largest mu searched
@@ -117,6 +117,83 @@ def curve_geq(f, g, tol=None):
         tol = ORDER_TOL + mesh(f)
     violation = float(np.max(g.values - f.values))
     return violation <= tol, violation
+
+
+def scalar_lower_hull(x, y):
+    """Monotone-chain lower convex hull of points with increasing x, one point
+    at a time: a stack point is popped unless it lies strictly below the
+    segment from the point under it to the new point."""
+    hx, hy = [], []
+    for px, py in zip(np.asarray(x).tolist(), np.asarray(y).tolist()):
+        while len(hx) >= 2:
+            cross = (hx[-1] - hx[-2]) * (py - hy[-2]) - (hy[-1] - hy[-2]) * (px - hx[-2])
+            if cross <= 0.0:
+                hx.pop()
+                hy.pop()
+            else:
+                break
+        hx.append(px)
+        hy.append(py)
+    return np.asarray(hx), np.asarray(hy)
+
+
+def convexify(points):
+    """Greatest convex non-increasing minorant of a point cloud covering [0, 1],
+    clipped to [0, 1 - alpha], on the cloud's distinct alphas: the reference
+    hull for the subsampling operator."""
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        raise DomainError("convexify needs a nonempty point cloud")
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DomainError("points must be (alpha, value) pairs")
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    x, y = pts[order, 0], pts[order, 1]
+    if x[0] != 0.0 or x[-1] != 1.0:
+        raise DomainError("point cloud must cover alpha in [0, 1]")
+    # Ties on alpha keep the lower value: first occurrence after the lexsort.
+    ux, starts = np.unique(x, return_index=True)
+    vals = np.interp(ux, *scalar_lower_hull(ux, y[starts]))
+    vals = np.minimum.accumulate(vals)
+    np.clip(vals, 0.0, 1.0 - ux, out=vals)
+    return tc.TradeoffCurve(ux, vals)
+
+
+def subsample_points(f, p):
+    """The points (alpha, min(f_p, f_p^{-1})), f_p = p*f + (1-p)*Id, whose
+    greatest convex minorant is the subsampled curve C_p(f)."""
+    fp = p * f.values + (1.0 - p) * (1.0 - f.alphas)
+    fp_inv = tc.invert_curve(tc.TradeoffCurve(f.alphas, fp)).values
+    return np.column_stack([f.alphas, np.minimum(fp, fp_inv)])
+
+
+def subsampled_gdp_tradeoff(mu, p, alphas):
+    """Exact C_p(G(mu)) at the given alphas (Dong-Roth-Su, Gaussian
+    Differential Privacy, section 4), from SciPy's normal functions.
+
+    f_p = p*G(mu) + (1-p)*Id has slope -1 at a* = Phi(-mu/2). C_p(G(mu)) is
+    f_p on [0, a*], then the line a* + f_p(a*) - alpha, then f_p^{-1}. With
+    the test threshold z, f_p is (Phibar(z), p*Phi(z - mu) + (1-p)*Phi(z)), so
+    f_p^{-1}(alpha) = Phibar(z) where p*Phi(z - mu) + (1-p)*Phi(z) = alpha,
+    a z >= mu/2 found by bisection.
+    """
+    from scipy.special import ndtr, ndtri
+
+    a = np.asarray(alphas, dtype=float)
+    star = ndtr(-mu / 2.0)
+    f_star = p * ndtr(-mu / 2.0) + (1.0 - p) * ndtr(mu / 2.0)
+    with np.errstate(divide="ignore"):
+        left = p * ndtr(-ndtri(a) - mu) + (1.0 - p) * (1.0 - a)
+    out = np.where(a <= star, left, star + f_star - a)
+    right = a > f_star
+    lo = np.full(np.count_nonzero(right), mu / 2.0)
+    hi = lo + 40.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = p * ndtr(mid - mu) + (1.0 - p) * ndtr(mid) < a[right]
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out[right] = ndtr(-0.5 * (lo + hi))
+    return np.where(a == 1.0, 0.0, out)
 
 
 def mixture_gaussian_tradeoff(p, mu):

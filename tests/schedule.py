@@ -9,6 +9,10 @@ so that z_k + a_k = c z_{k-1} + s_k. A schedule that ends at z_t = 0 certifies
 the Gaussian privacy parameter mu = sqrt(sum a_k^2) / sigma. The closed-form
 optimal schedules below minimize sum a_k^2 for the contractive (0 < c < 1),
 projected (c = 1, z_tau = D) and cyclic-batch variants.
+
+The library's bounds are the closed forms these schedules certify; this
+module holds the proof objects that the test suite checks them against. The
+test modules import it as `schedule`, as they import `oracles`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from fdp_accountant.errors import DomainError
 
 FEASIBILITY_TOL = -1e-10  # allowed round-off on z_k >= 0
 TERMINAL_TOL = 1e-9       # |z_t| considered zero, relative to s-scale

@@ -17,8 +17,8 @@ from fdp_accountant import accountant as acc
 from fdp_accountant import conversions as cv
 from fdp_accountant import oracle
 from fdp_accountant import prv
-from fdp_accountant import schedule as sch
 from fdp_accountant import tradeoff as tc
+import schedule as sch
 from oracles import (cgd, curve_geq, gd, gd_sc_mu_via_schedule,
                      gdp_mu_from_delta, mesh, mixture_gaussian_tradeoff,
                      optimal_schedule_qp, phi)

@@ -146,7 +146,7 @@ def test_bound_cgd_proj_reference():
 
 
 def test_cgd_proj_matches_schedule_total_at_integer_ratio():
-    from fdp_accountant.schedule import cgd_proj_schedule
+    from schedule import cgd_proj_schedule
     l, Lb, eta, sigma = 10, 1.0, 0.04, 3.0
     p = proj_cgd(l, Lb, eta, E=100)
     w = acc.ceil_snap(p.D * p.b / (p.eta * p.L))

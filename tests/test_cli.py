@@ -171,12 +171,13 @@ def test_subsampled_large_mu_curve_starts_at_1(capsys):
 def test_subsampled_curve_matches_library(tmp_path, capsys):
     from fdp_accountant.tradeoff import subsample
     path = tmp_path / "c.csv"
-    code, _, _ = run(capsys, "curve", "--mu", "1.0", "--subsample-p", "0.25",
-                     "--grid", "2001", "--out", str(path))
-    assert code == 0
-    back = read_curve_csv(path)
-    ref = subsample(curve_of_gdp(1.0, 2001), 0.25)
-    assert np.array_equal(back.values, ref.values)
+    for mu, p, size in (("1.0", "0.25", ("--grid", "2001")), ("3", "0.5", ())):
+        code, _, _ = run(capsys, "curve", "--mu", mu, "--subsample-p", p, *size,
+                         "--out", str(path))
+        assert code == 0
+        back = read_curve_csv(path)
+        ref = subsample(curve_of_gdp(float(mu), int(size[1]) if size else None), float(p))
+        assert np.array_equal(back.values, ref.values)
 
 
 def test_curve_help_labels_the_curve_an_estimate(capsys):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fdp_accountant import schedule as sch
 from fdp_accountant.errors import DomainError
+import schedule as sch
 
 
 def test_recursion_hand_example():

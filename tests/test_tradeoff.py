@@ -7,7 +7,8 @@ from fdp_accountant import normal
 from fdp_accountant import tradeoff as tc
 from fdp_accountant.conversions import curve_to_delta
 from fdp_accountant.errors import DomainError, InvalidCurveError
-from oracles import curve_geq, mesh, mixture_gaussian_tradeoff, phi
+from oracles import (convexify, curve_geq, mesh, mixture_gaussian_tradeoff, phi,
+                     subsample_points, subsampled_gdp_tradeoff)
 
 
 def test_alpha_grid_shape():
@@ -131,26 +132,26 @@ def test_invert_coordinate_swap_oracle():
 def test_convexify_cases():
     a = tc.alpha_grid(101)
     ident_pts = np.column_stack([a, 1.0 - a])
-    out = tc.convexify(ident_pts)
+    out = convexify(ident_pts)
     assert np.max(np.abs(out.values - (1.0 - out.alphas))) < 1e-15
 
-    two = tc.convexify([(0.0, 1.0), (1.0, 0.0)])
+    two = convexify([(0.0, 1.0), (1.0, 0.0)])
     assert np.array_equal(two.values, 1.0 - two.alphas)
 
     # a point above the hull is removed, one below pulls the hull down
     pts = [(0.0, 1.0), (0.5, 0.9), (1.0, 0.0)]
-    out = tc.convexify(pts)
+    out = convexify(pts)
     assert out(0.5) == pytest.approx(0.5, abs=1e-12)
 
     with pytest.raises(DomainError):
-        tc.convexify([])
+        convexify([])
     with pytest.raises(DomainError):
-        tc.convexify([(0.2, 0.5), (1.0, 0.0)])  # does not cover [0, 1]
+        convexify([(0.2, 0.5), (1.0, 0.0)])  # does not cover [0, 1]
 
 
 def test_convexify_tie_keeps_lower():
     pts = [(0.0, 1.0), (0.5, 0.6), (0.5, 0.4), (1.0, 0.0)]
-    out = tc.convexify(pts)
+    out = convexify(pts)
     assert out(0.5) <= 0.4 + 1e-12
 
 
@@ -237,37 +238,30 @@ def test_iterated_composition_matches_scaled_curve():
                          - tc.gdp_eval(mu * math.sqrt(n), probe))) <= 1e-12
 
 
-# -- the hull against the scalar monotone chain -------------------------------
+# -- the reference hull --------------------------------------------------------
 
 
-def scalar_lower_hull(x, y):
-    """Monotone-chain lower hull, one point at a time: the oracle."""
-    hx, hy = [], []
-    for px, py in zip(x.tolist(), y.tolist()):
-        while len(hx) >= 2:
-            cross = (hx[-1] - hx[-2]) * (py - hy[-2]) - (hy[-1] - hy[-2]) * (px - hx[-2])
-            if cross <= 0.0:
-                hx.pop()
-                hy.pop()
-            else:
-                break
-        hx.append(px)
-        hy.append(py)
-    return np.asarray(hx), np.asarray(hy)
-
-
-def assert_hull_matches_scalar_chain(x, y):
-    hx, hy = tc._lower_hull(x, y)
-    ox, oy = scalar_lower_hull(x, y)
-    assert np.array_equal(hx, ox) and np.array_equal(hy, oy)
+def chord_minorant(x, y):
+    """Greatest convex minorant of the points (x, y) at each x_k, by brute
+    force: the least chord value over the point pairs i <= k <= j."""
+    out = np.empty_like(y)
+    for k in range(x.size):
+        xi, yi = x[:k + 1, None], y[:k + 1, None]
+        xj, yj = x[None, k:], y[None, k:]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            chord = yi + (yj - yi) * (x[k] - xi) / (xj - xi)
+        out[k] = np.nanmin(np.where(xj > xi, chord, np.nan), initial=y[k])
+    return out
 
 
 def random_cloud(rng, n, convex):
-    x = np.unique(rng.random(n))
+    """n random points inside (0, 1), plus (0, 1) and (1, 0)."""
+    x = np.unique(np.concatenate([[0.0, 1.0], rng.random(n)]))
     y = rng.random(x.size)
     if convex:
         # mostly convex runs, broken by bumps that the chain must pop
         y = (1.0 - x) ** 2 + 1e-3 * (rng.random(x.size) < 0.05) * y
+    y[0], y[-1] = 1.0, 0.0
     return x, y
 
 
@@ -275,153 +269,90 @@ def random_cloud(rng, n, convex):
 @pytest.mark.parametrize("convex", [False, True])
 def test_lower_hull_matches_scalar_chain_on_random_clouds(seed, convex):
     rng = np.random.default_rng(seed)
-    for n in (0, 1, 2, 3, 4, 10, 1000):
-        assert_hull_matches_scalar_chain(*random_cloud(rng, n, convex))
+    for n in (0, 1, 2, 3, 4, 10, 150):
+        x, y = random_cloud(rng, n, convex)
+        ref = np.minimum.accumulate(chord_minorant(x, y))
+        out = convexify(np.column_stack([x, y]))
+        assert np.array_equal(out.alphas, x)
+        assert np.max(np.abs(out.values - np.clip(ref, 0.0, 1.0 - x))) <= 1e-15
 
 
 def test_lower_hull_matches_scalar_chain_on_collinear_runs():
     ident = tc.identity_curve()
-    assert_hull_matches_scalar_chain(ident.alphas, ident.values)
+    out = convexify(np.column_stack([ident.alphas, ident.values]))
+    assert np.max(np.abs(out.values - ident.values)) <= 1e-15
     x = np.linspace(0.0, 1.0, 1001)
-    assert_hull_matches_scalar_chain(x, np.abs(x - 0.5).round(12))
-    assert_hull_matches_scalar_chain(x, np.zeros_like(x))
+    out = convexify(np.column_stack([x, np.abs(x - 0.5).round(12)]))
+    assert np.max(np.abs(out.values - np.maximum(0.5 - x, 0.0))) <= 1e-15
+    assert not convexify(np.column_stack([x, np.zeros_like(x)])).values.any()
 
 
 @pytest.mark.parametrize("mu", [0.5, 3.0])
 def test_lower_hull_matches_scalar_chain_on_round_off_dents(mu):
     # at p = 1e-4 the mixture is within 1e-4 of a line, and rounding leaves
-    # dents all along it
+    # dents all along it: the hull removes only those
     mix = mixture_gaussian_tradeoff(1e-4, mu)
-    assert_hull_matches_scalar_chain(mix.alphas, mix.values)
-    assert_hull_matches_scalar_chain(mix.alphas, 1.0 - mix.alphas - 1e-4 * mix.values)
+    out = convexify(np.column_stack([mix.alphas, mix.values]))
+    assert np.max(np.abs(out.values - mix.values)) <= 1e-15
+    # 1 - alpha - 1e-4 * mix is concave: its hull is the chord of its ends
+    out = convexify(np.column_stack([mix.alphas, 1.0 - mix.alphas - 1e-4 * mix.values]))
+    assert np.max(np.abs(out.values - (1.0 - 1e-4) * (1.0 - mix.alphas))) <= 1e-15
 
 
-@pytest.mark.parametrize("mu, p", [(0.2, 1.0), (1.6, 0.009), (2.5, 0.25), (40.0, 1.0),
-                                   (1.0, 1e-4)])
-def test_lower_hull_matches_scalar_chain_on_subsample_inputs(monkeypatch, mu, p):
-    seen = []
-    hull = tc._lower_hull
-
-    def recording(x, y):
-        seen.append((x, y))
-        return hull(x, y)
-
-    monkeypatch.setattr(tc, "_lower_hull", recording)
-    tc.subsample(tc.curve_of_gdp(mu), p)
-    assert len(seen) == 1
-    assert_hull_matches_scalar_chain(*seen[0])
-
-
-# -- the block step across the slope -1 bridge --------------------------------
-
-
-def subsample_hull_input(mu, p):
-    """The points subsample(curve_of_gdp(mu), p) hands to the hull."""
-    f = tc.curve_of_gdp(mu)
-    fp = p * f.values + (1 - p) * (1 - f.alphas)
-    return f.alphas, np.minimum(fp, tc._inverse_values(f.alphas, fp, f.alphas))
-
-
-@pytest.fixture
-def blocks(monkeypatch):
-    """(first point, points offered, points accepted) of every block step."""
-    seen = []
-    step = tc._cross_block
-
-    def recording(x, y, hx, hy, top, i, m):
-        k, low = step(x, y, hx, hy, top, i, m)
-        seen.append((i, m, k))
-        return k, low
-
-    monkeypatch.setattr(tc, "_cross_block", recording)
-    return seen
-
-
-def test_subsample_hands_the_hull_its_grid_and_the_minimum(monkeypatch):
-    seen = []
-    hull = tc._lower_hull
-    monkeypatch.setattr(tc, "_lower_hull", lambda x, y: seen.append((x, y)) or hull(x, y))
-    tc.subsample(tc.curve_of_gdp(2.0), 0.02)
-    x, y = subsample_hull_input(2.0, 0.02)
-    assert np.array_equal(seen[0][0], x) and np.array_equal(seen[0][1], y)
-
-
-# Log-uniform (mu, p) over the benchmark's ranges, rounded to 3 digits.
-_rng = np.random.default_rng(19)
-SWEEP = [(float(f"{mu:.3g}"), float(f"{p:.3g}")) for mu, p in zip(
-    np.exp(_rng.uniform(math.log(0.5), math.log(5.0), 6)),
-    np.exp(_rng.uniform(math.log(0.001), math.log(0.05), 6)))]
-
-
-@pytest.mark.parametrize("mu, p", SWEEP + [(2.5, 0.25), (5.0, 0.3)])
-def test_block_step_matches_scalar_chain_on_subsample_inputs(blocks, mu, p):
-    # (2.5, 0.25) and (5, 0.3) end in long runs of collinear round-off
-    assert_hull_matches_scalar_chain(*subsample_hull_input(mu, p))
-    assert sum(k for _, _, k in blocks) > 500  # the bridge went through blocks
-
-
-def tie_cloud(n=200, bridge=90):
-    """A convex chain y = (n - x)^2 at x = 0 .. n; then a bridge of points,
-    point j exactly on the line of the chain edge into point n - 1 - 2j; then
-    one point that pops nothing. The coordinates are integers, so every cross
-    product is exact and the chain's ties at 0 really occur."""
-    x, y = list(np.arange(n + 1.0)), list((n - np.arange(n + 1.0)) ** 2)
-    for j in range(bridge):
-        k, px = n - 1 - 2 * j, n + 1.0 + j
-        x.append(px)
-        y.append((n - k) ** 2 - (2 * (n - k) + 1) * (px - k))
-    return np.array(x + [x[-1] + 1.0]), np.array(y + [y[-1] + 1e6])
-
-
-@pytest.mark.parametrize("cloud", ["subsample", "ties"])
-@pytest.mark.parametrize("sabotage", ["up", "down", "random", "bottom", "top"])
-def test_block_step_survives_a_wrong_predictor(monkeypatch, blocks, cloud, sabotage):
-    rng = np.random.default_rng(3)
-    predict = tc._tangent_depths
-
-    def wrong(sx, sy, px, py):
-        t = predict(sx, sy, px, py)
-        return {"up": t + 1, "down": t - 1,
-                "random": rng.integers(-3, sx.size + 3, t.size),
-                "bottom": np.zeros_like(t), "top": t * 0 + sx.size}[sabotage]
-
-    monkeypatch.setattr(tc, "_tangent_depths", wrong)
-    x, y = subsample_hull_input(2.0, 0.02) if cloud == "subsample" else tie_cloud()
-    assert_hull_matches_scalar_chain(x, y)
-    assert blocks  # the wrong depths reached the replay
-
-
-def test_block_step_stops_at_a_planted_bump(blocks):
-    x, y = subsample_hull_input(2.0, 0.02)
-    tc._lower_hull(x, y)
-    i, m, _ = next(b for b in blocks if b[1] == b[2] > 100)
-    blocks.clear()
-    # a dent in the middle of a block that verified in full: the next point
-    # no longer pops it, so the replay must stop there
-    y = y.copy()
-    y[i + m // 2] -= 1e-5
-    assert_hull_matches_scalar_chain(x, y)
-    assert any(0 < k < m for _, m, k in blocks)
-
-
-def test_block_step_is_quiet_where_slopes_overflow(blocks):
-    # edge slopes of order 1e320 overflow to -inf; the chain's Python floats
-    # would not warn, and neither may the block step
-    t = np.linspace(1e-3, 0.5, 200)
-    x = np.concatenate([[0.0, 5e-324, 1e-323], t, [0.6, 1.0]])
-    y = np.concatenate([[1.0, 0.999, 0.998], 0.9 * (1.0 - t) ** 2, [0.0, 0.0]])
-    assert_hull_matches_scalar_chain(x, y)
-    assert blocks
+# -- the subsampling operator against the hull and the closed form -------------
 
 
 @pytest.mark.parametrize("mu, p", [(0.5, 0.001), (2.0, 0.02), (2.5, 0.25), (1.0, 1.0),
                                    (40.0, 1.0)])
+def test_subsample_is_never_above_convexify_of_its_points(mu, p):
+    f = tc.curve_of_gdp(mu)
+    out = tc.subsample(f, p)
+    ref = convexify(subsample_points(f, p))
+    assert np.array_equal(out.alphas, ref.alphas)
+    assert np.max(out.values - ref.values) <= 1e-15
+
+
+@pytest.mark.parametrize("mu, p", [(1.0, 1.0), (20.0, 1.0)])
 def test_subsample_equals_convexify_of_its_points(mu, p):
-    x, y = subsample_hull_input(mu, p)
-    ref = tc.convexify(np.column_stack([x, y]))
+    # The points of a p = 1 curve are convex, and no node lies inside its
+    # bridge. (Not at mu = 40: there G(mu) runs through subnormal values, which
+    # round to dents of order 1e-310 that the hull removes.)
+    f = tc.curve_of_gdp(mu)
+    ref = convexify(subsample_points(f, p))
+    assert tc.subsample(f, p).values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.parametrize("mu, p", [(2.5, 0.25), (3.0, 0.5), (8.0, 0.01), (1.0, 0.02),
+                                   (0.5, 0.001), (2.0, 0.05)])
+def test_subsample_matches_the_closed_form(mu, p):
+    # the stored chords of a convex curve lie above it, never below
     out = tc.subsample(tc.curve_of_gdp(mu), p)
-    assert out.alphas.tobytes() == ref.alphas.tobytes()
-    assert out.values.tobytes() == ref.values.tobytes()
+    gap = out.values - subsampled_gdp_tradeoff(mu, p, out.alphas)
+    assert -1e-12 <= gap.min() and gap.max() <= 1e-5
+
+
+def test_subsample_of_a_curve_needing_one_bridge_matches_the_hull():
+    a = tc.alpha_grid(2001)
+    f = tc.TradeoffCurve(a, np.maximum(1.0 - 2.0 * a, 0.0))
+    out = tc.subsample(f, 0.7)
+    assert np.max(np.abs(out.values - convexify(subsample_points(f, 0.7)).values)) <= 1e-15
+
+
+def test_subsample_rejects_a_curve_needing_two_bridges():
+    a = tc.alpha_grid(2001)
+    with pytest.raises(InvalidCurveError, match="convex"):
+        tc.subsample(tc.TradeoffCurve(a, (1.0 - a) ** 20), 0.9)
+
+
+@pytest.mark.parametrize("grid_size", [101, 2001, None])
+def test_subsample_of_gdp_never_raises(grid_size):
+    for mu in (0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 20.0, 40.0):
+        f = tc.curve_of_gdp(mu, grid_size)
+        for p in (1e-6, 1e-4, 0.01, 0.1, 0.25, 0.5, 0.9, 1.0, 0.0):
+            out = tc.subsample(f, p)
+            assert out.values[0] == 1.0
+            if p > 0.0:
+                assert np.max(out.values - subsample_points(f, p)[:, 1]) <= 1e-15
 
 
 @pytest.mark.parametrize("grid_size", [None, 3001])
