@@ -313,13 +313,18 @@ def _verify_checks(seed: int, trials: int):
     checks = []
     alphas = np.linspace(0.05, 0.95, 19)
 
+    def gdp_reference(mu: float) -> np.ndarray:
+        # Float alphas keep G(mu) on the standard library: verify loads no
+        # SciPy module.
+        return np.array([tradeoff.gdp_eval(mu, a) for a in alphas.tolist()])
+
     # Exact worst-case contractive pair against its closed-form curve.
     spec = oracle.SimSpec(kind="gd", m=1.0, eta=0.05, sigma=2.0, L=0.1, n=1,
                           steps=60, trials=trials, seed=seed)
     xp, xq = oracle.simulate(spec)
     mu = oracle.worst_case_gd_sc_mu(1.0 - 0.05, 0.05 * 0.1, 0.05 * 2.0, 60)
     emp = oracle.empirical_tradeoff(xp, xq, method="exact-lr", alphas=alphas)
-    dev = float(np.max(np.abs(emp.values - tradeoff.gdp_eval(mu, emp.alphas))))
+    dev = float(np.max(np.abs(emp.values - gdp_reference(mu))))
     checks.append({"name": "gd-sc-exact-curve", "ci": emp.ci_halfwidth,
                    "margin": emp.ci_halfwidth - dev,
                    "passed": dev <= emp.ci_halfwidth})
@@ -333,7 +338,7 @@ def _verify_checks(seed: int, trials: int):
                              steps=100, M=20.0, D=1.0, constrained=True)
     mu_star = acct.bound_gd_proj(params)
     emp = oracle.empirical_tradeoff(xp, xq, method="histogram-lr", alphas=alphas)
-    margin = oracle.curve_margin(emp, lambda a: tradeoff.gdp_eval(mu_star, a))
+    margin = oracle.curve_margin(emp, gdp_reference(mu_star))
     checks.append({"name": "gd-proj-one-sided", "ci": emp.ci_halfwidth,
                    "margin": margin, "passed": margin >= 0.0})
 
@@ -351,6 +356,12 @@ def _verify_checks(seed: int, trials: int):
 
 def cmd_verify(args) -> int:
     seed = 0 if args.seed is None else args.seed
+    # Checked before any simulation: a two-sample band needs two trials,
+    # and NumPy seeds only from non-negative integers.
+    if args.trials < 2:
+        raise DomainError(f"--trials must be >= 2, got {args.trials}")
+    if seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {seed}")
     checks = _verify_checks(seed, args.trials)
     passed = all(c["passed"] for c in checks)
     report = {"seed": seed, "trials": args.trials,

@@ -1,9 +1,10 @@
 """Standard normal helpers.
 
-A float (Python or NumPy) passed to `cdf` or `log_cdf` is evaluated with the
-standard library's erf/erfc; arrays and `inv_upper` go through scipy.special's
-erfc-based routines. SciPy, and with it NumPy, is imported on first use, so a
-request that passes only floats loads neither. The upper tail 1 - Phi(x) is
+A float (Python or NumPy) is evaluated on the standard library: `cdf` and
+`log_cdf` with math.erf/erfc, and the quantile `inv_upper` with
+statistics.NormalDist (AS241). Arrays go through scipy.special's erfc-based
+routines. SciPy, and with it NumPy, is imported on first use, so a request
+that passes only floats loads neither. The upper tail 1 - Phi(x) is
 `cdf(-x)`. Arguments as large as |x| ~ 40 show up in intermediate
 compositions, so anything that can underflow goes through the log-space
 variants.
@@ -21,6 +22,19 @@ _ERFC_LOG_MIN = -37.0
 def _special():
     from scipy import special
     return special
+
+
+def _ndtri(p: float) -> float:
+    """Phi^{-1}(p) for a scalar, mapped as scipy's ndtri maps it: p = 0 gives
+    -inf, p = 1 gives +inf, and nan or p outside [0, 1] gives nan."""
+    if 0.0 < p < 1.0:
+        from statistics import NormalDist  # deferred: only quantiles need it
+        return NormalDist().inv_cdf(p)
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    return math.nan
 
 
 def _ndtr(x: float) -> float:
@@ -66,6 +80,10 @@ def inv_upper(alpha):
     """Phi^{-1}(1 - alpha), evaluated as -Phi^{-1}(alpha).
 
     Keeps full precision for alpha near 0, where forming 1 - alpha would
-    round; alpha = 0 maps to +inf and alpha = 1 to -inf.
+    round; alpha = 0 maps to +inf, alpha = 1 to -inf, and nan or alpha
+    outside [0, 1] to nan. A float takes the standard library's AS241, an
+    array scipy.special.ndtri; the two agree to within a few ulps.
     """
+    if isinstance(alpha, float):
+        return -_ndtri(alpha)
     return -_special().ndtri(alpha)

@@ -263,6 +263,22 @@ def test_verify_fails_on_a_tampered_simulation(capsys, monkeypatch, tamper,
     assert f"FAIL  {failing} " in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("--trials", "1"), "--trials"),
+    (("--trials", "0"), "--trials"),
+    (("--seed", "-1"), "--seed"),
+])
+def test_verify_rejects_bad_trials_and_seed_up_front(argv, flag, capsys,
+                                                     monkeypatch):
+    def no_simulation(spec):
+        raise AssertionError("simulate ran")
+    monkeypatch.setattr(oracle, "simulate", no_simulation)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
 def test_verify_deterministic_reruns(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "verify", "--trials", "20000", "--out", str(p1))

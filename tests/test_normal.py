@@ -1,6 +1,7 @@
 """Scalar paths of fdp_accountant.normal against scipy.special.
 
-Floats go through math.erf/erfc and arrays through scipy.special. Both
+Floats go through math.erf/erfc (the quantile through statistics.NormalDist)
+and arrays through scipy.special. Both
 evaluate Phi at the rounded argument x / sqrt(2), so far in the tails each is
 exact only for an argument a few ulps away from x, and the two can differ by
 about eps * kappa(x) relative, where kappa is the relative condition number
@@ -111,3 +112,66 @@ def test_scalar_path_within_its_condition_of_exact_values():
         ok = np.abs(want) >= 1e-300
         rel = np.abs(got[ok] - want[ok]) / np.abs(want[ok])
         assert np.all(rel <= 1e-14 + ULP * kappa[ok]), name
+
+
+# -- the quantile --------------------------------------------------------------
+
+# alpha over [1e-300, 1): log-spaced through the lower tail, uniform through
+# the middle, and the points where the quantile's regimes meet (AS241 splits
+# at |alpha - 1/2| = 0.425 and at sqrt(-log alpha) = 5).
+ALPHAS = np.concatenate([
+    np.logspace(-300.0, -1.0, 600), np.linspace(0.01, 0.99, 981),
+    _neighbours(0.075), _neighbours(0.5), _neighbours(0.925),
+    [math.exp(-25.0), 1.0 - 1e-6, 1.0 - 2.0 ** -53],
+])
+
+
+def _inv_upper_scale(z, alpha):
+    """|z| + alpha / phi(z): an argument off by one ulp moves z = Phi^{-1}(1 -
+    alpha) by ulp times alpha / phi(z), and z itself rounds by ulp times |z|.
+    It stays finite where z crosses 0, where a relative bound would not."""
+    return np.abs(z) + alpha * np.exp(-_log_pdf(z))
+
+
+def _scalar_inv_upper(alphas):
+    return np.array([normal.inv_upper(float(a)) for a in alphas])
+
+
+def test_inv_upper_scalar_path_matches_ndtri():
+    """Floats take AS241 from the standard library, arrays scipy's ndtri:
+    the two agree to within 4 ulps of the scale above."""
+    want = -special.ndtri(ALPHAS)
+    assert np.array_equal(normal.inv_upper(ALPHAS), want)  # the array path
+    got = _scalar_inv_upper(ALPHAS)
+    err = np.abs(got - want) / (ULP * _inv_upper_scale(want, ALPHAS))
+    assert err.max() <= 4.0, ALPHAS[np.argmax(err)]
+
+
+def test_inv_upper_scalar_path_within_its_condition_of_exact_values():
+    mpmath = pytest.importorskip("mpmath")
+    alphas = ALPHAS[::7]
+    got = _scalar_inv_upper(alphas)
+    want = []
+    with mpmath.workprec(300):
+        for a, z0 in zip(alphas.tolist(), got.tolist()):
+            a, z = mpmath.mpf(a), mpmath.mpf(z0)
+            for _ in range(5):  # Newton on Phi(-z) = alpha from the float
+                z += (mpmath.ncdf(-z) - a) / mpmath.npdf(z)
+            want.append(float(z))
+    want = np.array(want)
+    err = np.abs(got - want) / (ULP * _inv_upper_scale(want, alphas))
+    assert err.max() <= 4.0, alphas[np.argmax(err)]
+
+
+def test_inv_upper_scalar_edge_values():
+    assert normal.inv_upper(0.0) == math.inf
+    assert normal.inv_upper(1.0) == -math.inf
+    for bad in (math.nan, -1e-300, -0.5, 1.5, math.inf, -math.inf):
+        assert math.isnan(normal.inv_upper(bad)), bad
+    specials = np.array([0.0, 1.0, math.nan, -0.5, 1.5])
+    assert np.array_equal(_scalar_inv_upper(specials),
+                          normal.inv_upper(specials), equal_nan=True)
+    # The smallest subnormal still has a finite quantile.
+    assert normal.inv_upper(5e-324) == pytest.approx(38.467405617144344, rel=1e-15)
+    for a in (0.3, np.float64(0.3), 1e-300):
+        assert type(normal.inv_upper(a)) is float

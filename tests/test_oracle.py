@@ -256,6 +256,18 @@ def test_check_gdpinf_equality_and_slack_cases():
     assert np.min(emp_u.values[mid] - tc.gdp_eval(0.5, emp_u.alphas[mid])) > 0.01
 
 
+@pytest.mark.parametrize("s,sigma", [(1.0, 2.0), (0.3, 1.5), (2.0, 1.0)])
+def test_check_gdpinf_margin_matches_the_array_reference(s, sigma):
+    # The reference curve is evaluated at float alphas, on the standard
+    # library; against scipy.special's array path the margin moves by at
+    # most a few ulps.
+    law = lambda rng, size: rng.uniform(-s, s, size)
+    _, margin, emp = oracle.check_gdpinf(s, sigma, law, 20_000, seed=3,
+                                         alphas=GRID)
+    array_margin = oracle.curve_margin(emp, tc.gdp_eval(s / sigma, emp.alphas))
+    assert abs(margin - array_margin) <= 1e-15
+
+
 def test_check_gdpinf_zero_shift():
     zero = lambda rng, size: np.zeros(size)
     ok, margin, _ = oracle.check_gdpinf(0.0, 1.0, zero, 50_000, seed=2)

@@ -1,6 +1,7 @@
-"""Every command in the README's CLI block runs and exits 0, and the
-closed-form ones do so without loading NumPy or SciPy."""
+"""Every command in the README's CLI block runs and exits 0, the closed-form
+ones do so without loading NumPy or SciPy, and verify without SciPy."""
 
+import ast
 import json
 import os
 import re
@@ -79,7 +80,8 @@ def test_importing_the_cli_loads_neither_numpy_nor_scipy(tmp_path):
 
 
 def test_importing_the_oracle_does_not_load_scipy_optimize(tmp_path):
-    # verify imports the oracle; only the schedule QP needs scipy.optimize
+    # verify imports the oracle; only the test oracles' schedule QP
+    # (tests/oracles.py) needs scipy.optimize
     proc = _fresh_python("-c", "import sys, fdp_accountant.oracle; "
                          "print('scipy.optimize' in sys.modules)", cwd=tmp_path)
     assert proc.stdout.split() == ["False"], proc.stderr
@@ -106,17 +108,72 @@ def test_closed_form_examples_do_not_load_scipy(tmp_path):
     assert len(closed) == 8
     runs, _ = _probe(closed, tmp_path)
     assert runs == [[0, []]] * len(closed)
-    # Each of the others, in a process of its own, still loads both, lazily,
-    # and writes its outputs. verify runs at PROBE_TRIALS: the import facts do
-    # not depend on the trial count, and test_readme_cli_example_exits_0
-    # runs the README's own.
+    # Each of the others, in a process of its own, loads NumPy lazily and
+    # writes its outputs; all but verify load SciPy too. verify runs at
+    # PROBE_TRIALS: the import facts do not depend on the trial count, and
+    # test_readme_cli_example_exits_0 runs the README's own.
     for argv in rest:
         if argv[0] == "verify":
             argv = [*argv, "--trials", str(PROBE_TRIALS)]
         [[code, loaded]], stdout = _probe([argv], tmp_path)
         assert code == 0
-        assert {"numpy", "scipy"} <= set(loaded), argv
+        if argv[0] == "verify":
+            assert "numpy" in loaded
+            assert not any(m.split(".")[0] == "scipy" for m in loaded), loaded
+        else:
+            assert {"numpy", "scipy"} <= set(loaded), argv
         if "--out" in argv:
             assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
         else:
             assert '"max_ci"' in stdout  # verify's report
+
+
+def test_the_monte_carlo_oracle_runs_without_scipy(tmp_path):
+    proc = _fresh_python("-c", """
+import sys
+import numpy as np
+from fdp_accountant import oracle
+spec = oracle.SimSpec(kind="gd", m=1.0, eta=0.05, sigma=2.0, L=0.1,
+                      steps=20, trials=2000, seed=0)
+oracle.empirical_tradeoff(*oracle.simulate(spec), method="exact-lr")
+oracle.check_gdpinf(1.0, 2.0, lambda r, size: r.uniform(-1.0, 1.0, size),
+                    2000, seed=1)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
+# (module, function) of each place the package may import SciPy: the array
+# paths of `normal`, through one helper, and the FFTs of `prv`.
+SCIPY_IMPORTERS = {("normal", "_special"), ("prv", None)}
+
+
+def _scipy_imports(path):
+    """(module, enclosing function or None) of each SciPy import in a file."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append((path.stem, func))
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_scipy_is_imported_only_by_normal_special_and_prv():
+    package = Path(fdp_accountant.__file__).resolve().parent
+    found = {site for path in sorted(package.glob("*.py"))
+             for site in _scipy_imports(path)}
+    assert found == SCIPY_IMPORTERS

@@ -53,6 +53,47 @@ def test_gdp_eval_floors_underflow_below_alpha_1():
         assert np.array_equal(tc.gdp_eval(mu, a)[1:-1], raw)
 
 
+@pytest.mark.parametrize("mu", [0.05, 0.5, 1.0, 3.0, 10.0, 38.0])
+def test_gdp_eval_float_path_matches_the_array_path(mu):
+    """A float alpha runs on the standard library, an array on scipy.special.
+    The two agree to within 4 ulps of the condition of G(mu)(alpha) =
+    Phi(x), x = z - mu, in its rounded inputs: 1 + h(x) (|x| + mu + s(z)),
+    with h = phi/Phi and s(z) = |z| + alpha/phi(z) the scale of z's error."""
+    from scipy import special
+
+    a = np.concatenate([np.linspace(0.001, 0.999, 999),
+                        np.logspace(-300.0, -3.0, 100),
+                        1.0 - np.logspace(-15.0, -3.0, 50), [0.0, 1.0]])
+    want = tc.gdp_eval(mu, a)
+    got = np.array([tc.gdp_eval(mu, x) for x in a.tolist()])
+    z = -special.ndtri(a[:-2])
+    x = z - mu
+    log_pdf = lambda t: -0.5 * t * t - 0.5 * math.log(2.0 * math.pi)
+    h = np.exp(log_pdf(x) - special.log_ndtr(x))
+    cond = 1.0 + h * (np.abs(x) + mu + np.abs(z) + a[:-2] * np.exp(-log_pdf(z)))
+    ok = want[:-2] >= 1e-300
+    rel = np.abs(got[:-2] - want[:-2])[ok] / want[:-2][ok]
+    assert np.all(rel <= 4.0 * np.finfo(float).eps * cond[ok])
+    # Below 1e-300, and at the exact endpoints, the paths agree absolutely.
+    assert np.all(np.abs(got[:-2] - want[:-2])[~ok] <= 1e-300)
+    assert got[-2] == 1.0 and got[-1] == 0.0
+
+
+def test_gdp_eval_float_path_keeps_the_array_rules():
+    assert type(tc.gdp_eval(1.0, 0.3)) is float
+    assert type(tc.gdp_eval(1.0, np.float64(0.3))) is float
+    assert tc.gdp_eval(0.0, 1.0) == 0.0
+    assert tc.gdp_eval(math.inf, 0.0) == 1.0 and tc.gdp_eval(math.inf, 1.0) == 0.0
+    assert math.isnan(tc.gdp_eval(1.0, math.nan))
+    assert math.isnan(tc.gdp_eval(1.0, np.array(math.nan)))
+    for mu, alpha in ((math.nan, 0.5), (-1.0, 0.5), (1.0, 1.0 + 2.0 ** -52),
+                      (1.0, -1e-300), (1.0, math.inf)):
+        with pytest.raises(DomainError):
+            tc.gdp_eval(mu, alpha)
+        with pytest.raises(DomainError):
+            tc.gdp_eval(mu, np.array([alpha]))
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 5.0, 20.0])
 def test_curve_of_gdp_invariants(mu):
     c = tc.curve_of_gdp(mu)
