@@ -157,12 +157,17 @@ def cmd_bound(args) -> int:
             cb = builder(params, tau)
             report["tau"] = tau
         report["composite"] = cb.describe()
+        pairs = prv.evaluate_composite(cb, eps_list)
         if args.out and args.out.endswith(".csv"):
-            rows = prv.delta_table_rows(cb, eps_list)
-            _write(_csv(rows, "eps,delta,uncertainty"), args.out)
+            # The uncertainty column is a heuristic, not a certified width:
+            # 0.5 mesh^2 is the midpoint rule's second-order scale on the
+            # DEFAULT_MESH lattice, and halving the mesh should move delta by
+            # at most about 4x this value.
+            unc = 0.5 * prv.DEFAULT_MESH ** 2
+            _write(_csv([(e, d, unc) for e, d in pairs], "eps,delta,uncertainty"),
+                   args.out)
             return EXIT_OK
-        report["delta_at_eps"] = [{"eps": e, "delta": d}
-                                  for e, d in prv.evaluate_composite(cb, eps_list)]
+        report["delta_at_eps"] = [{"eps": e, "delta": d} for e, d in pairs]
     else:
         if params.kind == "gd":
             fns = {"composition": acct.bound_gd_composition,
@@ -304,7 +309,11 @@ def cmd_table(args) -> int:
 
 
 def _verify_checks(seed: int, trials: int):
-    """Deterministic empirical checks of the analytic bounds."""
+    """Deterministic empirical checks of the analytic bounds, as (check, cap)
+    pairs. A band of cap or wider means the check could not fail: cap is 1
+    for the two-sided check (a curve and its reference both lie in [0, 1]),
+    and for a one-sided check the largest value of its reference on its
+    grid (an empirical curve is never below 0)."""
     import numpy as np  # deferred: closed-form requests run without NumPy
 
     from . import oracle  # deferred: only verify needs the Monte-Carlo oracle
@@ -325,9 +334,9 @@ def _verify_checks(seed: int, trials: int):
     mu = oracle.worst_case_gd_sc_mu(1.0 - 0.05, 0.05 * 0.1, 0.05 * 2.0, 60)
     emp = oracle.empirical_tradeoff(xp, xq, method="exact-lr", alphas=alphas)
     dev = float(np.max(np.abs(emp.values - gdp_reference(mu))))
-    checks.append({"name": "gd-sc-exact-curve", "ci": emp.ci_halfwidth,
-                   "margin": emp.ci_halfwidth - dev,
-                   "passed": dev <= emp.ci_halfwidth})
+    checks.append(({"name": "gd-sc-exact-curve", "ci": emp.ci_halfwidth,
+                    "margin": emp.ci_halfwidth - dev,
+                    "passed": dev <= emp.ci_halfwidth}, 1.0))
 
     # Projected run must never beat the constrained-convex bound.
     pspec = oracle.SimSpec(kind="gd", m=0.0, eta=0.1, sigma=8.0, L=0.5, n=1,
@@ -338,9 +347,11 @@ def _verify_checks(seed: int, trials: int):
                              steps=100, M=20.0, D=1.0, constrained=True)
     mu_star = acct.bound_gd_proj(params)
     emp = oracle.empirical_tradeoff(xp, xq, method="histogram-lr", alphas=alphas)
-    margin = oracle.curve_margin(emp, gdp_reference(mu_star))
-    checks.append({"name": "gd-proj-one-sided", "ci": emp.ci_halfwidth,
-                   "margin": margin, "passed": margin >= 0.0})
+    reference = gdp_reference(mu_star)
+    margin = oracle.curve_margin(emp, reference)
+    checks.append(({"name": "gd-proj-one-sided", "ci": emp.ci_halfwidth,
+                    "margin": margin, "passed": margin >= 0.0},
+                   float(reference.max())))
 
     # Bounded-shift Gaussian floor for a few laws of W.
     laws = [("constant", lambda r, size: np.full(size, 1.0)),
@@ -349,8 +360,10 @@ def _verify_checks(seed: int, trials: int):
     for i, (lname, law) in enumerate(laws):
         ok, margin, emp = oracle.check_gdpinf(1.0, 2.0, law, trials,
                                               seed=seed + 2 + i)
-        checks.append({"name": f"gdp-floor-{lname}", "ci": emp.ci_halfwidth,
-                       "margin": margin, "passed": ok})
+        # G(1/2) falls in alpha: its largest value is at the smallest alpha.
+        cap = tradeoff.gdp_eval(1.0 / 2.0, float(emp.alphas.min()))
+        checks.append(({"name": f"gdp-floor-{lname}", "ci": emp.ci_halfwidth,
+                        "margin": margin, "passed": ok}, cap))
     return checks
 
 
@@ -362,7 +375,14 @@ def cmd_verify(args) -> int:
         raise DomainError(f"--trials must be >= 2, got {args.trials}")
     if seed < 0:
         raise DomainError(f"--seed must be >= 0, got {seed}")
-    checks = _verify_checks(seed, args.trials)
+    checks = []
+    for check, cap in _verify_checks(seed, args.trials):
+        if check["ci"] >= cap:
+            raise DomainError(
+                f"--trials {args.trials} is too few: the {check['name']} band "
+                f"({check['ci']:.3f}) is at least {cap:.3f}, so that check "
+                "could not fail")
+        checks.append(check)
     passed = all(c["passed"] for c in checks)
     report = {"seed": seed, "trials": args.trials,
               "max_ci": max(c["ci"] for c in checks),

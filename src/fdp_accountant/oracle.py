@@ -1,10 +1,10 @@
 """Independent verification: exact worst-case constructions and Monte-Carlo
 tradeoff estimation for simulated noisy optimizers.
 
-The worst-case strongly convex pair is rank-1, so one-dimensional quadratic
-simulations capture it exactly; empirical curves are Neyman-Pearson estimates
-with Dvoretzky-Kiefer-Wolfowitz confidence bands and are reported as
-estimates, never as certified bounds.
+The worst-case pairs are rank-1 (N(0, v) against N(g, v), or a projected 1-d
+walk), so 1-d simulations and estimators capture them exactly; empirical
+curves are Neyman-Pearson estimates with Dvoretzky-Kiefer-Wolfowitz confidence
+bands and are reported as estimates, never as certified bounds.
 """
 
 from __future__ import annotations
@@ -56,17 +56,16 @@ def worst_case_gd_sc_mu(c: float, s: float, sigma: float, t: int) -> float:
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Quadratic simulation of a noisy optimizer pair, 1-d by default.
+    """One-dimensional quadratic simulation of a noisy optimizer pair.
 
     Every datum contributes gradient m*x; in the adjacent dataset the
-    perturbed index contributes m*x - L e_1 instead (the worst-case pair is
+    perturbed index contributes m*x - L instead (the worst-case pair is
     rank-1, so one dimension captures it exactly). Projection, when the
-    diameter is finite, is onto the centered interval or ball of that
-    diameter.
+    diameter is finite, is onto the centered interval of that diameter.
     """
 
+    dimension = 1  # not a field: bench/tracing.py reads it to count trial-steps
     kind: str = "gd"            # gd | cgd | sgd
-    dimension: int = 1          # the worst-case constructions are rank-1
     m: float = 1.0
     eta: float = 0.1
     sigma: float = 1.0          # noise rate in the update eta*(grad + sigma*xi)
@@ -82,7 +81,7 @@ class SimSpec:
     def __post_init__(self):
         if self.kind not in ("gd", "cgd", "sgd"):
             raise DomainError("kind must be gd, cgd or sgd")
-        for name in ("n", "b", "trials", "steps", "dimension"):
+        for name in ("n", "b", "trials", "steps"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                     or value < 1):
@@ -93,11 +92,13 @@ class SimSpec:
             raise DomainError("need eta, sigma and L >= 0")
         if not self.diameter > 0:  # a NaN diameter fails too
             raise DomainError(f"need diameter > 0 (inf: no projection), got {self.diameter}")
-        if self.kind != "gd":
+        if self.kind == "cgd":
             if self.n % self.b != 0:
-                raise DomainError("need b dividing n for batch variants")
+                raise DomainError("need b dividing n for cgd")
             if not 1 <= self.j_star <= self.n // self.b:
                 raise DomainError("j_star out of range")
+        if self.kind == "sgd" and self.b > self.n:
+            raise DomainError(f"need b <= n for sgd, got b={self.b}, n={self.n}")
 
 
 def _drifts(spec: SimSpec) -> np.ndarray:
@@ -112,15 +113,9 @@ def _drifts(spec: SimSpec) -> np.ndarray:
     return None  # drawn at each step, from the chunk's stream
 
 
-def _project(x: np.ndarray, half: float, ball: bool) -> None:
-    """Project each iterate of x onto the centered interval (ball=False: x
-    holds scalars) or the ball along the last axis (ball=True)."""
-    if not ball:
-        np.clip(x, -half, half, out=x)
-        return
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    # Rows inside the ball keep a factor of 1; only the others are divided.
-    x *= np.divide(half, norms, out=np.ones_like(norms), where=norms > half)
+def _project(x: np.ndarray, half: float) -> None:
+    """Project each iterate of x onto [-half, half], in place."""
+    np.clip(x, -half, half, out=x)
 
 
 def _run_chunk(spec: SimSpec, pair: np.ndarray, z: np.ndarray, seed) -> None:
@@ -137,9 +132,8 @@ def _run_chunk(spec: SimSpec, pair: np.ndarray, z: np.ndarray, seed) -> None:
     scale = spec.eta * spec.sigma
     half = spec.diameter / 2.0
     project = math.isfinite(spec.diameter)
-    ball = spec.dimension > 1
     drifts = _drifts(spec)
-    head = pair[1, ..., 0] if ball else pair[1]  # perturbation axis
+    perturbed = pair[1]
     for k in range(spec.steps):
         if spec.kind == "sgd":
             inc = rng.random(len(z)) < spec.b / spec.n
@@ -150,9 +144,9 @@ def _run_chunk(spec: SimSpec, pair: np.ndarray, z: np.ndarray, seed) -> None:
         z *= scale
         pair *= c_step
         pair -= z
-        head += drift
+        perturbed += drift
         if project:
-            _project(pair, half, ball)
+            _project(pair, half)
 
 
 def simulate(spec: SimSpec):
@@ -161,21 +155,19 @@ def simulate(spec: SimSpec):
     The two processes are coupled: at every step both take the same noise
     draw, so half as many random numbers are drawn. Each process on its own
     still has exactly its law, and a tradeoff curve depends only on the two
-    marginal laws; the DKW band of empirical_tradeoff is a union of one
-    event per sample set, so it holds under the coupling too. Without
-    projection a gd or cgd perturbed iterate is the baseline plus a fixed
-    drift, so one noise sample serves both laws.
+    marginal laws (empirical_tradeoff's band holds under the coupling).
+    Without projection a gd or cgd perturbed iterate is the baseline plus a
+    fixed drift, so one noise sample serves both laws.
 
     Trials run in chunks of _CHUNK, each from its own stream, spawned from
     the master seed, on a thread pool (NumPy releases the GIL while
     drawing). Each chunk depends only on its seed, so the output depends
     only on spec.seed, not on the number of workers.
     """
-    shape = (spec.trials,) if spec.dimension == 1 else (spec.trials, spec.dimension)
     # The large arrays are allocated here: memory that a worker thread frees
     # stays in that thread's malloc arena and adds to the peak RSS.
-    pair = np.zeros((2,) + shape)
-    noise = np.empty(shape)
+    pair = np.zeros((2, spec.trials))
+    noise = np.empty(spec.trials)
     starts = range(0, spec.trials, _CHUNK)
     seeds = np.random.SeedSequence(spec.seed).spawn(len(starts))
     tasks = [(pair[:, i:i + _CHUNK], noise[i:i + _CHUNK], seed)
@@ -207,48 +199,37 @@ DEFAULT_ALPHAS = np.linspace(0.01, 0.99, 197)
 
 
 def empirical_tradeoff(samples_p, samples_q, method: str = "exact-lr",
-                       loglr=None, alphas=None) -> EmpiricalCurve:
-    """Estimate the tradeoff curve T(P, Q) from samples of both laws.
+                       alphas=None) -> EmpiricalCurve:
+    """Estimate the tradeoff curve T(P, Q) from 1-d samples of both laws
+    (arrays of any shape are raveled).
 
-    exact-lr thresholds a supplied monotone likelihood-ratio statistic
-    (identity by default, valid for location families); histogram-lr builds a
-    1-d histogram density-ratio test (Freedman-Diaconis bins with a floor,
-    99% confidence band inflated 1.5x for the density estimation).
+    exact-lr thresholds the samples themselves, the likelihood-ratio
+    statistic of a location family such as the Gaussian worst-case pair;
+    histogram-lr builds a histogram density-ratio test (Freedman-Diaconis
+    bins with a floor, 99% confidence band inflated 1.5x for the density
+    estimation).
 
-    The two sample sets may be coupled, as simulate's pairs are: the band
-    dkw(n_p) + dkw(n_q) is a union of two DKW events, each about one set's
-    own empirical CDF, so it holds whatever the joint law of the sets.
-    histogram-lr fits its bins on the first half of each set and estimates
-    the errors on the second. In a coupled pair of equal sizes the halves
-    hold disjoint trials, and trials are independent, so the eval samples
-    stay independent of the fitted bins.
+    The two sample sets may be coupled, as simulate's pairs are: the band is
+    a union of two DKW events, each about one set's own empirical CDF, so it
+    holds whatever the joint law of the sets. histogram-lr fits its bins on
+    the first half of each set and estimates the errors on the second; in a
+    coupled pair of equal sizes the halves hold disjoint, independent
+    trials, so the eval samples stay independent of the fitted bins.
     """
-    samples_p = np.asarray(samples_p, dtype=float)
-    samples_q = np.asarray(samples_q, dtype=float)
-    if samples_p.size == 0 or samples_q.size == 0:
+    samples_p = np.asarray(samples_p, dtype=float).ravel()
+    samples_q = np.asarray(samples_q, dtype=float).ravel()
+    n_p, n_q = samples_p.size, samples_q.size
+    if n_p == 0 or n_q == 0:
         raise DomainError("both sample sets must be nonempty")
-    multivariate = samples_p.ndim > 1 and samples_p.shape[-1] > 1
-    if multivariate and method != "exact-lr":
-        raise DomainError("histogram-lr supports one-dimensional samples only")
-    if multivariate and loglr is None:
-        raise DomainError("multivariate samples need an explicit loglr statistic")
-    if not multivariate:
-        samples_p = samples_p.ravel()
-        samples_q = samples_q.ravel()
-    n_p = samples_p.shape[0]
-    n_q = samples_q.shape[0]
     alphas = DEFAULT_ALPHAS if alphas is None else np.asarray(alphas, dtype=float)
     if not np.all((alphas >= 0.0) & (alphas <= 1.0)):  # NaN fails too
         raise DomainError("alphas must lie in [0, 1]")
     ci = dkw_halfwidth(n_p) + dkw_halfwidth(n_q)
 
     if method == "exact-lr":
-        stat_p = samples_p if loglr is None else np.asarray(loglr(samples_p))
-        stat_q = samples_q if loglr is None else np.asarray(loglr(samples_q))
-        # Reject (declare Q) above the alpha-quantile threshold of P's statistic.
-        thresholds = np.quantile(stat_p, 1.0 - alphas)
-        stat_q_sorted = np.sort(stat_q)
-        betas = np.searchsorted(stat_q_sorted, thresholds, side="right") / n_q
+        # Reject (declare Q) above the alpha-quantile threshold of P's samples.
+        thresholds = np.quantile(samples_p, 1.0 - alphas)
+        betas = np.searchsorted(np.sort(samples_q), thresholds, side="right") / n_q
         return EmpiricalCurve(alphas, betas, ci)
 
     if method == "histogram-lr":
@@ -285,10 +266,9 @@ def empirical_tradeoff(samples_p, samples_q, method: str = "exact-lr",
 
 
 def curve_margin(emp: EmpiricalCurve, reference) -> float:
-    """min over the grid of emp - (reference - ci); >= 0 means the reference
-    lower bound is not violated empirically."""
-    ref = reference(emp.alphas) if callable(reference) else np.asarray(reference)
-    return float(np.min(emp.values - (ref - emp.ci_halfwidth)))
+    """min over the grid of emp - (reference - ci), reference being values on
+    emp.alphas; >= 0 means that lower bound is not violated empirically."""
+    return float(np.min(emp.values - (np.asarray(reference) - emp.ci_halfwidth)))
 
 
 def check_gdpinf(s: float, sigma: float, w_law, n_trials: int, seed: int = 0,

@@ -473,13 +473,3 @@ def _add_narrow_head(rest: PrvGrid, mu: float, eps_list, deltas) -> list:
             d = min(max(d + float(np.dot(rest.pmf[lo:hi], gap)), 0.0), 1.0)
         out.append(d)
     return out
-
-
-def delta_table_rows(composite, eps_list):
-    """(eps, delta, uncertainty) rows for CSV export; uncertainty is the
-    discretization heuristic of the DEFAULT_MESH lattice, 0.5 * mesh^2 (the
-    midpoint rule's second-order scale; halving the mesh should move delta
-    by at most about 4x this value)."""
-    pairs = evaluate_composite(composite, eps_list)
-    unc = 0.5 * DEFAULT_MESH ** 2
-    return [(e, d, unc) for e, d in pairs]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fdp_accountant import accountant as acct
-from fdp_accountant import cli, oracle
+from fdp_accountant import cli, oracle, prv
 from fdp_accountant.tradeoff import TradeoffCurve, alpha_grid, curve_of_gdp
 
 
@@ -257,7 +257,7 @@ def test_verify_fails_on_a_tampered_simulation(capsys, monkeypatch, tamper,
         monkeypatch.setattr(oracle, "_run_chunk", lambda spec, *task: run_chunk(
             dataclasses.replace(spec, m=spec.m / 2), *task))
     else:                   # the iterates are never projected
-        monkeypatch.setattr(oracle, "_project", lambda x, half, ball: None)
+        monkeypatch.setattr(oracle, "_project", lambda x, half: None)
     code, _, err = run(capsys, "verify", "--trials", str(trials), "--seed", "0")
     assert code == 4
     assert f"FAIL  {failing} " in err
@@ -277,6 +277,19 @@ def test_verify_rejects_bad_trials_and_seed_up_front(argv, flag, capsys,
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+def test_verify_rejects_trials_at_which_a_check_could_not_fail(capsys):
+    # At 64 trials the gd-proj-one-sided band (0.863) reaches the largest
+    # value of its reference G(0.559) on the grid (0.861), so no simulated
+    # curve could fail that check; at 65 the band is 0.850.
+    code, out, err = run(capsys, "verify", "--trials", "64")
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err and "gd-proj-one-sided" in err
+    code, out, _ = run(capsys, "verify", "--trials", "65")
+    assert code == 0
+    assert json.loads(out)["trials"] == 65
 
 
 def test_verify_deterministic_reruns(tmp_path, capsys):
@@ -407,6 +420,20 @@ def test_bound_curve_ref_and_csv_outputs(tmp_path, capsys):
     lines = table_path.read_text().splitlines()
     assert lines[0] == "eps,delta,uncertainty"
     assert len(lines) == 3
+
+
+def test_bound_sgd_csv_rows_are_the_json_deltas_with_the_mesh_heuristic(
+        tmp_path, capsys):
+    argv = ("bound", *SGD_SC, "--tau", "30", "--eps", "0.5", "--eps", "1.0")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    pairs = json.loads(out)["delta_at_eps"]
+    path = tmp_path / "deltas.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    unc = 0.5 * prv.DEFAULT_MESH ** 2
+    assert path.read_text() == "eps,delta,uncertainty\n" + "".join(
+        f"{p['eps']:.17g},{p['delta']:.17g},{unc:.17g}\n" for p in pairs)
 
 
 def test_bound_sgd_composition_mode(capsys):

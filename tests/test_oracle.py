@@ -37,8 +37,9 @@ def test_simulate_is_deterministic(monkeypatch):
 def _expression_simulate(spec: oracle.SimSpec):
     """simulate with each step as a fresh expression, c x - s z, for each
     process on its own: one stream per chunk, whose draws are (for sgd) the
-    inclusions, then one z that both x and y take. The threaded in-place
-    loop on the stacked pair must reproduce it bit for bit."""
+    inclusions, then one z that both x and y take, then a clip onto the
+    interval. The threaded in-place loop on the stacked pair must reproduce
+    it bit for bit."""
     n_chunks = (spec.trials + oracle._CHUNK - 1) // oracle._CHUNK
     seeds = np.random.SeedSequence(spec.seed).spawn(n_chunks)
     xs, ys = [], []
@@ -47,25 +48,19 @@ def _expression_simulate(spec: oracle.SimSpec):
         rng = np.random.default_rng(seed)
         c, s = 1.0 - spec.eta * spec.m, spec.eta * spec.sigma
         drifts = oracle._drifts(spec)
-        shape = (n,) if spec.dimension == 1 else (n, spec.dimension)
-        ball = spec.dimension > 1
-        x, y = np.zeros(shape), np.zeros(shape)
+        half = spec.diameter / 2.0
+        x, y = np.zeros(n), np.zeros(n)
         for k in range(spec.steps):
             if spec.kind == "sgd":
                 inc = rng.random(n) < spec.b / spec.n
                 drift = np.where(inc, spec.eta * spec.L / spec.b, 0.0)
             else:
                 drift = spec.eta * drifts[k]
-            z = rng.standard_normal(shape)
+            z = rng.standard_normal(n)
             x = c * x - s * z
-            y = c * y - s * z
-            if spec.dimension == 1:
-                y += drift
-            else:
-                y[:, 0] += drift
+            y = c * y - s * z + drift
             if math.isfinite(spec.diameter):
-                oracle._project(x, spec.diameter / 2.0, ball)
-                oracle._project(y, spec.diameter / 2.0, ball)
+                x, y = np.clip(x, -half, half), np.clip(y, -half, half)
         xs.append(x)
         ys.append(y)
     return np.concatenate(xs), np.concatenate(ys)
@@ -77,13 +72,12 @@ def _mixed_spec(**kw):
                              **kw})
 
 
-@pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("diameter", [math.inf, 1.5])
 @pytest.mark.parametrize("kind", ["gd", "cgd", "sgd"])
 def test_simulate_in_place_matches_the_expression_form(monkeypatch, kind,
-                                                       diameter, dimension):
+                                                       diameter):
     monkeypatch.setattr(oracle, "_CHUNK", 700)   # three chunks, one partial
-    spec = _mixed_spec(kind=kind, dimension=dimension, diameter=diameter)
+    spec = _mixed_spec(kind=kind, diameter=diameter)
     x, y = oracle.simulate(spec)
     want_x, want_y = _expression_simulate(spec)
     assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
@@ -92,7 +86,7 @@ def test_simulate_in_place_matches_the_expression_form(monkeypatch, kind,
 @pytest.mark.parametrize("cpus", [1, None, 64])
 def test_simulate_does_not_depend_on_the_worker_count(monkeypatch, cpus):
     monkeypatch.setattr(oracle, "_CHUNK", 700)
-    spec = _mixed_spec(kind="sgd", dimension=2, diameter=1.5)
+    spec = _mixed_spec(kind="sgd", diameter=1.5)
     x, y = oracle.simulate(spec)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     x1, y1 = oracle.simulate(spec)
@@ -117,7 +111,7 @@ def test_simulate_baseline_does_not_read_L(monkeypatch, kind):
     ("diameter", math.nan), ("diameter", 0.0), ("diameter", -1.0),
     ("n", 0), ("n", -4), ("n", 2.0), ("b", 0), ("b", -2),
     ("trials", 0), ("trials", 1.5), ("trials", True), ("steps", 0),
-    ("steps", 2.5), ("dimension", 0), ("dimension", 1.5),
+    ("steps", 2.5),
 ])
 def test_simspec_rejects_bad_numbers(field, value):
     with pytest.raises(DomainError):
@@ -126,21 +120,20 @@ def test_simspec_rejects_bad_numbers(field, value):
 
 @pytest.mark.parametrize("kind,counts", [
     ("cgd", dict(b=0)), ("sgd", dict(b=0)), ("cgd", dict(n=0)),
-    ("sgd", dict(n=-4, b=-2)), ("sgd", dict(n=4.0, b=2)),
-], ids=["cgd-b0", "sgd-b0", "cgd-n0", "sgd-n-4-b-2", "sgd-n-float"])
+    ("sgd", dict(n=-4, b=-2)), ("sgd", dict(n=4.0, b=2)), ("sgd", dict(n=3, b=10)),
+], ids=["cgd-b0", "sgd-b0", "cgd-n0", "sgd-n-4-b-2", "sgd-n-float", "sgd-b-above-n"])
 def test_simspec_rejects_bad_batch_counts(kind, counts):
     # Before the integer checks these divided by zero, or (n=-4, b=-2) ran
-    # with an inclusion probability of 0.5.
+    # with an inclusion probability of 0.5; no batch of b > n can be drawn.
     with pytest.raises(DomainError):
         oracle.SimSpec(kind=kind, **counts)
 
 
 @pytest.mark.parametrize("kind", ["gd", "cgd"])
-@pytest.mark.parametrize("dimension", [1, 2])
-def test_coupled_pair_differs_by_the_drift(kind, dimension):
+def test_coupled_pair_differs_by_the_drift(kind):
     # Both processes take the same noise, so without projection y - x is
-    # the drift alone: sum over k of c^(t-k) eta drift_k, on the first axis.
-    spec = _mixed_spec(kind=kind, dimension=dimension, trials=3000)
+    # the drift alone: sum over k of c^(t-k) eta drift_k.
+    spec = _mixed_spec(kind=kind, trials=3000)
     x, y = oracle.simulate(spec)
     c = 1.0 - spec.eta * spec.m
     k = np.arange(1, spec.steps + 1)
@@ -149,19 +142,7 @@ def test_coupled_pair_differs_by_the_drift(kind, dimension):
     hit = np.ones(spec.steps, bool) if kind == "gd" else (k - 1) % l + 1 == spec.j_star
     gap = float(np.sum(c ** (spec.steps - k) * spec.eta * drift * hit))
     assert gap > 0.1
-    diff = (y - x) if dimension == 1 else (y - x)[:, 0]
-    assert np.max(np.abs(diff - gap)) <= 1e-12
-    if dimension > 1:
-        assert not (y - x)[:, 1:].any()
-
-
-def test_simulate_projects_a_zero_row_without_dividing_by_it():
-    # Both processes stay at the origin, whose norm is 0: projecting onto
-    # the ball must leave it there without a divide-by-zero warning.
-    spec = oracle.SimSpec(kind="gd", dimension=2, sigma=0.0, L=0.0,
-                          diameter=1.0, trials=50)
-    x, y = oracle.simulate(spec)
-    assert not x.any() and not y.any()
+    assert np.max(np.abs((y - x) - gap)) <= 1e-12
 
 
 def test_simulate_moments_match_closed_form():
@@ -195,6 +176,23 @@ def test_simulate_batch_variants():
     assert np.isfinite(xp).all() and np.isfinite(xq).all()
     with pytest.raises(DomainError):
         oracle.SimSpec(kind="cgd", n=5, b=2)
+
+
+def test_sgd_batches_need_not_divide_n():
+    # Uniform batches of b = 3 from n = 10: each step includes the perturbed
+    # index w.p. 0.3 and then shifts it by eta L / b, so without projection
+    # y - x = sum_k c^(t-k) (eta L / b) I_k, I_k ~ Bernoulli(b / n).
+    spec = oracle.SimSpec(kind="sgd", m=0.5, eta=0.1, L=1.0, n=10, b=3,
+                          steps=20, trials=20_000, seed=2)
+    x, y = oracle.simulate(spec)
+    assert x.shape == y.shape == (20_000,)
+    c, p = 1.0 - spec.eta * spec.m, spec.b / spec.n
+    weights = c ** (spec.steps - np.arange(1, spec.steps + 1))
+    mean = spec.eta * spec.L / spec.n * weights.sum()
+    sd = spec.eta * spec.L / spec.b * math.sqrt(p * (1 - p) * (weights ** 2).sum())
+    assert float(np.mean(y - x)) == pytest.approx(
+        mean, abs=6 * sd / math.sqrt(spec.trials))
+    assert float(np.var(y - x)) == pytest.approx(sd * sd, rel=0.05)
 
 
 def test_empirical_tradeoff_identical_is_identity():
@@ -346,25 +344,3 @@ def test_optimal_schedule_qp_matches_closed_form(c):
     val, a = optimal_schedule_qp(1.0, np.full(8, s), z_tau=D)
     assert val == pytest.approx(8 * (s + D / 8) ** 2, rel=1e-9)
     assert np.max(np.abs(a - (s + D / 8))) <= 1e-6 * s
-
-
-def test_multivariate_simulation_and_estimation():
-    spec = oracle.SimSpec(dimension=3, m=1.0, eta=0.1, sigma=1.0, L=0.5,
-                          steps=25, trials=120_000, seed=4)
-    xp, xq = oracle.simulate(spec)
-    assert xp.shape == (120_000, 3)
-    # the perturbation lives on the first axis; it is a sufficient statistic
-    emp = oracle.empirical_tradeoff(xp, xq, method="exact-lr",
-                                    loglr=lambda s: s[:, 0], alphas=GRID)
-    mu = oracle.worst_case_gd_sc_mu(0.9, 0.1 * 0.5, 0.1 * 1.0, 25)
-    assert np.max(np.abs(emp.values - tc.gdp_eval(mu, GRID))) <= emp.ci_halfwidth
-    with pytest.raises(DomainError):
-        oracle.empirical_tradeoff(xp, xq, method="histogram-lr")
-    with pytest.raises(DomainError):
-        oracle.empirical_tradeoff(xp, xq, method="exact-lr")
-    # ball projection keeps iterates inside the constraint set
-    proj = oracle.SimSpec(dimension=2, m=0.0, eta=0.1, sigma=2.0, L=0.5,
-                          steps=20, trials=5_000, seed=4, diameter=1.0)
-    yp, yq = oracle.simulate(proj)
-    assert np.max(np.linalg.norm(yp, axis=1)) <= 0.5 + 1e-12
-    assert np.max(np.linalg.norm(yq, axis=1)) <= 0.5 + 1e-12

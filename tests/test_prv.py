@@ -778,15 +778,6 @@ def test_composed_subsampled_approaches_clt_limit():
     assert gaps[1] < gaps[0]
 
 
-def test_delta_table_rows():
-    cb = acc.CompositeBound((acc.GdpFactor(1.0),))
-    rows = prv.delta_table_rows(cb, [0.0, 1.0])
-    assert len(rows) == 2
-    eps, delta, unc = rows[0]
-    assert delta == pytest.approx(cv.gdp_to_delta(1.0, 0.0), abs=1e-5)
-    assert unc > 0
-
-
 def test_convolve_rejects_unequal_meshes():
     a = prv.prv_of_gdp(1.0, mesh=1e-3)
     for mesh in (5e-4, 3e-4):
