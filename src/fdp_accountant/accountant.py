@@ -80,13 +80,15 @@ class AlgoParams:
             raise DomainError("gradient sensitivity L must be >= 0")
         if self.eta < 0:
             raise DomainError("learning rate eta must be >= 0")
+        if self.M < 0:
+            raise DomainError("smoothness modulus M must be >= 0")
         if self.b is None:
-            object.__setattr__(self, "b", self.n if self.kind == GD else None)
-        if self.b is not None and not 1 <= self.b <= self.n:
+            if self.kind != GD:
+                raise DomainError(f"{self.kind} runs need a batch size b")
+            object.__setattr__(self, "b", self.n)
+        if not 1 <= self.b <= self.n:
             raise DomainError("batch size b must satisfy 1 <= b <= n")
         if self.kind == CGD:
-            if self.b is None:
-                raise DomainError("cyclic batches need a batch size b")
             if self.n % self.b != 0:
                 raise DomainError("cyclic batches need n divisible by b")
             l = self.n // self.b
@@ -104,7 +106,7 @@ class AlgoParams:
     @property
     def l(self) -> int:
         """Batches per epoch, n / b."""
-        if self.b is None or self.n % self.b != 0:
+        if self.n % self.b != 0:
             raise DomainError("batches per epoch undefined unless b divides n")
         return self.n // self.b
 
@@ -131,8 +133,10 @@ class AlgoParams:
             raise DomainError("strongly convex bounds need modulus m > 0; "
                               "use the constrained convex bound for merely "
                               "convex losses")
-        if not math.isfinite(self.M) or not 0.0 < self.eta < 2.0 / self.M:
-            raise DomainError("strongly convex bounds need 0 < eta < 2/M")
+        # eta M < 2 rather than eta < 2/M: M = 0 (a linear loss) is valid.
+        if not math.isfinite(self.M) or not (0.0 < self.eta
+                                             and self.eta * self.M < 2.0):
+            raise DomainError("strongly convex bounds need 0 < eta and eta M < 2")
         c = self.contraction()
         if c >= 1.0:
             raise DomainError("contraction factor is >= 1; use the constrained "
@@ -142,8 +146,9 @@ class AlgoParams:
     def require_constrained(self) -> None:
         if not math.isfinite(self.D) or self.D < 0:
             raise DomainError("constrained bounds need a finite diameter D >= 0")
-        if not math.isfinite(self.M) or not 0.0 <= self.eta <= 2.0 / self.M:
-            raise DomainError("constrained bounds need 0 <= eta <= 2/M")
+        if not math.isfinite(self.M) or not (0.0 <= self.eta
+                                             and self.eta * self.M <= 2.0):
+            raise DomainError("constrained bounds need 0 <= eta and eta M <= 2")
 
     def to_dict(self) -> dict:
         """Parameters as a JSON-ready document; infinities become None."""
@@ -390,10 +395,13 @@ def bound_sgd_proj(p: AlgoParams, tau: int) -> CompositeBound:
 
 def _clt_inner(mu: float) -> float:
     """e^{mu^2} Phi(1.5 mu) + 3 Phi(-0.5 mu) - 2, clipped at 0 (it vanishes
-    at mu = 0 and is increasing)."""
-    val = (math.exp(mu * mu + float(normal.log_cdf(1.5 * mu)))
-           + 3.0 * float(normal.cdf(-0.5 * mu)) - 2.0)
-    return max(val, 0.0)
+    at mu = 0 and is increasing); +inf once e^{mu^2} overflows, for mu above
+    about 26.6."""
+    try:
+        grow = math.exp(mu * mu + normal.log_cdf(1.5 * mu))
+    except OverflowError:
+        return math.inf
+    return max(grow + 3.0 * float(normal.cdf(-0.5 * mu)) - 2.0, 0.0)
 
 
 def clt_subsampled(mu: float, p: float, t: int) -> float:
@@ -407,6 +415,13 @@ def clt_subsampled(mu: float, p: float, t: int) -> float:
 def clt_sgd_sc(p: AlgoParams):
     """CLT-approximate strongly convex SGD bound with the window length
     optimized in closed form. Returns (t_minus_tau, mu)."""
+    w = _clt_sgd_sc_window(p)
+    return w, _clt_sgd_sc_mu(p, w)
+
+
+def _clt_sgd_sc_window(p: AlgoParams) -> float:
+    """clt_sgd_sc's window t - tau, unrounded: -inf where the CLT term
+    overflows."""
     c = p.require_strongly_convex()
     if c == 0:
         raise DomainError("CLT window is degenerate for contraction c = 0")
@@ -417,8 +432,7 @@ def clt_sgd_sc(p: AlgoParams):
     log_inv_c = math.log(1.0 / c)
     arg = (p.b ** 2 * p.sigma * (1.0 - c) * math.sqrt(K)
            / (2.0 * math.sqrt(2.0) * p.n * p.L * math.sqrt(log_inv_c)))
-    w = -math.log(arg) / log_inv_c - 1.0
-    return w, _clt_sgd_sc_mu(p, w)
+    return -math.log(arg) / log_inv_c - 1.0
 
 
 def _clt_sgd_sc_mu(p: AlgoParams, w: float) -> float:
@@ -432,14 +446,20 @@ def _clt_sgd_sc_mu(p: AlgoParams, w: float) -> float:
 def clt_sgd_proj(p: AlgoParams):
     """CLT-approximate constrained convex SGD bound with the window length
     optimized in closed form. Returns (t_minus_tau, mu)."""
+    w, K = _clt_sgd_proj_window(p)
+    return w, _clt_sgd_proj_mu(p, w, K)
+
+
+def _clt_sgd_proj_window(p: AlgoParams):
+    """clt_sgd_proj's window t - tau, unrounded, and its CLT term K: w = 0
+    where K overflows."""
     p.require_constrained()
     if p.D == 0 or p.eta == 0:
         raise DomainError("CLT window is degenerate for D = 0 or eta = 0")
     K = _clt_inner(2.0 * math.sqrt(2.0) * p.L / (p.b * p.sigma))
     if K <= 0:
         raise DomainError("degenerate sensitivity: CLT term vanishes")
-    w = p.D * p.n / (p.b * p.eta * p.sigma * math.sqrt(K))
-    return w, _clt_sgd_proj_mu(p, w, K)
+    return p.D * p.n / (p.b * p.eta * p.sigma * math.sqrt(K)), K
 
 
 def _clt_sgd_proj_mu(p: AlgoParams, w: float, K: float) -> float:
@@ -504,7 +524,7 @@ def expmech_pure_dp_threshold() -> float:
     """
     def gap(x: float) -> float:
         r = math.sqrt(x)
-        return 2.0 * x - (float(normal.log_cdf(r)) - float(normal.log_cdf(-r)))
+        return 2.0 * x - (normal.log_cdf(r) - normal.log_cdf(-r))
 
     lo, hi = 1e-4, 4.0
     if gap(lo) >= 0 or gap(hi) <= 0:
@@ -532,16 +552,20 @@ def crossover_step(convergent_mu: float, composition_rate: float) -> int:
 
 def _window_start(p: AlgoParams, setting: str) -> int:
     """The CLT window t - tau of the setting's SGD bound (clt_sgd_sc or
-    clt_sgd_proj), rounded into [1, t]."""
+    clt_sgd_proj), clamped into [1, t], then rounded. Only the window is
+    formed, not the CLT mu, which can overflow where the window does not."""
     try:
-        w, _ = clt_sgd_sc(p) if setting == "sc" else clt_sgd_proj(p)
+        w = (_clt_sgd_sc_window(p) if setting == "sc"
+             else _clt_sgd_proj_window(p)[0])
     except DomainError:
         # With no head factor (proj D = 0, sc c = 0) delta grows with the
         # window. L = 0 makes the CLT term vanish: a proj delta then falls
         # with the window, and an sc delta is the same at every window.
         # Invalid parameters raise again when the first window is built.
         w = p.t if setting == "proj" and p.D != 0 else 1
-    return min(max(1, round(w)), p.t)
+    # An overflowed CLT term gives w = -inf (sc) or 0 (proj), and inf / inf
+    # gives nan: each starts at w = 1, the window's limit as the term grows.
+    return round(min(w, p.t)) if w >= 1 else 1
 
 
 def _search_windows(t: int, w0: int, columns: int, evaluate,

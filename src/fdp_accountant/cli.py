@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from . import accountant as acct
 from . import conversions as conv
-from .errors import AccuracyError, DomainError, VerificationError
+from .errors import AccuracyError, DomainError
 
 if TYPE_CHECKING:
     from .tradeoff import TradeoffCurve
@@ -143,6 +143,7 @@ def cmd_bound(args) -> int:
     if params.kind == "sgd":
         from . import prv  # deferred: only sgd bounds need SciPy's FFT
         eps_list = args.eps or [1.0]
+        pairs = None
         if mode == "composition":
             cb = acct.bound_sgd_composition(params)
         else:
@@ -151,13 +152,16 @@ def cmd_bound(args) -> int:
             tau = args.tau
             if tau is None:
                 # The bound holds for every window: take the sweep's best at
-                # the first eps.
-                tau = acct.sweep_tau(params, eps_list,
-                                     setting=setting)["best"][0]["tau"]
+                # the first eps, and the deltas of its row.
+                sweep = acct.sweep_tau(params, eps_list, setting=setting)
+                tau = sweep["best"][0]["tau"]
+                pairs = list(zip(sweep["eps"],
+                                 sweep["deltas"][sweep["taus"].index(tau)]))
             cb = builder(params, tau)
             report["tau"] = tau
         report["composite"] = cb.describe()
-        pairs = prv.evaluate_composite(cb, eps_list)
+        if pairs is None:
+            pairs = prv.evaluate_composite(cb, eps_list)
         if args.out and args.out.endswith(".csv"):
             # The uncertainty column is a heuristic, not a certified width:
             # 0.5 mesh^2 is the midpoint rule's second-order scale on the
@@ -219,13 +223,11 @@ def cmd_convert(args) -> int:
             rows.append({"notion_from": "gdp", "notion_to": "rdp",
                          "inputs": {"mu": args.mu, "alpha": a},
                          "output": conv.gdp_to_rdp(args.mu, a)})
-    elif args.conversion == "rdp-to-epsdelta":
+    else:  # rdp-to-epsdelta: argparse's choices admit no other
         for d in args.delta or [1e-5]:
             rows.append({"notion_from": "rdp", "notion_to": "eps-delta",
                          "inputs": {"rho": args.rho, "delta": d},
                          "output": conv.rdp_to_epsdelta(args.rho, d)})
-    else:
-        raise DomainError(f"unknown conversion {args.conversion!r}")
     _write_json(rows, args.out)
     return EXIT_OK
 
@@ -530,9 +532,6 @@ def main(argv=None) -> int:
     except AccuracyError as exc:
         sys.stderr.write(f"accuracy budget exceeded: {exc}\n")
         return EXIT_ACCURACY
-    except VerificationError as exc:
-        sys.stderr.write(f"verification failed: {exc}\n")
-        return EXIT_VERIFICATION
     except (DomainError, ValueError, OSError) as exc:
         sys.stderr.write(f"invalid request: {exc}\n")
         return EXIT_VALIDATION

@@ -2,9 +2,10 @@
 
 A float (Python or NumPy) is evaluated on the standard library: `cdf` and
 `log_cdf` with math.erf/erfc, and the quantile `inv_upper` with
-statistics.NormalDist (AS241). Arrays go through scipy.special's erfc-based
-routines. SciPy, and with it NumPy, is imported on first use, so a request
-that passes only floats loads neither. The upper tail 1 - Phi(x) is
+statistics.NormalDist (AS241). `log_cdf` takes floats only, as every caller
+passes one; arrays given to `cdf` and `inv_upper` go through scipy.special's
+ndtr and ndtri. SciPy, and with it NumPy, is imported on first use, so a
+request that passes only floats loads neither. The upper tail 1 - Phi(x) is
 `cdf(-x)`. Arguments as large as |x| ~ 40 show up in intermediate
 compositions, so anything that can underflow goes through the log-space
 variants.
@@ -46,8 +47,16 @@ def _ndtr(x: float) -> float:
     return 1.0 - y if z > 0 else y
 
 
-def _log_ndtr(x: float) -> float:
-    """log Phi(x) for a scalar; nan stays nan and -inf maps to -inf."""
+def cdf(x):
+    """Phi(x)."""
+    if isinstance(x, float):
+        return _ndtr(x)
+    return _special().ndtr(x)
+
+
+def log_cdf(x: float) -> float:
+    """log Phi(x) for a float, accurate down to Phi(x) ~ exp(-800); nan stays
+    nan and -inf maps to -inf."""
     if x <= _ERFC_LOG_MIN:
         # Mills ratio: Phi(x) = phi(x)/(-x) (1 - 1/x^2 + 3/x^4 - ...); with
         # x^2 >= 1369 the first term left out is below 1e-20.
@@ -60,20 +69,6 @@ def _log_ndtr(x: float) -> float:
     if x <= -1.0:
         return math.log(0.5 * math.erfc(-x * _SQRT1_2))
     return math.log1p(-0.5 * math.erfc(x * _SQRT1_2))
-
-
-def cdf(x):
-    """Phi(x)."""
-    if isinstance(x, float):
-        return _ndtr(x)
-    return _special().ndtr(x)
-
-
-def log_cdf(x):
-    """log Phi(x), accurate down to Phi(x) ~ exp(-800)."""
-    if isinstance(x, float):
-        return _log_ndtr(x)
-    return _special().log_ndtr(x)
 
 
 def inv_upper(alpha):

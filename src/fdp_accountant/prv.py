@@ -93,6 +93,9 @@ _OLA_RATIO = 8  # convolve overlap-adds above this ratio of lattice lengths
 # self_compose: a spectrum bin with k log|fa| below this is 0 after the k-th
 # power (the smallest subnormal double is e^-744.4).
 _LOG_UNDERFLOW = -760.0
+# Cap on the points of any lattice, self-composition window or convolution
+# (256 MiB of float64), checked before each is allocated (_check_points).
+MAX_LATTICE_POINTS = 2 ** 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,16 +136,30 @@ class PrvGrid:
         return float(np.dot(self.grid(), self.pmf))
 
     def var(self) -> float:
-        g = self.grid()
-        m = float(np.dot(g, self.pmf))
-        return float(np.dot((g - m) ** 2, self.pmf))
+        return float(np.dot((self.grid() - self.mean()) ** 2, self.pmf))
 
 
 def _aligned_range(lo: float, hi: float, mesh: float):
-    """Snap [lo, hi] outward to lattice indices, always covering 0."""
-    i_lo = min(math.floor(lo / mesh), -1)
-    i_hi = max(math.ceil(hi / mesh), 1)
+    """Snap [lo, hi] outward to lattice indices, always covering 0.
+
+    A span that is not finite, or that holds more than MAX_LATTICE_POINTS
+    points, raises ConfigurationError.
+    """
+    a, b = lo / mesh, hi / mesh
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigurationError(
+            f"lattice span [{lo:g}, {hi:g}] at mesh {mesh:g} is not finite")
+    i_lo = min(math.floor(a), -1)
+    i_hi = max(math.ceil(b), 1)
+    _check_points(i_hi - i_lo + 1)
     return i_lo, i_hi
+
+
+def _check_points(points: int) -> None:
+    if points > MAX_LATTICE_POINTS:
+        raise ConfigurationError(
+            f"lattice of {points} points exceeds the limit of "
+            f"{MAX_LATTICE_POINTS}")
 
 
 def _masses(F, S):
@@ -210,7 +227,9 @@ def prv_of_subsampled_gdp(mu: float, p: float,
     # log(1 - p + p e^e) (module docstring): F(t_lo) = Phibar(12) exactly and
     # S(t_hi) <= Phibar(12), with equality at p = 1.
     log_q = math.log1p(-p) if p < 1.0 else -math.inf  # log(1 - p)
-    e_cut = mu * _STD_SPAN + np.array([-0.5, 0.5]) * mu * mu
+    # In floats, so that a huge mu overflows to inf without a warning.
+    half = 0.5 * mu * mu
+    e_cut = np.array([mu * _STD_SPAN - half, mu * _STD_SPAN + half])
     t_neg, t_hi = np.logaddexp(log_q, math.log(p) + e_cut)
     i_lo, i_hi = _aligned_range(-float(t_neg), float(t_hi), mesh)
     # Split where neither tail exceeds 3/4 (module docstring).
@@ -246,11 +265,15 @@ def convolve(a: PrvGrid, b: PrvGrid) -> PrvGrid:
 
     Both PRVs must live on the same mesh. One FFT of the full length, unless
     one lattice has more than _OLA_RATIO times the points of the other: then
-    overlap-add, in FFT blocks sized for the shorter one.
+    overlap-add, in FFT blocks sized for the shorter one. Overlap-add is kept
+    for accuracy, not speed: FFT round-off is absolute, on the scale of the
+    largest mass of the transform, and each block confines it to its own
+    points, so the tail blocks where small deltas are read stay clean.
     """
     if a.mesh != b.mesh:
         raise DomainError(f"cannot convolve PRVs on meshes {a.mesh} and {b.mesh}")
     n = a.pmf.size + b.pmf.size - 1
+    _check_points(n)
     short, long = sorted((a.pmf, b.pmf), key=len)
     if long.size > _OLA_RATIO * short.size:
         out = _overlap_add(long, short)

@@ -24,6 +24,7 @@ from . import normal
 from .errors import DomainError, InvalidCurveError
 
 DEFAULT_GRID_SIZE = 10_001
+MAX_GRID_SIZE = 10 ** 6  # about 8 MB per array of the curve
 # Geometric tail refinement: Phi^{-1} blows up at alpha in {0, 1} and the
 # (eps, delta) conversions are driven by exactly those regions.
 TAIL_FLOOR = 1e-12
@@ -43,18 +44,16 @@ def alpha_grid(grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
 
     The grid is built once per size and shared, so it is returned read-only.
     """
-    if grid_size < 3:
-        raise DomainError(f"grid_size must be >= 3, got {grid_size}")
+    if not 3 <= grid_size <= MAX_GRID_SIZE:
+        raise DomainError(
+            f"grid_size must lie in [3, {MAX_GRID_SIZE}], got {grid_size}")
     base = np.linspace(0.0, 1.0, grid_size)
+    # The uniform mesh is at least 1e-6, six decades above TAIL_FLOOR.
     mesh = 1.0 / (grid_size - 1)
-    if mesh <= TAIL_FLOOR:
-        grid = base
-    else:
-        decades = math.log10(mesh / TAIL_FLOOR)
-        n_tail = max(2, int(math.ceil(decades * TAIL_POINTS_PER_DECADE)))
-        tail = np.geomspace(TAIL_FLOOR, mesh, n_tail)
-        grid = np.unique(np.concatenate([base, tail, 1.0 - tail]))
-        grid[0], grid[-1] = 0.0, 1.0
+    n_tail = math.ceil(math.log10(mesh / TAIL_FLOOR) * TAIL_POINTS_PER_DECADE)
+    tail = np.geomspace(TAIL_FLOOR, mesh, n_tail)
+    grid = np.unique(np.concatenate([base, tail, 1.0 - tail]))
+    grid[0], grid[-1] = 0.0, 1.0
     grid.flags.writeable = False
     return grid
 

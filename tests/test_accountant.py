@@ -31,6 +31,37 @@ def test_params_validation():
                        epochs=3, steps=14)
 
 
+@pytest.mark.parametrize("change, message", [
+    (dict(n=0), "dataset size n"),
+    (dict(L=-1.0), "sensitivity L"),
+    (dict(eta=-0.1), "learning rate eta"),
+    (dict(M=-1.0), "smoothness modulus M"),
+    (dict(b=0), "batch size b must satisfy"),
+    (dict(b=11), "batch size b must satisfy"),
+    (dict(kind="sgd"), "sgd runs need a batch size b"),
+    (dict(kind="cgd"), "cgd runs need a batch size b"),
+    (dict(kind="cgd", b=2, steps=7), "multiple of n/b"),
+], ids=["n", "L", "eta", "M", "b=0", "b>n", "sgd-b", "cgd-b", "cgd-steps"])
+def test_params_reject_each_domain_gap(change, message):
+    base = dict(kind="gd", eta=0.1, sigma=1.0, n=10, L=1.0, steps=10)
+    with pytest.raises(DomainError, match=message):
+        acc.AlgoParams(**(base | change))
+
+
+def test_step_conditions_read_eta_M_against_2():
+    p = acc.AlgoParams(kind="gd", eta=0.2, sigma=1.0, n=10, L=1.0, steps=100,
+                       m=1.0, M=10.0, D=1.0, constrained=True)
+    assert p.eta * p.M == 2.0
+    assert acc.bound_gd_proj(p) > 0           # eta M <= 2
+    with pytest.raises(DomainError, match="eta M < 2"):
+        acc.bound_gd_sc(p)
+    # M = 0 is a linear loss: every step is non-expansive.
+    flat = dataclasses.replace(p, M=0.0)
+    assert acc.bound_gd_proj(flat) == acc.bound_gd_proj(p)
+    with pytest.raises(DomainError, match="contraction factor is >= 1"):
+        acc.bound_gd_sc(flat)
+
+
 def test_params_json_round_trip():
     p = acc.AlgoParams(kind="sgd", eta=0.05, sigma=2.0, n=1000, b=50, L=4.0,
                        steps=200, m=1.0, M=10.0)
@@ -385,6 +416,20 @@ def test_sc_sweep_edge_cases(change):
     p = acc.AlgoParams(**(SC_BASE | change))
     out = acc.sweep_tau(p, [0.5, 2.0], setting="sc")
     assert [entry["tau"] for entry in out["best"]] == [p.t - 1] * 2
+
+
+def test_clt_term_is_infinite_past_its_overflow():
+    assert acc._clt_inner(26.0) < math.inf
+    assert acc._clt_inner(27.0) == math.inf
+
+
+@pytest.mark.parametrize("setting, change, start", [
+    ("sc", dict(SC_BASE, sigma=1e-9), 1),       # the CLT term overflows
+    ("proj", dict(PROJ_BASE, L=1000.0), 1),     # the CLT term overflows
+    ("proj", dict(PROJ_BASE, D=1e300), 50),     # the CLT mu would overflow
+], ids=["sc-overflow", "proj-overflow", "proj-D"])
+def test_window_start_survives_an_overflowing_clt(setting, change, start):
+    assert acc._window_start(acc.AlgoParams(**change), setting) == start
 
 
 def test_proj_sweep_repeats_exactly():

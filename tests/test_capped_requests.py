@@ -1,0 +1,86 @@
+"""Requests that once died inside the library end in exit 0 or 2.
+
+Each command runs in a child process whose address space is capped with
+resource.setrlimit, which binds that child alone: a request that tries to
+allocate gigabytes fails there, with a MemoryError traceback, instead of
+exhausting the machine. Never run these commands without the cap.
+"""
+
+import os
+import resource
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
+
+import fdp_accountant
+
+# Enough for the largest lattice a request may build (prv.MAX_LATTICE_POINTS),
+# far below what the uncapped requests asked for.
+_ADDRESS_SPACE = 2 * 2 ** 30
+
+COMMANDS = {
+    # sgd without a batch size: was a TypeError on p.b * p.sigma.
+    "sgd-without-b": "bound --kind sgd --sc --eta 0.05 --sigma 5 --n 1000 "
+                     "--L 10 --steps 500 --m 1 --M 10 --tau 450 --eps 1",
+    # M = 0: was a ZeroDivisionError on 2 / M; now no contraction (exit 2).
+    "M-0": "bound --kind sgd --sc --eta 0.05 --sigma 5 --n 1000 --b 100 "
+           "--L 10 --steps 500 --m 1 --M 0 --tau 450 --eps 1",
+    # The CLT term overflowed (OverflowError in math.exp).
+    "clt-overflow": "sweep-tau --kind sgd --sc --eta 0.02 --sigma 1e-9 "
+                    "--n 400 --b 40 --L 4 --steps 30 --m 1 --M 10 --eps 1",
+    # The discarded CLT mu overflowed on D ** 2.
+    "D-1e300": "sweep-tau --kind sgd --eta 0.05 --sigma 4 --n 500 --b 25 "
+               "--L 4 --steps 300 --M 20 --D 1e300 --eps 1",
+    # An infinite lattice cut (OverflowError in math.ceil).
+    "infinite-cut": "bound --kind sgd --sc --eta 0.05 --sigma 1e-300 "
+                    "--n 1000 --b 100 --L 10 --steps 500 --m 1 --M 10 --eps 1",
+    # A 447,394,413-point head lattice (3.33 GiB). The window of --tau 45
+    # asks for 286,156,014 points, but composes 5 s of lattices first.
+    "huge-lattice": "bound --kind sgd --sc --eta 0.05 --sigma 5 --n 1000 "
+                    "--b 100 --L 10 --steps 50 --m 1 --M 10 --tau 49 --eps 1 "
+                    "--leff 2",
+    # A 300,000,000-point alpha grid (2.24 GiB).
+    "huge-grid": "curve --mu 1 --grid 300000000",
+}
+
+
+def _run_capped(command):
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+    src = str(Path(fdp_accountant.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # One BLAS thread: each thread reserves address space of its own.
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "fdp_accountant", *command.split()],
+        capture_output=True, text=True, timeout=300, env=env, preexec_fn=cap)
+
+
+@pytest.fixture(scope="module")
+def outcomes():
+    # Two children at a time: the commands are independent.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(COMMANDS, pool.map(_run_capped, COMMANDS.values())))
+
+
+@pytest.mark.parametrize("name, code, message", [
+    ("sgd-without-b", 2, "need a batch size b"),
+    ("M-0", 2, "contraction factor is >= 1"),
+    ("clt-overflow", 2, "points exceeds the limit"),
+    ("D-1e300", 2, "is not finite"),
+    ("infinite-cut", 2, "is not finite"),
+    ("huge-lattice", 2, "447394412 points exceeds the limit"),
+    ("huge-grid", 2, "grid_size must lie in"),
+])
+def test_request_ends_in_an_exit_code_not_a_traceback(outcomes, name, code,
+                                                       message):
+    result = outcomes[name]
+    assert "Traceback" not in result.stderr, result.stderr
+    assert result.returncode == code, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("invalid request: ")
+    assert message in result.stderr

@@ -84,16 +84,32 @@ SGD_PROJ = ("--kind", "sgd", "--constrained", "--eta", "0.05", "--sigma", "4",
 @pytest.mark.parametrize("argv, setting", [(SGD_README_SC, "sc"),
                                            (SGD_PROJ, "proj")],
                          ids=["sc", "proj"])
-def test_sgd_bound_defaults_to_the_sweeps_best_tau(argv, setting, capsys):
+def test_sgd_bound_defaults_to_the_sweeps_best_tau(argv, setting, capsys,
+                                                  monkeypatch):
     eps = [0.05, 0.5]
+    evaluated = []
+    evaluate = prv.evaluate_composite
+
+    def counted(composite, eps_list):
+        evaluated.append(composite)
+        return evaluate(composite, eps_list)
+
+    monkeypatch.setattr(prv, "evaluate_composite", counted)
     code, out, err = run(capsys, "bound", *argv, "--eps", "0.05",
                          "--eps", "0.5")
     assert code == 0, err
     doc = json.loads(out)
     params = acct.AlgoParams.from_dict(doc["params"])
-    best = acct.sweep_tau(params, eps, setting=setting)["best"][0]
+    bound_calls = len(evaluated)
+    sweep = acct.sweep_tau(params, eps, setting=setting)
+    best = sweep["best"][0]
     assert doc["tau"] == best["tau"]
     assert doc["delta_at_eps"][0]["delta"] == best["delta"]
+    # The bound evaluates each window of its sweep once, and reports the
+    # row of the best window.
+    assert bound_calls == len(sweep["taus"])
+    assert [d["delta"] for d in doc["delta_at_eps"]] == sweep["deltas"][
+        sweep["taus"].index(best["tau"])]
     # --tau still overrides it: a one-step window reads far worse.
     code, out, err = run(capsys, "bound", *argv, "--eps", "0.05",
                          "--eps", "0.5", "--tau", str(params.t - 1))
@@ -641,3 +657,24 @@ def test_infinite_factor_mu_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "mu" in err and "inf" in err
+
+
+def test_an_exceeded_accuracy_budget_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(prv, "TAIL_BUDGET", -1.0)
+    code, out, err = run(capsys, "bound", *SGD_PROJ, "--tau", "200",
+                         "--eps", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("accuracy budget exceeded: ")
+
+
+def test_a_factor_too_narrow_for_the_mesh_exits_2(capsys):
+    # A large-batch proj sweep: the per-step mu 2 sqrt(2) L/(b sigma) is
+    # 0.0057, below 10 meshes.
+    code, out, err = run(capsys, "sweep-tau", "--kind", "sgd", "--eta",
+                         "0.05", "--sigma", "1", "--n", "25000", "--b", "500",
+                         "--L", "1", "--steps", "300", "--M", "20", "--D", "1",
+                         "--eps", "1")
+    assert code == 2
+    assert out == ""
+    assert "too coarse" in err

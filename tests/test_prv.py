@@ -27,11 +27,35 @@ def test_prv_of_gdp_moments_and_mass():
 def test_prv_of_gdp_too_coarse():
     with pytest.raises(ConfigurationError):
         prv.prv_of_gdp(0.005)
+    with pytest.raises(ConfigurationError, match="too coarse"):
+        prv.prv_of_subsampled_gdp(0.005, 0.5)
     for mesh in (0.0, -1e-3):
         with pytest.raises(ConfigurationError):
             prv.prv_of_gdp(1.0, mesh=mesh)
         with pytest.raises(ConfigurationError):
             prv.prv_of_subsampled_gdp(1.0, 0.1, mesh=mesh)
+
+
+def test_lattices_are_finite_and_capped():
+    limit = prv.MAX_LATTICE_POINTS
+    # Indices -1 .. limit - 2 are limit points.
+    assert prv._aligned_range(0.0, limit - 2.0, 1.0) == (-1, limit - 2)
+    with pytest.raises(ConfigurationError, match=f"{limit + 1} points"):
+        prv._aligned_range(0.0, limit - 1.0, 1.0)
+    for lo, hi in [(0.0, math.inf), (-math.inf, 1.0), (0.0, 1e306)]:
+        with pytest.raises(ConfigurationError, match="not finite"):
+            prv._aligned_range(lo, hi, 1e-3)
+    with pytest.raises(ConfigurationError, match="not finite"):
+        prv.prv_of_gdp(1e200)
+
+
+def test_convolutions_are_capped(monkeypatch):
+    # Two lattices within the cap can convolve past it: 481 + 1921 - 1.
+    a, b = prv.prv_of_gdp(1.0, mesh=0.05), prv.prv_of_gdp(4.0, mesh=0.05)
+    assert (a.pmf.size, b.pmf.size) == (481, 1921)
+    monkeypatch.setattr(prv, "MAX_LATTICE_POINTS", 2000)
+    with pytest.raises(ConfigurationError, match="2401 points exceeds"):
+        prv.convolve(a, b)
 
 
 def test_prv_delta_matches_gdp_conversion():

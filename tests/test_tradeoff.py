@@ -21,6 +21,16 @@ def test_alpha_grid_shape():
     assert 1.0 - g[-2] <= 2e-12
 
 
+def test_alpha_grid_size_is_bounded():
+    for size in (2, tc.MAX_GRID_SIZE + 1):
+        with pytest.raises(DomainError, match="grid_size must lie in"):
+            tc.alpha_grid(size)
+    # At the largest size the uniform mesh, 1e-6, still lies above the
+    # geometric tail.
+    g = tc.alpha_grid(tc.MAX_GRID_SIZE)
+    assert g[1] == tc.TAIL_FLOOR and g.size > tc.MAX_GRID_SIZE
+
+
 def test_gdp_eval_values():
     assert tc.gdp_eval(0.0, 0.3) == 0.7
     assert tc.gdp_eval(2.0, 0.0) == 1.0
