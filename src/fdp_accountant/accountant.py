@@ -49,7 +49,8 @@ def ceil_snap(x) -> int:
 
 @dataclass(frozen=True)
 class AlgoParams:
-    """Description of one private optimizer run."""
+    """Description of one private optimizer run. Each bound checks its domain
+    first: require_strongly_convex or require_constrained, and window."""
 
     kind: str
     eta: float
@@ -133,9 +134,8 @@ class AlgoParams:
             raise DomainError("strongly convex bounds need modulus m > 0; "
                               "use the constrained convex bound for merely "
                               "convex losses")
-        # eta M < 2 rather than eta < 2/M: M = 0 (a linear loss) is valid.
-        if not math.isfinite(self.M) or not (0.0 < self.eta
-                                             and self.eta * self.M < 2.0):
+        # eta M < 2, not eta < 2/M: M = 0 (a linear loss) passes, M = inf fails.
+        if not (0.0 < self.eta and self.eta * self.M < 2.0):
             raise DomainError("strongly convex bounds need 0 < eta and eta M < 2")
         c = self.contraction()
         if c >= 1.0:
@@ -144,11 +144,21 @@ class AlgoParams:
         return c
 
     def require_constrained(self) -> None:
+        """A finite D >= 0, 0 < eta and eta M <= 2, and eta sigma and (for
+        L > 0) eta L above 0: those products divide the constrained forms."""
         if not math.isfinite(self.D) or self.D < 0:
             raise DomainError("constrained bounds need a finite diameter D >= 0")
-        if not math.isfinite(self.M) or not (0.0 <= self.eta
-                                             and self.eta * self.M <= 2.0):
-            raise DomainError("constrained bounds need 0 <= eta and eta M <= 2")
+        if not (0.0 < self.eta and self.eta * self.M <= 2.0):
+            raise DomainError("constrained bounds need 0 < eta and eta M <= 2")
+        if self.eta * self.sigma == 0 or (self.L > 0 and self.eta * self.L == 0):
+            raise DomainError("constrained bounds need eta sigma and eta L "
+                              "(for L > 0) not to underflow to 0")
+
+    def window(self, tau: int) -> int:
+        """w = t - tau, for a window start 0 <= tau < t."""
+        if not 0 <= tau < self.t:
+            raise DomainError(f"need 0 <= tau < t, got tau={tau}, t={self.t}")
+        return self.t - tau
 
     def to_dict(self) -> dict:
         """Parameters as a JSON-ready document; infinities become None."""
@@ -258,7 +268,7 @@ def bound_gd_sc(p: AlgoParams) -> float:
 
 
 def bound_gd_proj(p: AlgoParams, tau: int | None = None) -> float:
-    """Convergent GDP parameter for constrained convex losses.
+    """Constrained convex GDP bound (domain: require_constrained, window).
 
     Without tau (requires t >= D n / (eta L)) the plateau form
     mu = (1/sigma) sqrt(3LD/(eta n) + (L/n)^2 ceil(Dn/(eta L))) is used; with
@@ -266,19 +276,15 @@ def bound_gd_proj(p: AlgoParams, tau: int | None = None) -> float:
     + D/(eta sigma sqrt(t-tau)).
     """
     p.require_constrained()
+    w = None if tau is None else p.window(tau)
     if p.L == 0:
         return 0.0
     if p.D == 0:
         # Degenerate diameter: one-step window with no distance term.
         return p.L / (p.n * p.sigma)
-    if tau is not None:
-        if not 0 <= tau < p.t:
-            raise DomainError(f"need 0 <= tau < t, got tau={tau}")
-        w = p.t - tau
+    if w is not None:
         return (p.L * math.sqrt(w) / (p.n * p.sigma)
                 + p.D / (p.eta * p.sigma * math.sqrt(w)))
-    if p.eta == 0:
-        raise DomainError("plateau form needs eta > 0")
     threshold = p.D * p.n / (p.eta * p.L)
     if p.t < threshold:
         raise DomainError(
@@ -311,12 +317,10 @@ def bound_cgd_sc(p: AlgoParams) -> float:
 
 def bound_cgd_proj(p: AlgoParams) -> float:
     """Convergent GDP parameter for cyclic batches on constrained convex
-    losses; needs E >= D b / (eta L)."""
+    losses (domain: require_constrained); needs E >= D b / (eta L)."""
     p.require_constrained()
     if p.L == 0:
         return 0.0
-    if p.eta == 0:
-        raise DomainError("constrained cyclic bound needs eta > 0")
     threshold = p.D * p.b / (p.eta * p.L)
     if p.E < threshold:
         raise DomainError(
@@ -347,7 +351,7 @@ def bound_sgd_composition(p: AlgoParams) -> CompositeBound:
 
 
 def bound_sgd_sc(p: AlgoParams, tau: int) -> CompositeBound:
-    """Strongly convex SGD bound for a given window start tau in [0, t-1]:
+    """Strongly convex SGD bound (domain: require_strongly_convex, window):
 
         G(2 sqrt(2) L/(b sigma) (c^{t-tau+1} - c^t)/(1-c))
         x C_{b/n}(G(2 sqrt(2) L/(b sigma)))
@@ -355,34 +359,29 @@ def bound_sgd_sc(p: AlgoParams, tau: int) -> CompositeBound:
     """
     _require_sgd(p)
     c = p.require_strongly_convex()
-    if not 0 <= tau <= p.t - 1:
-        raise DomainError(f"need 0 <= tau <= t-1, got tau={tau}")
+    w = p.window(tau)
     ratio = p.L / (p.b * p.sigma)
     rate = p.b / p.n
     # The residual distance behind the head factor is 0 at tau = 0 (it equals
     # the tau = 1 value); the tau >= 1 closed form would go negative there.
     head = max(0.0, 2.0 * math.sqrt(2.0) * ratio
-               * (c ** (p.t - tau + 1) - c ** p.t) / (1.0 - c))
+               * (c ** (w + 1) - c ** p.t) / (1.0 - c))
     return CompositeBound((
         GdpFactor(head),
         SubsampledGdpFactor(2.0 * math.sqrt(2.0) * ratio, rate, 1),
-        SubsampledGdpFactor(2.0 * ratio, rate, p.t - tau),
+        SubsampledGdpFactor(2.0 * ratio, rate, w),
     ))
 
 
 def bound_sgd_proj(p: AlgoParams, tau: int) -> CompositeBound:
-    """Constrained convex SGD bound for a given window start tau in [0, t-1]:
+    """Constrained convex SGD bound (domain: require_constrained, window):
 
         G(sqrt(2) D / (eta sigma sqrt(t-tau)))
         x C_{b/n}(G(2 sqrt(2) L/(b sigma)))^{x (t-tau)}
     """
     _require_sgd(p)
     p.require_constrained()
-    if not 0 <= tau <= p.t - 1:
-        raise DomainError(f"need 0 <= tau <= t-1, got tau={tau}")
-    if p.eta == 0:
-        raise DomainError("constrained stochastic bound needs eta > 0")
-    w = p.t - tau
+    w = p.window(tau)
     head = math.sqrt(2.0) * p.D / (p.eta * p.sigma * math.sqrt(w))
     factors = [] if p.D == 0 else [GdpFactor(head)]
     factors.append(SubsampledGdpFactor(
@@ -454,8 +453,8 @@ def _clt_sgd_proj_window(p: AlgoParams):
     """clt_sgd_proj's window t - tau, unrounded, and its CLT term K: w = 0
     where K overflows."""
     p.require_constrained()
-    if p.D == 0 or p.eta == 0:
-        raise DomainError("CLT window is degenerate for D = 0 or eta = 0")
+    if p.D == 0:
+        raise DomainError("CLT window is degenerate for D = 0")
     K = _clt_inner(2.0 * math.sqrt(2.0) * p.L / (p.b * p.sigma))
     if K <= 0:
         raise DomainError("degenerate sensitivity: CLT term vanishes")

@@ -124,8 +124,10 @@ def _reject_unused_bound_flags(args, kind: str, mode: str) -> None:
 
 
 def _reject_unused_global_flags(args) -> None:
-    """--seed outside verify, or --grid where no curve is written, would be
-    ignored: a validation error."""
+    """--config outside bound and sweep-tau, --seed outside verify, or --grid
+    where no curve is written, would be ignored: a validation error."""
+    if args.config is not None and args.command not in ("bound", "sweep-tau"):
+        raise DomainError("--config applies only to bound and sweep-tau")
     if args.seed is not None and args.command != "verify":
         raise DomainError("--seed applies only to verify")
     writes_curve = args.command == "curve" or getattr(args, "curve_out", None)
@@ -439,7 +441,7 @@ def _add_global_flags(p) -> None:
     on the top-level parser only, so a subparser never overwrites a value
     given before the subcommand."""
     p.add_argument("--config", default=argparse.SUPPRESS,
-                   help="JSON file of run parameters")
+                   help="JSON file of run parameters for bound and sweep-tau")
     p.add_argument("--out", default=argparse.SUPPRESS,
                    help="output path (default: stdout)")
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,

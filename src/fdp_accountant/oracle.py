@@ -65,7 +65,7 @@ class SimSpec:
     """
 
     dimension = 1  # not a field: bench/tracing.py reads it to count trial-steps
-    kind: str = "gd"            # gd | cgd | sgd
+    kind: str = "gd"            # gd | sgd
     m: float = 1.0
     eta: float = 0.1
     sigma: float = 1.0          # noise rate in the update eta*(grad + sigma*xi)
@@ -76,11 +76,10 @@ class SimSpec:
     trials: int = 100_000
     seed: int = 0
     diameter: float = math.inf
-    j_star: int = 1             # 1-based batch holding the perturbed index (cgd)
 
     def __post_init__(self):
-        if self.kind not in ("gd", "cgd", "sgd"):
-            raise DomainError("kind must be gd, cgd or sgd")
+        if self.kind not in ("gd", "sgd"):
+            raise DomainError("kind must be gd or sgd")
         for name in ("n", "b", "trials", "steps"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
@@ -92,11 +91,6 @@ class SimSpec:
             raise DomainError("need eta, sigma and L >= 0")
         if not self.diameter > 0:  # a NaN diameter fails too
             raise DomainError(f"need diameter > 0 (inf: no projection), got {self.diameter}")
-        if self.kind == "cgd":
-            if self.n % self.b != 0:
-                raise DomainError("need b dividing n for cgd")
-            if not 1 <= self.j_star <= self.n // self.b:
-                raise DomainError("j_star out of range")
         if self.kind == "sgd" and self.b > self.n:
             raise DomainError(f"need b <= n for sgd, got b={self.b}, n={self.n}")
 
@@ -105,10 +99,6 @@ def _drifts(spec: SimSpec) -> np.ndarray:
     """Per-step gradient-gap drifts of the perturbed process (units of eta)."""
     if spec.kind == "gd":
         return np.full(spec.steps, spec.L / spec.n)
-    l = spec.n // spec.b
-    if spec.kind == "cgd":
-        hit = (np.arange(1, spec.steps + 1) - 1) % l + 1 == spec.j_star
-        return np.where(hit, spec.L / spec.b, 0.0)
     # sgd: uniform batches include the perturbed index w.p. b/n, fresh each step
     return None  # drawn at each step, from the chunk's stream
 
@@ -156,8 +146,8 @@ def simulate(spec: SimSpec):
     draw, so half as many random numbers are drawn. Each process on its own
     still has exactly its law, and a tradeoff curve depends only on the two
     marginal laws (empirical_tradeoff's band holds under the coupling).
-    Without projection a gd or cgd perturbed iterate is the baseline plus a
-    fixed drift, so one noise sample serves both laws.
+    Without projection a gd perturbed iterate is the baseline plus a fixed
+    drift, so one noise sample serves both laws.
 
     Trials run in chunks of _CHUNK, each from its own stream, spawned from
     the master seed, on a thread pool (NumPy releases the GIL while

@@ -428,7 +428,8 @@ def evaluate_composite(composite, eps_list):
     for all GdpFactors, cut below what the eps can reach (module docstring).
     A Gaussian with 0 < mu < 10 * DEFAULT_MESH, too narrow for the lattice,
     is added at query time instead when there are subsampled factors
-    (_add_narrow_head); without them it raises ConfigurationError.
+    (_add_narrow_head); without them it raises ConfigurationError. A head
+    longer than MAX_LATTICE_POINTS is refused before the rest is composed.
     The base lattices of the last two subsampled (mu, p) are reused
     (_subsampled_base).
     Accumulated truncation is capped by TAIL_BUDGET. Returns [(eps, delta)]
@@ -441,19 +442,25 @@ def evaluate_composite(composite, eps_list):
         raise DomainError("eps must not be nan")
     if not factors:
         return [(e, max(0.0, -math.expm1(e))) for e in eps_list]
-    rest, gauss = None, []
+    for f in factors:
+        if not isinstance(f, (GdpFactor, SubsampledGdpFactor)):
+            raise DomainError(
+                f"unsupported composite factor {type(f).__name__}")
+    gauss = [f.mu for f in factors if isinstance(f, GdpFactor)]
+    mu = math.hypot(*gauss)
+    # Refuse a head too long for any lattice before composing the rest. Its
+    # 12-sigma span, snapped to cover 0, is the head's lattice for mu > 24
+    # whatever the cut, and for smaller mu it is far below the cap.
+    _aligned_range(0.5 * mu * mu - _STD_SPAN * mu,
+                   0.5 * mu * mu + _STD_SPAN * mu, DEFAULT_MESH)
+    rest = None
     for f in factors:
         if isinstance(f, SubsampledGdpFactor):
             prv = _subsampled_base(f.mu, f.p, DEFAULT_MESH)
             if f.multiplicity > 1:
                 prv = self_compose(prv, f.multiplicity)
             rest = prv if rest is None else convolve(rest, prv)
-        elif isinstance(f, GdpFactor):
-            gauss.append(f.mu)
-        else:
-            raise DomainError(
-                f"unsupported composite factor {type(f).__name__}")
-    composed, mu = rest, math.hypot(*gauss)
+    composed = rest
     # A head too narrow for the lattice is added at query time.
     narrow = rest is not None and mu > 0.0 and DEFAULT_MESH > mu / 10.0
     if gauss and not narrow:

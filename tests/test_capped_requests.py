@@ -37,19 +37,25 @@ COMMANDS = {
     # An infinite lattice cut (OverflowError in math.ceil).
     "infinite-cut": "bound --kind sgd --sc --eta 0.05 --sigma 1e-300 "
                     "--n 1000 --b 100 --L 10 --steps 500 --m 1 --M 10 --eps 1",
-    # A 447,394,413-point head lattice (3.33 GiB). The window of --tau 45
-    # asks for 286,156,014 points, but composes 5 s of lattices first.
+    # A 447,394,412-point head lattice (3.33 GiB).
     "huge-lattice": "bound --kind sgd --sc --eta 0.05 --sigma 5 --n 1000 "
                     "--b 100 --L 10 --steps 50 --m 1 --M 10 --tau 49 --eps 1 "
                     "--leff 2",
     # A 300,000,000-point alpha grid (2.24 GiB).
     "huge-grid": "curve --mu 1 --grid 300000000",
 }
+# The 286,156,013-point head of the --tau 45 window must be refused before
+# the two subsampled lattices are composed: they take about 1 GB and 6 s.
+OVERSIZED_HEAD = ("bound --kind sgd --sc --eta 0.05 --sigma 5 --n 1000 "
+                  "--b 100 --L 10 --steps 50 --m 1 --M 10 --tau 45 --eps 1 "
+                  "--leff 2")
 
 
-def _run_capped(command):
+def _run_capped(command, address_space=_ADDRESS_SPACE, cpu_seconds=None):
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+        if cpu_seconds is not None:
+            resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
 
     src = str(Path(fdp_accountant.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -84,3 +90,14 @@ def test_request_ends_in_an_exit_code_not_a_traceback(outcomes, name, code,
     assert result.stdout == ""
     assert result.stderr.startswith("invalid request: ")
     assert message in result.stderr
+
+
+def test_oversized_head_exits_2_before_composing_the_rest():
+    # 512 MiB of address space and 1 s of CPU time: the interpreter and its
+    # imports fit, the two subsampled lattices do not.
+    result = _run_capped(OVERSIZED_HEAD, address_space=2 ** 29, cpu_seconds=1)
+    assert "Traceback" not in result.stderr, result.stderr
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr == ("invalid request: lattice of 286156013 points "
+                             "exceeds the limit of 33554432\n")

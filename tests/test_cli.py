@@ -591,9 +591,14 @@ SWEEP_SC = ("sweep-tau", "--kind", "sgd", "--sc", "--eta", "0.02", "--sigma",
     (("bound", *SGD_SC, "--tau", "30", "--eps", "1", "--grid", "11"), "--grid"),
     ((*SWEEP_SC, "--grid", "5"), "--grid"),
     ((*SWEEP_SC, "--seed", "0"), "--seed"),
+    (("curve", "--mu", "1", "--config", "/nonexistent.json"), "--config"),
+    (("convert", "gdp-to-rdp", "--config", "/nonexistent.json"), "--config"),
+    (("table", "--name", "gd-sc", "--config", "/nonexistent.json"), "--config"),
+    (("--config", "/nonexistent.json", "verify", "--trials", "100"), "--config"),
 ], ids=["convert-grid", "table-grid", "table-seed", "seed-before-convert",
         "curve-seed", "gd-bound-grid", "gd-bound-seed", "sgd-bound-grid",
-        "sweep-grid", "sweep-seed-0"])
+        "sweep-grid", "sweep-seed-0", "curve-config", "convert-config",
+        "table-config", "config-before-verify"])
 def test_global_flags_without_effect_exit_2(argv, flag, tmp_path, capsys,
                                             monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -68,12 +68,12 @@ def _expression_simulate(spec: oracle.SimSpec):
 
 def _mixed_spec(**kw):
     return oracle.SimSpec(**{**dict(m=0.5, eta=0.1, sigma=2.0, L=1.0, n=8, b=2,
-                                    j_star=3, steps=25, trials=1500, seed=11),
+                                    steps=25, trials=1500, seed=11),
                              **kw})
 
 
 @pytest.mark.parametrize("diameter", [math.inf, 1.5])
-@pytest.mark.parametrize("kind", ["gd", "cgd", "sgd"])
+@pytest.mark.parametrize("kind", ["gd", "sgd"])
 def test_simulate_in_place_matches_the_expression_form(monkeypatch, kind,
                                                        diameter):
     monkeypatch.setattr(oracle, "_CHUNK", 700)   # three chunks, one partial
@@ -93,7 +93,7 @@ def test_simulate_does_not_depend_on_the_worker_count(monkeypatch, cpus):
     assert x1.tobytes() == x.tobytes() and y1.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["gd", "cgd", "sgd"])
+@pytest.mark.parametrize("kind", ["gd", "sgd"])
 def test_simulate_baseline_does_not_read_L(monkeypatch, kind):
     monkeypatch.setattr(oracle, "_CHUNK", 700)
     spec = _mixed_spec(kind=kind, diameter=1.5)
@@ -118,29 +118,24 @@ def test_simspec_rejects_bad_numbers(field, value):
         oracle.SimSpec(**{field: value})
 
 
-@pytest.mark.parametrize("kind,counts", [
-    ("cgd", dict(b=0)), ("sgd", dict(b=0)), ("cgd", dict(n=0)),
-    ("sgd", dict(n=-4, b=-2)), ("sgd", dict(n=4.0, b=2)), ("sgd", dict(n=3, b=10)),
-], ids=["cgd-b0", "sgd-b0", "cgd-n0", "sgd-n-4-b-2", "sgd-n-float", "sgd-b-above-n"])
-def test_simspec_rejects_bad_batch_counts(kind, counts):
+@pytest.mark.parametrize("counts", [
+    dict(b=0), dict(n=-4, b=-2), dict(n=4.0, b=2), dict(n=3, b=10),
+], ids=["sgd-b0", "sgd-n-4-b-2", "sgd-n-float", "sgd-b-above-n"])
+def test_simspec_rejects_bad_batch_counts(counts):
     # Before the integer checks these divided by zero, or (n=-4, b=-2) ran
     # with an inclusion probability of 0.5; no batch of b > n can be drawn.
     with pytest.raises(DomainError):
-        oracle.SimSpec(kind=kind, **counts)
+        oracle.SimSpec(kind="sgd", **counts)
 
 
-@pytest.mark.parametrize("kind", ["gd", "cgd"])
-def test_coupled_pair_differs_by_the_drift(kind):
+def test_coupled_pair_differs_by_the_drift():
     # Both processes take the same noise, so without projection y - x is
-    # the drift alone: sum over k of c^(t-k) eta drift_k.
-    spec = _mixed_spec(kind=kind, trials=3000)
+    # the drift alone: sum over k of c^(t-k) eta L / n.
+    spec = _mixed_spec(kind="gd", trials=3000)
     x, y = oracle.simulate(spec)
     c = 1.0 - spec.eta * spec.m
     k = np.arange(1, spec.steps + 1)
-    drift = spec.L / (spec.n if kind == "gd" else spec.b)
-    l = spec.n // spec.b
-    hit = np.ones(spec.steps, bool) if kind == "gd" else (k - 1) % l + 1 == spec.j_star
-    gap = float(np.sum(c ** (spec.steps - k) * spec.eta * drift * hit))
+    gap = float(np.sum(c ** (spec.steps - k) * spec.eta * spec.L / spec.n))
     assert gap > 0.1
     assert np.max(np.abs((y - x) - gap)) <= 1e-12
 
@@ -167,15 +162,13 @@ def test_simulate_projection_containment():
 
 
 def test_simulate_batch_variants():
-    cyc = oracle.SimSpec(kind="cgd", n=4, b=2, j_star=2, steps=8, trials=1000,
-                         seed=0)
-    xp, xq = oracle.simulate(cyc)
-    assert xp.shape == (1000,)
     sub = oracle.SimSpec(kind="sgd", n=10, b=2, steps=8, trials=1000, seed=0)
     xp, xq = oracle.simulate(sub)
+    assert xp.shape == (1000,)
     assert np.isfinite(xp).all() and np.isfinite(xq).all()
-    with pytest.raises(DomainError):
-        oracle.SimSpec(kind="cgd", n=5, b=2)
+    # Cyclic batches have no simulation: their bounds' oracle is the QP.
+    with pytest.raises(DomainError, match="kind must be gd or sgd"):
+        oracle.SimSpec(kind="cgd", n=4, b=2)
 
 
 def test_sgd_batches_need_not_divide_n():
