@@ -20,7 +20,7 @@ supplied directly.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import normal
 from .errors import DomainError
@@ -50,7 +50,8 @@ def ceil_snap(x) -> int:
 @dataclass(frozen=True)
 class AlgoParams:
     """Description of one private optimizer run. Each bound checks its domain
-    first: require_strongly_convex or require_constrained, and window."""
+    first (require_strongly_convex or require_constrained, and window), then
+    computes on in_noise_units()."""
 
     kind: str
     eta: float
@@ -153,6 +154,26 @@ class AlgoParams:
         if self.eta * self.sigma == 0 or (self.L > 0 and self.eta * self.L == 0):
             raise DomainError("constrained bounds need eta sigma and eta L "
                               "(for L > 0) not to underflow to 0")
+
+    def in_noise_units(self) -> "AlgoParams":
+        """The same run with L, D and sigma scaled by the power of two that
+        puts sigma in [0.5, 1).
+
+        Every bound depends on L, D and sigma only through L/sigma and
+        D/sigma, and a power-of-two scaling is exact. So a bound reads the
+        same on the result, to the bit, wherever its formula neither over-
+        nor underflows at the given scale, and it reads the same whatever
+        common scale L, D and sigma are given in: n sigma no longer
+        overflows to inf, and L/(n sigma) to 0, at sigma = 1e308. An L/sigma
+        or D/sigma beyond the float range raises DomainError.
+        """
+        k = math.frexp(self.sigma)[1]
+        try:
+            L, D = math.ldexp(self.L, -k), math.ldexp(self.D, -k)
+        except OverflowError:
+            raise DomainError("L/sigma and D/sigma must not exceed the float "
+                              "range") from None
+        return replace(self, L=L, D=D, sigma=math.ldexp(self.sigma, -k))
 
     def window(self, tau: int) -> int:
         """w = t - tau, for a window start 0 <= tau < t."""
@@ -257,6 +278,7 @@ def _gd_sc_mu(c: float, ratio: float, t: int) -> float:
 
 def bound_gd_composition(p: AlgoParams) -> float:
     """mu = L sqrt(t) / (n sigma), the step-counting bound."""
+    p = p.in_noise_units()
     return p.L * math.sqrt(p.t) / (p.n * p.sigma)
 
 
@@ -264,6 +286,7 @@ def bound_gd_sc(p: AlgoParams) -> float:
     """Convergent (and optimal) GDP parameter for strongly convex losses:
     mu = sqrt((1-c^t)/(1+c^t) * (1+c)/(1-c)) * L/(n sigma)."""
     c = p.require_strongly_convex()
+    p = p.in_noise_units()
     return _gd_sc_mu(c, p.L / (p.n * p.sigma), p.t)
 
 
@@ -277,6 +300,7 @@ def bound_gd_proj(p: AlgoParams, tau: int | None = None) -> float:
     """
     p.require_constrained()
     w = None if tau is None else p.window(tau)
+    p = p.in_noise_units()
     if p.L == 0:
         return 0.0
     if p.D == 0:
@@ -300,12 +324,14 @@ def bound_gd_proj(p: AlgoParams, tau: int | None = None) -> float:
 
 def bound_cgd_composition(p: AlgoParams) -> float:
     """mu = L sqrt(E) / (b sigma)."""
+    p = p.in_noise_units()
     return p.L * math.sqrt(p.E) / (p.b * p.sigma)
 
 
 def bound_cgd_sc(p: AlgoParams) -> float:
     """Convergent GDP parameter for cyclic batches on strongly convex losses."""
     c = p.require_strongly_convex()
+    p = p.in_noise_units()
     l, E = p.l, p.E
     if E == 1:
         return p.L / (p.b * p.sigma)
@@ -319,6 +345,7 @@ def bound_cgd_proj(p: AlgoParams) -> float:
     """Convergent GDP parameter for cyclic batches on constrained convex
     losses (domain: require_constrained); needs E >= D b / (eta L)."""
     p.require_constrained()
+    p = p.in_noise_units()
     if p.L == 0:
         return 0.0
     threshold = p.D * p.b / (p.eta * p.L)
@@ -346,6 +373,7 @@ def _require_sgd(p: AlgoParams) -> None:
 def bound_sgd_composition(p: AlgoParams) -> CompositeBound:
     """C_{b/n}(G(L/(b sigma)))^{x t}."""
     _require_sgd(p)
+    p = p.in_noise_units()
     return CompositeBound((SubsampledGdpFactor(p.L / (p.b * p.sigma),
                                                p.b / p.n, p.t),))
 
@@ -360,6 +388,7 @@ def bound_sgd_sc(p: AlgoParams, tau: int) -> CompositeBound:
     _require_sgd(p)
     c = p.require_strongly_convex()
     w = p.window(tau)
+    p = p.in_noise_units()
     ratio = p.L / (p.b * p.sigma)
     rate = p.b / p.n
     # The residual distance behind the head factor is 0 at tau = 0 (it equals
@@ -382,6 +411,7 @@ def bound_sgd_proj(p: AlgoParams, tau: int) -> CompositeBound:
     _require_sgd(p)
     p.require_constrained()
     w = p.window(tau)
+    p = p.in_noise_units()
     head = math.sqrt(2.0) * p.D / (p.eta * p.sigma * math.sqrt(w))
     factors = [] if p.D == 0 else [GdpFactor(head)]
     factors.append(SubsampledGdpFactor(
@@ -424,6 +454,7 @@ def _clt_sgd_sc_window(p: AlgoParams) -> float:
     c = p.require_strongly_convex()
     if c == 0:
         raise DomainError("CLT window is degenerate for contraction c = 0")
+    p = p.in_noise_units()
     ratio = p.L / (p.b * p.sigma)
     K = _clt_inner(2.0 * ratio)
     if K <= 0:
@@ -436,6 +467,7 @@ def _clt_sgd_sc_window(p: AlgoParams) -> float:
 
 def _clt_sgd_sc_mu(p: AlgoParams, w: float) -> float:
     c = p.contraction()
+    p = p.in_noise_units()
     ratio = p.L / (p.b * p.sigma)
     K = _clt_inner(2.0 * ratio)
     head = ratio * c ** (w + 1.0) / (1.0 - c)
@@ -455,6 +487,7 @@ def _clt_sgd_proj_window(p: AlgoParams):
     p.require_constrained()
     if p.D == 0:
         raise DomainError("CLT window is degenerate for D = 0")
+    p = p.in_noise_units()
     K = _clt_inner(2.0 * math.sqrt(2.0) * p.L / (p.b * p.sigma))
     if K <= 0:
         raise DomainError("degenerate sensitivity: CLT term vanishes")
@@ -462,6 +495,7 @@ def _clt_sgd_proj_window(p: AlgoParams):
 
 
 def _clt_sgd_proj_mu(p: AlgoParams, w: float, K: float) -> float:
+    p = p.in_noise_units()
     return math.sqrt(2.0 * p.D ** 2 / (p.eta ** 2 * p.sigma ** 2 * w)
                      + 2.0 * (p.b / p.n) ** 2 * w * K)
 

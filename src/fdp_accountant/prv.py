@@ -68,8 +68,14 @@ the top, so the extra points hold composed mass that would otherwise wrap
 around, and raises to the k-th power only the spectrum bins with
 k log|fa| > -760: the others are exactly 0 after the power (the smallest
 subnormal double is e^-744.4), so at a given length the result is the same
-to the bit. convolve's single FFT runs at the complex fast length
-next_fast_len(n), which allows factors 7 and 11.
+to the bit. The power is repeated squaring (_power), which on these spectra
+is both faster and 6 to 10 times more accurate than C cpow, exp(k log z).
+convolve's single FFT runs at the complex fast length next_fast_len(n),
+which allows factors 7 and 11.
+
+Sums of products over a lattice are NumPy pairwise sums (_dot), not BLAS
+dot products, whose multithreaded order would make the printed deltas
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -132,11 +138,28 @@ class PrvGrid:
     def grid(self) -> np.ndarray:
         return (self.offset + np.arange(self.pmf.size)) * self.mesh
 
+    @functools.cached_property
+    def _moments(self) -> tuple:
+        """(mean, variance), from one build of the grid. Cached: the pmf is
+        read-only, so a base lattice shared by many windows computes them
+        once."""
+        grid = self.grid()
+        mean = _dot(grid, self.pmf)
+        return mean, _dot((grid - mean) ** 2, self.pmf)
+
     def mean(self) -> float:
-        return float(np.dot(self.grid(), self.pmf))
+        return self._moments[0]
 
     def var(self) -> float:
-        return float(np.dot((self.grid() - self.mean()) ** 2, self.pmf))
+        return self._moments[1]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) by NumPy's pairwise sum. np.dot hands 1-d floats to BLAS,
+    whose multithreaded sum gives a different last bit, and so a different
+    printed delta, for each thread count; np.einsum sums in one running
+    order and is several ulps off on long lattices."""
+    return float(np.add.reduce(a * b))
 
 
 def _aligned_range(lo: float, hi: float, mesh: float):
@@ -323,7 +346,8 @@ def self_compose(prv: PrvGrid, k: int) -> PrvGrid:
     composed moment range mean*k +- _STD_SPAN*sqrt(k)*std, padded at the top
     to the next 5-smooth length; truncated mass is accounted k-fold and
     checked against TAIL_BUDGET. Only spectrum bins with k log|fa| above
-    _LOG_UNDERFLOW are raised to the k-th power; the others would be 0.
+    _LOG_UNDERFLOW are raised to the k-th power (_power); the others would
+    be 0. The moments come from the lattice's cache.
     Composed mass beyond the window is not negligible for heavy right tails:
     it wraps onto the other end of the window and is not counted in
     tail_mass (mu=3, p=0.05, k=12 wraps about 7.4e-10).
@@ -346,7 +370,7 @@ def self_compose(prv: PrvGrid, k: int) -> PrvGrid:
     fa = sfft.rfft(buf)
     live = np.abs(fa) > math.exp(_LOG_UNDERFLOW / k)
     fk = np.zeros_like(fa)
-    fk[live] = fa[live] ** k
+    fk[live] = _power(fa[live], k)
     out = sfft.irfft(fk, n)
     # Cyclic indices live at k*offset + j (mod n); roll back onto offset + i.
     out = np.roll(out, ((k - 1) * i_lo) % n)
@@ -355,6 +379,20 @@ def self_compose(prv: PrvGrid, k: int) -> PrvGrid:
     tail += max(0.0, (1.0 - prv.tail_mass) ** k - float(out.sum()))
     _check_budget(tail)
     return PrvGrid(offset=i_lo, mesh=mesh, pmf=out, tail_mass=min(tail, 1.0))
+
+
+def _power(z: np.ndarray, k: int) -> np.ndarray:
+    """z ** k elementwise, for k >= 2, by binary exponentiation from the top
+    bit: floor(log2 k) squarings and popcount(k) - 1 products by z, in
+    place. On self-composition spectra its largest relative error is 6 to
+    10 times below that of NumPy's z ** k, which from k = 100 on is C cpow,
+    exp(k log z) (tests/test_prv.py), and it runs several times faster."""
+    out = z.copy()
+    for bit in bin(k)[3:]:
+        out *= out
+        if bit == "1":
+            out *= z
+    return out
 
 
 def prv_delta(prv: PrvGrid, eps):
@@ -401,7 +439,7 @@ def prv_delta(prv: PrvGrid, eps):
     top = bounds[-2]
     part = np.zeros(len(levels))
     mass = np.zeros(len(levels))
-    part[-1], mass[-1] = np.dot(loss[top:], pmf[top:]), pmf[top:].sum()
+    part[-1], mass[-1] = _dot(loss[top:], pmf[top:]), pmf[top:].sum()
     full = np.flatnonzero(bounds[1:-1] > bounds[:-2])
     if full.size:
         part[full] = np.add.reduceat(loss[:top] * pmf[:top], bounds[full])
@@ -500,6 +538,6 @@ def _add_narrow_head(rest: PrvGrid, mu: float, eps_list, deltas) -> list:
             gap = np.exp(np.minimum(x, 0.0)) * (
                 normal.cdf(0.5 * mu - a / mu)
                 - np.exp(a) * normal.cdf(-0.5 * mu - a / mu))
-            d = min(max(d + float(np.dot(rest.pmf[lo:hi], gap)), 0.0), 1.0)
+            d = min(max(d + _dot(rest.pmf[lo:hi], gap), 0.0), 1.0)
         out.append(d)
     return out

@@ -5,9 +5,17 @@ null) or raises DomainError. An sgd bound builds a composite of finite
 factors or raises DomainError, and a composite whose lattices stay small
 evaluates to deltas in [0, 1] that do not grow with eps. Nothing else may
 escape: not a ZeroDivisionError, nor an error of the numerics.
+
+Every bound depends on L, D and sigma only through L/sigma and D/sigma, so
+each draw is also given at a common scale 2^k of those three, magnitudes up
+to 1e308 included: there a bound gives the same mu or composite, or raises
+DomainError, and is never thrown off by a product such as n sigma that
+overflows (or underflows) on the way.
 """
 
+import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +59,36 @@ def _shared(data):
     return {name: data.draw(values) for name, values in FIELDS.items()}
 
 
+def _scale(x, k):
+    """x 2^k, exact: None where that leaves the normal floats (0 and inf
+    stay as they are)."""
+    if x == 0 or math.isinf(x):
+        return x
+    return math.ldexp(x, k) if -1021 <= math.frexp(x)[1] + k <= 1024 else None
+
+
+def _rescaled(data, p):
+    """p with L, D and sigma times a power of two, at each of three scales:
+    the largest of them next to the largest float, next to the smallest
+    normal float, and anywhere between. A scale at which one of them would
+    leave the normal floats is left out."""
+    top = max(math.frexp(x)[1] for x in (p.L, p.D, p.sigma) if 0 < x < math.inf)
+    out = []
+    for k in (1024, -1021, data.draw(st.integers(-1021, 1024))):
+        L, D, sigma = (_scale(x, k - top) for x in (p.L, p.D, p.sigma))
+        if None not in (L, D, sigma):
+            out.append(replace(p, L=L, D=D, sigma=sigma))
+    return out
+
+
+def _outcome(bound, *args):
+    """What the bound returns, or DomainError."""
+    try:
+        return bound(*args)
+    except DomainError:
+        return DomainError
+
+
 @given(st.data())
 def test_closed_form_bound_is_a_mu_at_least_0_or_a_domain_error(data):
     kind = data.draw(st.sampled_from(["gd", "cgd"]))
@@ -63,12 +101,17 @@ def test_closed_form_bound_is_a_mu_at_least_0_or_a_domain_error(data):
         sizes = dict(n=l * b, b=b, epochs=data.draw(st.integers(1, 10 ** 5 // l)))
     try:
         p = acc.AlgoParams(kind=kind, L=data.draw(L), **_shared(data), **sizes)
-        windowed = (kind, mode) == ("gd", "constrained") and data.draw(st.booleans())
-        bound = CLOSED_FORM[kind, mode]
-        mu = bound(p, _tau(data, p.t)) if windowed else bound(p)
     except DomainError:
         return
-    assert mu >= 0.0  # +inf passes, nan fails
+    windowed = (kind, mode) == ("gd", "constrained") and data.draw(st.booleans())
+    args = (_tau(data, p.t),) if windowed else ()
+    bound = CLOSED_FORM[kind, mode]
+    mu = _outcome(bound, p, *args)
+    for q in [p] + _rescaled(data, p):
+        scaled = _outcome(bound, q, *args)
+        if scaled is not DomainError:
+            assert scaled >= 0.0  # +inf passes, nan fails
+            assert mu in (scaled, DomainError)
 
 
 def _sgd_params(data, ratio):
@@ -82,11 +125,18 @@ def _sgd_params(data, ratio):
     return acc.AlgoParams(kind="sgd", n=n, b=b, L=L, steps=t, **shared)
 
 
-def _composite(data, p):
+def _sgd_bound(data, p):
+    """A drawn sgd bound and its arguments after p (a window start, but for
+    the composition bound)."""
     mode = data.draw(st.sampled_from(MODES))
     if mode == "composition":
-        return acc.bound_sgd_composition(p)
-    return COMPOSITE[mode](p, _tau(data, p.t))
+        return acc.bound_sgd_composition, ()
+    return COMPOSITE[mode], (_tau(data, p.t),)
+
+
+def _composite(data, p):
+    bound, args = _sgd_bound(data, p)
+    return bound(p, *args)
 
 
 def _small(cb) -> bool:
@@ -108,8 +158,14 @@ def test_sgd_bound_is_finite_factors_or_a_domain_error(data):
     # Per-step mu = 0 or 0.02 and up; the large-batch regime is below.
     try:
         p = _sgd_params(data, st.sampled_from([0.0]) | st.floats(0.02, 1.0))
-        cb = _composite(data, p)
     except DomainError:
+        return
+    bound, args = _sgd_bound(data, p)
+    cb = _outcome(bound, p, *args)
+    for q in _rescaled(data, p):
+        scaled = _outcome(bound, q, *args)
+        assert DomainError in (cb, scaled) or scaled == cb
+    if cb is DomainError:
         return
     assert all(0.0 <= f.mu < math.inf for f in cb.factors)
     if _small(cb):
@@ -180,3 +236,17 @@ def test_request_outside_the_domain_exits_2(argv, message, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("invalid request: ") and message in out.err
+
+
+@pytest.mark.parametrize("mode", ["sc", "composition"])
+def test_bound_at_sigma_1e308_reads_as_at_sigma_1(mode, capsys):
+    # n sigma overflowed to inf: the sc bound printed mu 0.0 and the
+    # composition bound null (inf / inf), both with exit 0. L/(n sigma) is
+    # 0.1 at either scale.
+    mus = []
+    for scale in ("1e308", "1"):
+        argv = (f"bound --kind gd --{mode} --eta 0.1 --L {scale} --steps 4 "
+                f"--n 10 --sigma {scale} --m 1 --M 10").split()
+        assert cli.main(argv) == 0
+        mus.append(json.loads(capsys.readouterr().out)["mu"])
+    assert mus[0] == pytest.approx(mus[1], rel=1e-15)

@@ -1,12 +1,17 @@
 import inspect
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fdp_accountant
 from fdp_accountant import accountant as acc
 from fdp_accountant import conversions as cv
 from fdp_accountant import normal
@@ -109,6 +114,26 @@ def test_prv_delta_batch_matches_direct_sums(case):
     one = prv.prv_delta(grid, eps[0])
     assert type(one) is float
     assert abs(one - _delta_oracle(grid, eps[0])) <= 1e-13 * one + 1e-300
+
+
+# Prints the deltas of C_1(G(0.8))^400 at a few eps. Its lattices are long
+# enough that OpenBLAS splits a dot product between threads.
+_THREADS_PROBE = """
+from fdp_accountant import accountant as acc, prv
+cb = acc.CompositeBound((acc.SubsampledGdpFactor(0.8, 1.0, 400),))
+print(prv.evaluate_composite(cb, [0.0, 1.0, 4.0, 8.0, 16.0]))
+"""
+
+
+def test_deltas_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(fdp_accountant.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run(
+        [sys.executable, "-c", _THREADS_PROBE], capture_output=True,
+        timeout=300, check=True, env={**os.environ, "PYTHONPATH": path,
+                                      "OPENBLAS_NUM_THREADS": threads}).stdout
+        for threads in ("1", "2")]
+    assert outs[0] == outs[1]
 
 
 def test_prv_delta_edge_arguments():
@@ -641,18 +666,17 @@ def test_self_compose_gaussian():
 @pytest.mark.parametrize("mu, p", [(0.2, 0.01), (1.0, 0.05), (0.8, 1.0),
                                    (3.0, 0.05)])
 def test_self_compose_powers_only_the_surviving_bins(mu, p, k):
-    # NumPy raises complex bins to an integer power below 100 by
-    # multiplication and from 100 by cpow. Either way each bin self_compose
-    # skips is exactly 0 after the power, so at the same window the bytes
-    # equal those of the all-bin power. (A 1e-2 mesh keeps the k = 40000
-    # windows below 1.5e6 points.)
+    # Each bin self_compose skips is exactly 0 after the power, so at the
+    # same window the bytes equal those of the all-bin power. (A 1e-2 mesh
+    # keeps the k = 40000 windows below 1.5e6 points.)
     from scipy import fft
     sp = prv.prv_of_subsampled_gdp(mu, p, 1e-2)
     got = prv.self_compose(sp, k)
     n, i_lo = got.pmf.size, got.offset
     buf = np.zeros(n)
     buf[sp.offset - i_lo: sp.offset - i_lo + sp.pmf.size] = sp.pmf
-    want = np.roll(fft.irfft(fft.rfft(buf) ** k, n), ((k - 1) * i_lo) % n)
+    want = np.roll(fft.irfft(prv._power(fft.rfft(buf), k), n),
+                   ((k - 1) * i_lo) % n)
     np.clip(want, 0.0, None, out=want)
     assert got.pmf.tobytes() == want.tobytes()
 
@@ -661,6 +685,30 @@ def _on_window(grid, lo, size):
     out = np.zeros(size)
     out[grid.offset - lo: grid.offset - lo + grid.pmf.size] = grid.pmf
     return out
+
+
+@pytest.mark.parametrize("mu, p, k", [
+    (1.5, 0.0012, 23352), (2.18, 0.0016, 20299), (0.32, 0.0164, 8007),
+    (0.217, 0.0789, 184), (0.8, 1.0, 400)])
+def test_power_is_at_least_as_accurate_as_cpow(mu, p, k):
+    # On the bins self_compose raises, against 40-digit mpmath powers:
+    # repeated squaring's largest relative error is no larger than that of
+    # NumPy's z ** k (C cpow at these k). Bins whose power is below 1e-300
+    # are left out: there the double result is subnormal.
+    mpmath = pytest.importorskip("mpmath")
+    from scipy import fft
+    sp = prv.prv_of_subsampled_gdp(mu, p)
+    window = prv.self_compose(sp, k)
+    z = fft.rfft(_on_window(sp, window.offset, window.pmf.size))
+    z = z[np.abs(z) > 1e-300 ** (1.0 / k)]
+    with mpmath.workdps(40):
+        exact = np.array([complex(mpmath.mpc(c.real, c.imag) ** k)
+                          for c in z.tolist()])
+
+    def worst(power):
+        return np.max(np.abs(power - exact) / np.abs(exact))
+
+    assert worst(prv._power(z, k)) <= worst(z ** k)
 
 
 @pytest.mark.parametrize("mu, p, mesh", [
