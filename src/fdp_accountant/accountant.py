@@ -50,8 +50,8 @@ def ceil_snap(x) -> int:
 @dataclass(frozen=True)
 class AlgoParams:
     """Description of one private optimizer run. Each bound checks its domain
-    first (require_strongly_convex or require_constrained, and window), then
-    computes on in_noise_units()."""
+    (require_strongly_convex or require_constrained, and window) and
+    computes on rescaled(), which require_constrained returns."""
 
     kind: str
     eta: float
@@ -144,36 +144,52 @@ class AlgoParams:
                               "convex bound instead")
         return c
 
-    def require_constrained(self) -> None:
+    def require_constrained(self) -> "AlgoParams":
         """A finite D >= 0, 0 < eta and eta M <= 2, and eta sigma and (for
-        L > 0) eta L above 0: those products divide the constrained forms."""
+        L > 0) eta L above 0 both as given and on rescaled(), which is
+        returned: those products divide the constrained forms."""
         if not math.isfinite(self.D) or self.D < 0:
             raise DomainError("constrained bounds need a finite diameter D >= 0")
         if not (0.0 < self.eta and self.eta * self.M <= 2.0):
             raise DomainError("constrained bounds need 0 < eta and eta M <= 2")
-        if self.eta * self.sigma == 0 or (self.L > 0 and self.eta * self.L == 0):
-            raise DomainError("constrained bounds need eta sigma and eta L "
-                              "(for L > 0) not to underflow to 0")
+        scaled = self.rescaled(constrained=True)
+        for p in (self, scaled):
+            if p.eta * p.sigma == 0 or (p.L > 0 and p.eta * p.L == 0):
+                raise DomainError("constrained bounds need eta sigma and eta L "
+                                  "(for L > 0) not to underflow to 0")
+        return scaled
 
-    def in_noise_units(self) -> "AlgoParams":
-        """The same run with L, D and sigma scaled by the power of two that
-        puts sigma in [0.5, 1).
+    def rescaled(self, constrained: bool = False) -> "AlgoParams":
+        """The same run with L, D and sigma scaled by one power of two, the
+        one that centres on 1 the magnitudes the bounds multiply and divide
+        by: L, D and sigma, and for the constrained forms (require_constrained)
+        also eta sigma and eta L; or as near to that as keeps L, D and sigma
+        normal floats.
 
         Every bound depends on L, D and sigma only through L/sigma and
         D/sigma, and a power-of-two scaling is exact. So a bound reads the
-        same on the result, to the bit, wherever its formula neither over-
-        nor underflows at the given scale, and it reads the same whatever
-        common scale L, D and sigma are given in: n sigma no longer
-        overflows to inf, and L/(n sigma) to 0, at sigma = 1e308. An L/sigma
-        or D/sigma beyond the float range raises DomainError.
+        same bits on the result wherever its formula neither over- nor
+        underflows at the given scale, and it reads the same whatever common
+        scale L, D and sigma are given in. Centred, each magnitude lies
+        within half their spread of 1: n sigma does not overflow at
+        L = sigma = 1e308, and L = 1e-30 beside D = sigma = 1e300 does not
+        round to 0. A spread of L, D and sigma too wide for the normal
+        floats raises DomainError.
         """
-        k = math.frexp(self.sigma)[1]
-        try:
-            L, D = math.ldexp(self.L, -k), math.ldexp(self.D, -k)
-        except OverflowError:
-            raise DomainError("L/sigma and D/sigma must not exceed the float "
-                              "range") from None
-        return replace(self, L=L, D=D, sigma=math.ldexp(self.sigma, -k))
+        # Binary exponents: x is in [2^(e-1), 2^e), normal for e >= -1021.
+        own = [math.frexp(x)[1] for x in (self.L, self.D, self.sigma)
+               if 0 < x < math.inf]
+        exps = own[:]
+        if constrained:
+            e = math.frexp(self.eta)[1]
+            exps += [e + math.frexp(x)[1] for x in (self.sigma, self.L) if x > 0]
+        lo, hi = max(own) - 1024, min(own) + 1021
+        if lo > hi:
+            raise DomainError("L, D and sigma span too many orders of "
+                              "magnitude (more than about 615)")
+        k = min(max((min(exps) + max(exps)) // 2, lo), hi)
+        return replace(self, L=math.ldexp(self.L, -k), D=math.ldexp(self.D, -k),
+                       sigma=math.ldexp(self.sigma, -k))
 
     def window(self, tau: int) -> int:
         """w = t - tau, for a window start 0 <= tau < t."""
@@ -278,15 +294,15 @@ def _gd_sc_mu(c: float, ratio: float, t: int) -> float:
 
 def bound_gd_composition(p: AlgoParams) -> float:
     """mu = L sqrt(t) / (n sigma), the step-counting bound."""
-    p = p.in_noise_units()
+    p = p.rescaled()
     return p.L * math.sqrt(p.t) / (p.n * p.sigma)
 
 
 def bound_gd_sc(p: AlgoParams) -> float:
     """Convergent (and optimal) GDP parameter for strongly convex losses:
     mu = sqrt((1-c^t)/(1+c^t) * (1+c)/(1-c)) * L/(n sigma)."""
+    p = p.rescaled()
     c = p.require_strongly_convex()
-    p = p.in_noise_units()
     return _gd_sc_mu(c, p.L / (p.n * p.sigma), p.t)
 
 
@@ -298,9 +314,8 @@ def bound_gd_proj(p: AlgoParams, tau: int | None = None) -> float:
     an explicit tau the window form mu = L sqrt(t-tau)/(n sigma)
     + D/(eta sigma sqrt(t-tau)).
     """
-    p.require_constrained()
+    p = p.require_constrained()
     w = None if tau is None else p.window(tau)
-    p = p.in_noise_units()
     if p.L == 0:
         return 0.0
     if p.D == 0:
@@ -314,9 +329,12 @@ def bound_gd_proj(p: AlgoParams, tau: int | None = None) -> float:
         raise DomainError(
             f"plateau form needs t >= D n/(eta L) = {threshold:g}; "
             "pass tau explicitly for shorter runs")
-    ratio = p.L / p.n
-    return math.sqrt(3.0 * ratio * p.D / p.eta
-                     + ratio * ratio * ceil_snap(threshold)) / p.sigma
+    # 3LD/(eta n) = 3 (L/n)^2 threshold, so (L/n)^2 factors out and is never
+    # formed: it overflows where D/L is tiny. D > 0, so at least one step,
+    # also where the threshold is within ceil_snap's guard of 0 or
+    # underflows to it.
+    steps = max(1, ceil_snap(threshold))
+    return p.L / p.n * math.sqrt(3.0 * threshold + steps) / p.sigma
 
 
 # -- cyclic-batch bounds ------------------------------------------------------
@@ -324,14 +342,14 @@ def bound_gd_proj(p: AlgoParams, tau: int | None = None) -> float:
 
 def bound_cgd_composition(p: AlgoParams) -> float:
     """mu = L sqrt(E) / (b sigma)."""
-    p = p.in_noise_units()
+    p = p.rescaled()
     return p.L * math.sqrt(p.E) / (p.b * p.sigma)
 
 
 def bound_cgd_sc(p: AlgoParams) -> float:
     """Convergent GDP parameter for cyclic batches on strongly convex losses."""
+    p = p.rescaled()
     c = p.require_strongly_convex()
-    p = p.in_noise_units()
     l, E = p.l, p.E
     if E == 1:
         return p.L / (p.b * p.sigma)
@@ -344,8 +362,7 @@ def bound_cgd_sc(p: AlgoParams) -> float:
 def bound_cgd_proj(p: AlgoParams) -> float:
     """Convergent GDP parameter for cyclic batches on constrained convex
     losses (domain: require_constrained); needs E >= D b / (eta L)."""
-    p.require_constrained()
-    p = p.in_noise_units()
+    p = p.require_constrained()
     if p.L == 0:
         return 0.0
     threshold = p.D * p.b / (p.eta * p.L)
@@ -355,9 +372,10 @@ def bound_cgd_proj(p: AlgoParams) -> float:
     ratio = p.L / p.b
     if p.D == 0:
         return ratio / p.sigma
-    inner = (ratio * ratio + 3.0 * ratio * p.D / (p.eta * p.l)
-             + ratio * ratio / p.l * ceil_snap(threshold))
-    return math.sqrt(inner) / p.sigma
+    # As in bound_gd_proj: (L/b)^2 factors out of
+    # (L/b)^2 + 3 (L/b) D/(eta l) + (L/b)^2 ceil(threshold)/l.
+    steps = max(1, ceil_snap(threshold))
+    return ratio * math.sqrt(1.0 + (3.0 * threshold + steps) / p.l) / p.sigma
 
 
 # -- stochastic-batch bounds --------------------------------------------------
@@ -372,8 +390,8 @@ def _require_sgd(p: AlgoParams) -> None:
 
 def bound_sgd_composition(p: AlgoParams) -> CompositeBound:
     """C_{b/n}(G(L/(b sigma)))^{x t}."""
+    p = p.rescaled()
     _require_sgd(p)
-    p = p.in_noise_units()
     return CompositeBound((SubsampledGdpFactor(p.L / (p.b * p.sigma),
                                                p.b / p.n, p.t),))
 
@@ -385,10 +403,10 @@ def bound_sgd_sc(p: AlgoParams, tau: int) -> CompositeBound:
         x C_{b/n}(G(2 sqrt(2) L/(b sigma)))
         x C_{b/n}(G(2 L/(b sigma)))^{x (t-tau)}
     """
+    p = p.rescaled()
     _require_sgd(p)
     c = p.require_strongly_convex()
     w = p.window(tau)
-    p = p.in_noise_units()
     ratio = p.L / (p.b * p.sigma)
     rate = p.b / p.n
     # The residual distance behind the head factor is 0 at tau = 0 (it equals
@@ -409,9 +427,8 @@ def bound_sgd_proj(p: AlgoParams, tau: int) -> CompositeBound:
         x C_{b/n}(G(2 sqrt(2) L/(b sigma)))^{x (t-tau)}
     """
     _require_sgd(p)
-    p.require_constrained()
+    p = p.require_constrained()
     w = p.window(tau)
-    p = p.in_noise_units()
     head = math.sqrt(2.0) * p.D / (p.eta * p.sigma * math.sqrt(w))
     factors = [] if p.D == 0 else [GdpFactor(head)]
     factors.append(SubsampledGdpFactor(
@@ -454,7 +471,6 @@ def _clt_sgd_sc_window(p: AlgoParams) -> float:
     c = p.require_strongly_convex()
     if c == 0:
         raise DomainError("CLT window is degenerate for contraction c = 0")
-    p = p.in_noise_units()
     ratio = p.L / (p.b * p.sigma)
     K = _clt_inner(2.0 * ratio)
     if K <= 0:
@@ -467,7 +483,6 @@ def _clt_sgd_sc_window(p: AlgoParams) -> float:
 
 def _clt_sgd_sc_mu(p: AlgoParams, w: float) -> float:
     c = p.contraction()
-    p = p.in_noise_units()
     ratio = p.L / (p.b * p.sigma)
     K = _clt_inner(2.0 * ratio)
     head = ratio * c ** (w + 1.0) / (1.0 - c)
@@ -487,7 +502,6 @@ def _clt_sgd_proj_window(p: AlgoParams):
     p.require_constrained()
     if p.D == 0:
         raise DomainError("CLT window is degenerate for D = 0")
-    p = p.in_noise_units()
     K = _clt_inner(2.0 * math.sqrt(2.0) * p.L / (p.b * p.sigma))
     if K <= 0:
         raise DomainError("degenerate sensitivity: CLT term vanishes")
@@ -495,7 +509,6 @@ def _clt_sgd_proj_window(p: AlgoParams):
 
 
 def _clt_sgd_proj_mu(p: AlgoParams, w: float, K: float) -> float:
-    p = p.in_noise_units()
     return math.sqrt(2.0 * p.D ** 2 / (p.eta ** 2 * p.sigma ** 2 * w)
                      + 2.0 * (p.b / p.n) ** 2 * w * K)
 

@@ -10,11 +10,14 @@ Every bound depends on L, D and sigma only through L/sigma and D/sigma, so
 each draw is also given at a common scale 2^k of those three, magnitudes up
 to 1e308 included: there a bound gives the same mu or composite, or raises
 DomainError, and is never thrown off by a product such as n sigma that
-overflows (or underflows) on the way.
+overflows (or underflows) on the way. The closed forms are also drawn with
+L, D and sigma each anywhere in the floats, so that their ratios span the
+float range too.
 """
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -36,6 +39,8 @@ FIELDS = {
     "D": st.sampled_from([0.0, math.inf]) | st.floats(1e-3, 1e3),
 }
 L = st.sampled_from([0.0, 1e-300]) | st.floats(1e-3, 1e3)
+# Any positive float, subnormals included.
+ANY_SIZE = st.floats(5e-324, sys.float_info.max)
 MODES = ("composition", "sc", "constrained")
 CLOSED_FORM = {
     ("gd", "composition"): acc.bound_gd_composition,
@@ -89,8 +94,10 @@ def _outcome(bound, *args):
         return DomainError
 
 
-@given(st.data())
-def test_closed_form_bound_is_a_mu_at_least_0_or_a_domain_error(data):
+def _check_closed_form(data, **drawn):
+    """A drawn gd or cgd bound, on the fields drawn and the rest from
+    FIELDS, gives a mu >= 0 or DomainError, and the same at every common
+    scale of L, D and sigma."""
     kind = data.draw(st.sampled_from(["gd", "cgd"]))
     mode = data.draw(st.sampled_from(MODES))
     if kind == "gd":
@@ -100,7 +107,7 @@ def test_closed_form_bound_is_a_mu_at_least_0_or_a_domain_error(data):
         l, b = data.draw(st.integers(1, 50)), data.draw(st.integers(1, 20))
         sizes = dict(n=l * b, b=b, epochs=data.draw(st.integers(1, 10 ** 5 // l)))
     try:
-        p = acc.AlgoParams(kind=kind, L=data.draw(L), **_shared(data), **sizes)
+        p = acc.AlgoParams(kind=kind, **(_shared(data) | drawn), **sizes)
     except DomainError:
         return
     windowed = (kind, mode) == ("gd", "constrained") and data.draw(st.booleans())
@@ -112,6 +119,42 @@ def test_closed_form_bound_is_a_mu_at_least_0_or_a_domain_error(data):
         if scaled is not DomainError:
             assert scaled >= 0.0  # +inf passes, nan fails
             assert mu in (scaled, DomainError)
+
+
+@given(st.data())
+def test_closed_form_bound_is_a_mu_at_least_0_or_a_domain_error(data):
+    _check_closed_form(data, L=data.draw(L))
+
+
+@given(st.data())
+def test_closed_form_bound_at_any_magnitudes(data):
+    # L/sigma or D/sigma past the float range, or below its normal floats.
+    _check_closed_form(data, L=data.draw(st.just(0.0) | ANY_SIZE),
+                       D=data.draw(st.sampled_from([0.0, math.inf]) | ANY_SIZE),
+                       sigma=data.draw(ANY_SIZE))
+
+
+@given(st.floats(0.0, sys.float_info.max),
+       st.sampled_from([math.inf]) | st.floats(0.0, sys.float_info.max),
+       ANY_SIZE, ANY_SIZE, st.booleans())
+def test_rescaled_loses_nothing(L, D, sigma, eta, constrained):
+    """rescaled() scales L, D and sigma by one power of two and loses no
+    bit: each comes back exactly, 0 and inf stay, and every other value is
+    a normal float. It refuses only a spread of L, D and sigma wider than
+    the normal floats, 2^2045."""
+    p = acc.AlgoParams(kind="gd", eta=eta, sigma=sigma, n=10, L=L, steps=10,
+                       D=D)
+    given_ = (L, D, sigma)
+    try:
+        q = p.rescaled(constrained)
+    except DomainError:
+        logs = [math.log2(x) for x in given_ if 0 < x < math.inf]
+        assert max(logs) - min(logs) > 2043
+        return
+    k = math.frexp(sigma)[1] - math.frexp(q.sigma)[1]
+    for x, y in zip(given_, (q.L, q.D, q.sigma)):
+        assert math.ldexp(y, k) == x
+        assert y in (0.0, math.inf) or y >= sys.float_info.min
 
 
 def _sgd_params(data, ratio):
@@ -227,15 +270,57 @@ def _argv(command, params, **change):
     (_argv("bound --constrained", GD_PROJ, eta=0, L=0), "need 0 < eta"),
     (_argv("bound --constrained", GD_PROJ, eta=0, D=0), "need 0 < eta"),
     (_argv("bound --constrained", CGD_PROJ, eta=0, L=0), "need 0 < eta"),
+    # A ZeroDivisionError where eta L underflowed at the scale computed in
+    # but not at the scale given.
+    (_argv("bound --constrained", GD_PROJ, eta=1e-200, sigma=1e100, L=1e-100),
+     "plateau form needs t >="),
+    (_argv("bound --constrained", CGD_PROJ, eta=1e-200, sigma=1e100, L=1e-100),
+     "cyclic bound needs E >="),
+    # L/sigma = 1e-320 / 1e300 is past every float, and L at sigma's scale.
+    (_argv("bound --constrained", GD_PROJ, eta=1, sigma=1e300, L=1e-320,
+           M=1, D=1e300, tau=0), "orders of magnitude"),
 ], ids=["gd-eta-0-tau", "gd-eta-0-tau-0", "gd-eta-L", "cgd-eta-L",
         "sgd-eta-sigma", "sgd-eta-sigma-tau", "sweep-eta-sigma",
         "gd-L-0-tau-past-t", "gd-D-0-tau-negative", "gd-eta-0-L-0",
-        "gd-eta-0-D-0", "cgd-eta-0-L-0"])
+        "gd-eta-0-D-0", "cgd-eta-0-L-0", "gd-eta-L-scaled", "cgd-eta-L-scaled",
+        "spread"])
 def test_request_outside_the_domain_exits_2(argv, message, capsys):
     assert cli.main(argv) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("invalid request: ") and message in out.err
+
+
+@pytest.mark.parametrize("argv, mu", [
+    # L/sigma or D/sigma is below the floats: it read as L = 0 (mu 0) or
+    # D = 0 (mu L/(n sigma)), not as a vanishing term of the window form.
+    ("--eta 1 --sigma 1e300 --L 1e-30 --M 1 --D 1e300 --tau 0",
+     0.07071067811865475),
+    ("--eta 0.1 --sigma 1e300 --L 1e300 --M 10 --D 1e-30 --tau 0",
+     1.4142135623730951),
+    # At sigma near 1, (L/n)^2 and L D underflowed: the plateau form read 0.
+    ("--eta 0.1 --sigma 1e100 --L 1e-100 --M 10 --D 1e-100", 2e-200),
+    # (L/n)^2 overflowed, and D n/(eta L) underflowed to a ceiling of 0:
+    # inf times 0, mu null.
+    ("--eta 0.1 --sigma 1e300 --L 1e300 --M 10 --D 1e-20", 0.1),
+], ids=["L-below-floats", "D-below-floats", "plateau-squares",
+        "plateau-overflow"])
+def test_constrained_bound_at_extreme_scales(argv, mu, capsys):
+    argv = "bound --kind gd --constrained --n 10 --steps 200 " + argv
+    assert cli.main(argv.split()) == 0
+    assert json.loads(capsys.readouterr().out)["mu"] == mu
+
+
+@pytest.mark.parametrize("kind", ["gd", "cgd"])
+def test_plateau_bound_reads_the_same_at_d_1e_12_as_at_1e_8(kind):
+    # Both have ceil(D n/(eta L)) = 1 (ceil(D b/(eta L)) for cgd), but
+    # ceil_snap read ceil(1e-11) as 0: at D = 1e-12 the gd bound read 5.5e-7
+    # against 0.1 at D = 1e-8, and the cgd bound 0.1 against 0.141.
+    sizes = dict(steps=200) if kind == "gd" else dict(b=10, epochs=200)
+    bound = CLOSED_FORM[kind, "constrained"]
+    mus = [bound(acc.AlgoParams(kind=kind, eta=1, sigma=1, n=10, L=1, M=1,
+                                D=D, **sizes)) for D in (1e-12, 1e-8)]
+    assert mus[0] == pytest.approx(mus[1], rel=1e-6)
 
 
 @pytest.mark.parametrize("mode", ["sc", "composition"])
