@@ -458,10 +458,18 @@ def clt_subsampled(mu: float, p: float, t: int) -> float:
     return math.sqrt(2.0) * p * math.sqrt(t) * math.sqrt(_clt_inner(mu))
 
 
+def _clamp_window(w: float, t: int) -> float:
+    """A CLT window clamped into [1, t]. An overflowed CLT term gives
+    w = -inf (sc) or 0 (proj), and inf / inf gives nan: each reads as
+    w = 1, the window's limit as the term grows."""
+    return min(w, float(t)) if w >= 1 else 1.0
+
+
 def clt_sgd_sc(p: AlgoParams):
     """CLT-approximate strongly convex SGD bound with the window length
-    optimized in closed form. Returns (t_minus_tau, mu)."""
-    w = _clt_sgd_sc_window(p)
+    optimized in closed form, clamped into [1, t]. Returns (t_minus_tau, mu),
+    mu = +inf where the CLT term overflows."""
+    w = _clamp_window(_clt_sgd_sc_window(p), p.t)
     return w, _clt_sgd_sc_mu(p, w)
 
 
@@ -485,14 +493,18 @@ def _clt_sgd_sc_mu(p: AlgoParams, w: float) -> float:
     c = p.contraction()
     ratio = p.L / (p.b * p.sigma)
     K = _clt_inner(2.0 * ratio)
+    if K == math.inf:
+        return math.inf
     head = ratio * c ** (w + 1.0) / (1.0 - c)
     return math.sqrt(8.0 * head * head + 2.0 * (p.b / p.n) ** 2 * w * K)
 
 
 def clt_sgd_proj(p: AlgoParams):
     """CLT-approximate constrained convex SGD bound with the window length
-    optimized in closed form. Returns (t_minus_tau, mu)."""
+    optimized in closed form, clamped into [1, t]. Returns (t_minus_tau, mu),
+    mu = +inf where the CLT term overflows."""
     w, K = _clt_sgd_proj_window(p)
+    w = _clamp_window(w, p.t)
     return w, _clt_sgd_proj_mu(p, w, K)
 
 
@@ -509,8 +521,12 @@ def _clt_sgd_proj_window(p: AlgoParams):
 
 
 def _clt_sgd_proj_mu(p: AlgoParams, w: float, K: float) -> float:
-    return math.sqrt(2.0 * p.D ** 2 / (p.eta ** 2 * p.sigma ** 2 * w)
-                     + 2.0 * (p.b / p.n) ** 2 * w * K)
+    """sqrt(2 D^2 / (eta^2 sigma^2 w) + 2 (b/n)^2 w K), as a hypot: no
+    square is formed, so a large D does not overflow."""
+    if K == math.inf:
+        return math.inf
+    return math.hypot(math.sqrt(2.0 / w) * p.D / (p.eta * p.sigma),
+                      p.b / p.n * math.sqrt(2.0 * w * K))
 
 
 # -- sampling / exponential-mechanism corollaries ----------------------------
@@ -609,9 +625,7 @@ def _window_start(p: AlgoParams, setting: str) -> int:
         # with the window, and an sc delta is the same at every window.
         # Invalid parameters raise again when the first window is built.
         w = p.t if setting == "proj" and p.D != 0 else 1
-    # An overflowed CLT term gives w = -inf (sc) or 0 (proj), and inf / inf
-    # gives nan: each starts at w = 1, the window's limit as the term grows.
-    return round(min(w, p.t)) if w >= 1 else 1
+    return round(_clamp_window(w, p.t))
 
 
 def _search_windows(t: int, w0: int, columns: int, evaluate,

@@ -20,7 +20,10 @@ import numpy as np
 from .errors import DomainError
 from .tradeoff import gdp_eval
 
-_CHUNK = 1 << 14
+_CHUNK = 1 << 14        # most trials in one Monte-Carlo chunk
+# Cap on the trials of one simulation or bounded-shift check (128 MiB per
+# float64 array of trials), checked before any array is allocated.
+MAX_TRIALS = 1 << 24
 _DKW_CONFIDENCE = 0.99  # coverage of every empirical curve's band
 _MIN_BINS = 64          # histogram-lr bin-count floor
 
@@ -54,6 +57,11 @@ def worst_case_gd_sc_mu(c: float, s: float, sigma: float, t: int) -> float:
 # -- simulation ---------------------------------------------------------------
 
 
+def _check_trials(trials: int) -> None:
+    if trials > MAX_TRIALS:
+        raise DomainError(f"{trials} trials exceeds the limit of {MAX_TRIALS}")
+
+
 @dataclass(frozen=True)
 class SimSpec:
     """One-dimensional quadratic simulation of a noisy optimizer pair.
@@ -85,6 +93,7 @@ class SimSpec:
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                     or value < 1):
                 raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+        _check_trials(self.trials)
         if not all(math.isfinite(v) for v in (self.eta, self.sigma, self.m, self.L)):
             raise DomainError("need finite eta, sigma, m and L")
         if min(self.eta, self.sigma, self.L) < 0:
@@ -117,7 +126,7 @@ def _run_chunk(spec: SimSpec, pair: np.ndarray, z: np.ndarray, seed) -> None:
     come from the same stream, before each step's noise, whatever L is, so
     the baseline never depends on L.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.SFC64(seed))
     c_step = 1.0 - spec.eta * spec.m
     scale = spec.eta * spec.sigma
     half = spec.diameter / 2.0
@@ -139,6 +148,16 @@ def _run_chunk(spec: SimSpec, pair: np.ndarray, z: np.ndarray, seed) -> None:
             _project(pair, half)
 
 
+def _chunk_edges(trials: int) -> list:
+    """Boundaries of the chunks of a run: the fewest chunks of at most _CHUNK
+    trials, their count rounded up to an even number (so two threads get
+    equal shares) but never above the trial count. The first trials % count
+    chunks hold one trial more than the rest."""
+    count = min(2 * -(-trials // (2 * _CHUNK)), trials)
+    size, longer = divmod(trials, count)
+    return [i * size + min(i, longer) for i in range(count + 1)]
+
+
 def simulate(spec: SimSpec):
     """Terminal iterates of the adjacent pair: (baseline, perturbed) arrays.
 
@@ -149,19 +168,22 @@ def simulate(spec: SimSpec):
     Without projection a gd perturbed iterate is the baseline plus a fixed
     drift, so one noise sample serves both laws.
 
-    Trials run in chunks of _CHUNK, each from its own stream, spawned from
-    the master seed, on a thread pool (NumPy releases the GIL while
-    drawing). Each chunk depends only on its seed, so the output depends
-    only on spec.seed, not on the number of workers.
+    The trials are split into an even number of equal chunks (sizes differ
+    by at most one) of at most _CHUNK trials; a run of fewer trials than
+    two chunks holds no empty chunk. Each chunk draws from its own SFC64
+    stream, seeded by its child of the master SeedSequence, on a thread
+    pool (NumPy releases the GIL while drawing). The layout depends only on
+    spec.trials and each chunk only on its seed, so the output depends only
+    on spec.seed and spec.trials, not on the number of workers.
     """
     # The large arrays are allocated here: memory that a worker thread frees
     # stays in that thread's malloc arena and adds to the peak RSS.
     pair = np.zeros((2, spec.trials))
     noise = np.empty(spec.trials)
-    starts = range(0, spec.trials, _CHUNK)
-    seeds = np.random.SeedSequence(spec.seed).spawn(len(starts))
-    tasks = [(pair[:, i:i + _CHUNK], noise[i:i + _CHUNK], seed)
-             for i, seed in zip(starts, seeds)]
+    edges = _chunk_edges(spec.trials)
+    seeds = np.random.SeedSequence(spec.seed).spawn(len(edges) - 1)
+    tasks = [(pair[:, lo:hi], noise[lo:hi], seed)
+             for lo, hi, seed in zip(edges, edges[1:], seeds)]
     workers = min(len(tasks), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for _ in pool.map(lambda task: _run_chunk(spec, *task), tasks):
@@ -273,6 +295,7 @@ def check_gdpinf(s: float, sigma: float, w_law, n_trials: int, seed: int = 0,
         raise DomainError("need finite s and sigma")
     if s < 0 or sigma <= 0 or n_trials < 2:
         raise DomainError("need s >= 0, sigma > 0, n_trials >= 2")
+    _check_trials(n_trials)
     rng = np.random.default_rng(seed)
     w = np.asarray(w_law(rng, n_trials), dtype=float)
     if np.max(np.abs(w)) > s + 1e-12:

@@ -485,6 +485,54 @@ def test_clt_sgd_proj_consistency():
                                         M=10.0, D=0.0, constrained=True))
 
 
+# Per-step ratio L/(b sigma) about 11: the sc window is about -4e7 and the
+# proj CLT term overflows. These raised ValueError (math.sqrt of w K < 0)
+# and ZeroDivisionError (w = 0).
+HUGE_CLT_TERM = dict(kind="sgd", eta=0.00044, sigma=0.0156, n=634, b=496,
+                     L=85.8, steps=2050, m=0.136, M=0.0134, D=9.17)
+
+
+def test_clt_sgd_sc_clamps_a_window_below_1():
+    p = acc.AlgoParams(**HUGE_CLT_TERM)
+    assert acc._clt_sgd_sc_window(p) < -1e7
+    w, mu = acc.clt_sgd_sc(p)
+    assert w == 1.0
+    assert mu == acc._clt_sgd_sc_mu(p, 1.0) and math.isfinite(mu) and mu > 1e100
+
+
+def test_clt_sgd_proj_is_infinite_where_the_clt_term_overflows():
+    p = acc.AlgoParams(**HUGE_CLT_TERM)
+    assert acc._clt_sgd_proj_window(p) == (0.0, math.inf)
+    assert acc.clt_sgd_proj(p) == (1.0, math.inf)
+
+
+def test_clt_sgd_sc_is_infinite_where_the_clt_term_overflows():
+    p = acc.AlgoParams(**{**HUGE_CLT_TERM, "L": 400.0})
+    assert acc._clt_sgd_sc_window(p) == -math.inf
+    assert acc.clt_sgd_sc(p) == (1.0, math.inf)
+
+
+def test_clt_sgd_proj_takes_a_diameter_whose_square_overflows():
+    # D ** 2 raised OverflowError. The window is clamped to t, and mu is
+    # sqrt(2 / t) D / (eta sigma): the CLT part is about 1e-160 of it.
+    p = acc.AlgoParams(kind="sgd", eta=0.05, sigma=5.0, n=10000, b=100,
+                       L=10.0, steps=10 ** 5, M=10.0, D=1e160,
+                       constrained=True)
+    w, mu = acc.clt_sgd_proj(p)
+    assert w == 1e5
+    assert mu == pytest.approx(math.sqrt(2.0 / 1e5) * 1e160 / 0.25, rel=1e-15)
+
+
+@pytest.mark.parametrize("clt", [acc.clt_sgd_sc, acc.clt_sgd_proj])
+def test_clt_windows_are_clamped_to_the_run(clt):
+    long = acc.AlgoParams(kind="sgd", eta=0.05, sigma=5.0, n=10000, b=100,
+                          L=10.0, steps=10 ** 5, m=1.0, M=10.0, D=2.0)
+    w_long, _ = clt(long)
+    assert 10 < w_long < 10 ** 5
+    short = dataclasses.replace(long, steps=10)
+    assert clt(short)[0] == 10.0
+
+
 # -- sampling corollaries -----------------------------------------------------
 
 

@@ -43,6 +43,8 @@ COMMANDS = {
                     "--leff 2",
     # A 300,000,000-point alpha grid (2.24 GiB).
     "huge-grid": "curve --mu 1 --grid 300000000",
+    # A 1,000,000,000-trial simulation (16 GiB of pairs and noise).
+    "huge-trials": "verify --trials 1000000000",
 }
 # The 286,156,013-point head of the --tau 45 window must be refused before
 # the two subsampled lattices are composed: they take about 1 GB and 6 s.
@@ -81,6 +83,7 @@ def outcomes():
     ("infinite-cut", 2, "is not finite"),
     ("huge-lattice", 2, "447394412 points exceeds the limit"),
     ("huge-grid", 2, "grid_size must lie in"),
+    ("huge-trials", 2, "1000000000 trials exceeds the limit of 16777216"),
 ])
 def test_request_ends_in_an_exit_code_not_a_traceback(outcomes, name, code,
                                                        message):

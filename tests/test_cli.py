@@ -255,6 +255,16 @@ def test_verify_pass_and_tamper(tmp_path, capsys, monkeypatch):
     assert "FAIL" in err
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_raises_no_false_alarm(capsys, seed):
+    # An untampered simulation passes every check; across these seeds the
+    # smallest margin is about +0.034.
+    code, out, err = run(capsys, "verify", "--trials", "5000", "--seed",
+                         str(seed))
+    assert code == 0, err
+    assert all(c["margin"] >= 0.0 for c in json.loads(out)["checks"])
+
+
 @pytest.mark.parametrize("tamper,trials,failing", [
     ("drift", 50_000, "gd-sc-exact-curve"),
     ("contraction", 50_000, "gd-sc-exact-curve"),

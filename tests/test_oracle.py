@@ -25,7 +25,7 @@ def test_worst_case_matches_bound_formula():
 
 
 def test_simulate_is_deterministic(monkeypatch):
-    monkeypatch.setattr(oracle, "_CHUNK", 700)   # three chunks, three streams
+    monkeypatch.setattr(oracle, "_CHUNK", 700)   # four chunks, four streams
     spec = oracle.SimSpec(kind="sgd", n=8, b=2, steps=12, trials=1500, seed=7)
     x1, y1 = oracle.simulate(spec)
     x2, y2 = oracle.simulate(spec)
@@ -34,18 +34,52 @@ def test_simulate_is_deterministic(monkeypatch):
     assert x3.tobytes() != x1.tobytes()
 
 
+def _chunk_sizes(trials: int) -> list:
+    return np.diff(oracle._chunk_edges(trials)).tolist()
+
+
+@pytest.mark.parametrize("trials,sizes", [
+    (40_000, [10_000] * 4),
+    (200_000, [14_286] * 10 + [14_285] * 4),
+    (32_768, [16_384] * 2),
+    (32_769, [8_193] + [8_192] * 3),
+    (20_000, [10_000] * 2),   # below two chunks' worth: two equal halves
+    (3, [2, 1]),
+    (1, [1]),                 # one trial: one chunk, none empty
+])
+def test_chunk_layout(trials, sizes):
+    assert oracle._CHUNK == 16_384
+    assert _chunk_sizes(trials) == sizes
+
+
+@pytest.mark.parametrize("trials", [*range(1, 40), 16_383, 16_385, 65_537,
+                                    10 ** 6, oracle.MAX_TRIALS])
+def test_chunks_are_even_in_count_equal_and_never_empty(trials):
+    sizes = _chunk_sizes(trials)
+    assert sum(sizes) == trials
+    assert 1 <= min(sizes) and max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= oracle._CHUNK
+    # the fewest chunks, rounded up to an even count unless a trial short
+    fewest = -(-trials // oracle._CHUNK)
+    assert len(sizes) == min(fewest + fewest % 2, trials)
+
+
 def _expression_simulate(spec: oracle.SimSpec):
     """simulate with each step as a fresh expression, c x - s z, for each
-    process on its own: one stream per chunk, whose draws are (for sgd) the
-    inclusions, then one z that both x and y take, then a clip onto the
-    interval. The threaded in-place loop on the stacked pair must reproduce
-    it bit for bit."""
-    n_chunks = (spec.trials + oracle._CHUNK - 1) // oracle._CHUNK
-    seeds = np.random.SeedSequence(spec.seed).spawn(n_chunks)
+    process on its own: one SFC64 stream per chunk, whose draws are (for
+    sgd) the inclusions, then one z that both x and y take, then a clip
+    onto the interval. The chunks are np.array_split's equal parts, their
+    count the fewest of at most _CHUNK trials rounded up to an even number,
+    and at most the trial count. The threaded in-place loop on the stacked
+    pair must reproduce it bit for bit."""
+    count = -(-spec.trials // oracle._CHUNK)
+    count = min(count + count % 2, spec.trials)
+    parts = np.array_split(np.arange(spec.trials), count)
+    seeds = np.random.SeedSequence(spec.seed).spawn(count)
     xs, ys = [], []
-    for i, seed in enumerate(seeds):
-        n = min(oracle._CHUNK, spec.trials - i * oracle._CHUNK)
-        rng = np.random.default_rng(seed)
+    for part, seed in zip(parts, seeds):
+        n = part.size
+        rng = np.random.Generator(np.random.SFC64(seed))
         c, s = 1.0 - spec.eta * spec.m, spec.eta * spec.sigma
         drifts = oracle._drifts(spec)
         half = spec.diameter / 2.0
@@ -76,8 +110,16 @@ def _mixed_spec(**kw):
 @pytest.mark.parametrize("kind", ["gd", "sgd"])
 def test_simulate_in_place_matches_the_expression_form(monkeypatch, kind,
                                                        diameter):
-    monkeypatch.setattr(oracle, "_CHUNK", 700)   # three chunks, one partial
+    monkeypatch.setattr(oracle, "_CHUNK", 700)   # four chunks of 375
     spec = _mixed_spec(kind=kind, diameter=diameter)
+    x, y = oracle.simulate(spec)
+    want_x, want_y = _expression_simulate(spec)
+    assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+
+
+def test_simulate_matches_the_expression_form_on_unequal_chunks(monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK", 700)   # four chunks of 376 and 375
+    spec = _mixed_spec(kind="sgd", diameter=1.5, trials=1502)
     x, y = oracle.simulate(spec)
     want_x, want_y = _expression_simulate(spec)
     assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
@@ -87,6 +129,17 @@ def test_simulate_in_place_matches_the_expression_form(monkeypatch, kind,
 def test_simulate_does_not_depend_on_the_worker_count(monkeypatch, cpus):
     monkeypatch.setattr(oracle, "_CHUNK", 700)
     spec = _mixed_spec(kind="sgd", diameter=1.5)
+    x, y = oracle.simulate(spec)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    x1, y1 = oracle.simulate(spec)
+    assert x1.tobytes() == x.tobytes() and y1.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 64])
+def test_simulate_at_the_real_chunk_does_not_depend_on_the_core_count(
+        monkeypatch, cpus):
+    # 40,000 trials: four chunks of 10,000 at _CHUNK = 16,384.
+    spec = _mixed_spec(kind="sgd", diameter=1.5, steps=4, trials=40_000)
     x, y = oracle.simulate(spec)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     x1, y1 = oracle.simulate(spec)
@@ -110,7 +163,8 @@ def test_simulate_baseline_does_not_read_L(monkeypatch, kind):
     ("L", math.nan), ("L", math.inf), ("L", -1.0),
     ("diameter", math.nan), ("diameter", 0.0), ("diameter", -1.0),
     ("n", 0), ("n", -4), ("n", 2.0), ("b", 0), ("b", -2),
-    ("trials", 0), ("trials", 1.5), ("trials", True), ("steps", 0),
+    ("trials", 0), ("trials", 1.5), ("trials", True),
+    ("trials", oracle.MAX_TRIALS + 1), ("steps", 0),
     ("steps", 2.5),
 ])
 def test_simspec_rejects_bad_numbers(field, value):
@@ -291,6 +345,13 @@ def test_check_gdpinf_randomized_laws():
 def test_check_gdpinf_rejects_nonfinite_parameters(s, sigma):
     with pytest.raises(DomainError):
         oracle.check_gdpinf(s, sigma, lambda rng, size: np.zeros(size), 1000)
+
+
+def test_check_gdpinf_refuses_too_many_trials_before_drawing():
+    def law(rng, size):
+        raise AssertionError("w_law ran")
+    with pytest.raises(DomainError, match="trials exceeds the limit"):
+        oracle.check_gdpinf(1.0, 2.0, law, oracle.MAX_TRIALS + 1)
 
 
 def test_check_gdpinf_rejects_unbounded_law():
