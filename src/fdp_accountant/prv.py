@@ -46,12 +46,16 @@ eps down by a recursion of nonnegative terms, so the result is
 non-increasing in eps exactly.
 
 A composite (evaluate_composite) folds its Gaussian factors into one,
-G(mu_1) x ... x G(mu_n) = G(hypot(mu_1, ..., mu_n)), which is exact, and
-composes the subsampled factors first into the rest R. The Gaussian is built
-last, from cut = min(0, smallest eps) - R.hi - 2 mesh (an eps of +inf counts
-as 0): its mass below the cut goes into its first cell, and a loss there
-plus any point of R lands below every eps asked, so no delta read changes
-beyond round-off, and every request with eps >= 0 reads the same lattice.
+G(mu_1) x ... x G(mu_n) = G(hypot(mu_1, ..., mu_n)), which is exact. A p = 1
+factor is a Gaussian too, C_1(G(mu))^k = G(mu sqrt(k)), and joins the fold
+where that saves a self-composition (k >= 2) or where mu < 10 mesh is too
+narrow for its own lattice; a wider one at k = 1 keeps its lattice. The
+other subsampled factors are composed first into the rest R. The Gaussian
+is built last, from cut = min(0, smallest eps) - R.hi - 2 mesh (an eps of
++inf counts as 0): its mass below the cut goes into its first cell, and a
+loss there plus any point of R lands below every eps asked, so no delta read
+changes beyond round-off, and every request with eps >= 0 reads the same
+lattice.
 That Gaussian is often far longer than R; convolve then uses overlap-add,
 with FFT blocks of about (_OLA_RATIO + 1) times the shorter lattice. A head
 too narrow for the lattice (0 < mu < 10 mesh) next to a subsampled rest gets
@@ -457,15 +461,30 @@ def prv_delta(prv: PrvGrid, eps):
     return out[0] if scalar else out
 
 
+def _folds_into_head(f) -> bool:
+    """Whether a factor joins the Gaussian head: every GdpFactor, and a p = 1
+    SubsampledGdpFactor, since C_1(G(mu))^k = G(mu sqrt(k)) exactly, when
+    that replaces a self-composition (k >= 2) or a lattice too narrow to
+    build (mu < 10 DEFAULT_MESH)."""
+    return isinstance(f, GdpFactor) or (
+        f.p == 1.0 and (f.multiplicity > 1 or DEFAULT_MESH > f.mu / 10.0))
+
+
 def evaluate_composite(composite, eps_list):
     """Evaluate a symbolic product of GdpFactor / SubsampledGdpFactor factors.
 
     `composite` is anything with a `.factors` iterable of those two types;
     any other factor raises DomainError. Builds the PRVs on the DEFAULT_MESH
     lattice: the subsampled factors composed by FFT first, then one Gaussian
-    for all GdpFactors, cut below what the eps can reach (module docstring).
-    A Gaussian with 0 < mu < 10 * DEFAULT_MESH, too narrow for the lattice,
-    is added at query time instead when there are subsampled factors
+    head for all GdpFactors, cut below what the eps can reach (module
+    docstring). A p = 1 factor C_1(G(mu))^k folds into the head as
+    G(mu sqrt(k)), exactly, when k >= 2 or when 0 < mu < 10 * DEFAULT_MESH
+    (_folds_into_head); a wider one at k = 1 keeps its own lattice. The fold
+    moved the deltas of composites holding such factors once, towards the
+    exact G(mu) values, which the self-composed lattice over-reported: by
+    up to 3.2e-4 relative on the benchmark's seeded p = 1 requests.
+    A head with 0 < mu < 10 * DEFAULT_MESH, too narrow for the lattice, is
+    added at query time instead when there are subsampled factors left
     (_add_narrow_head); without them it raises ConfigurationError. A head
     longer than MAX_LATTICE_POINTS is refused before the rest is composed.
     The base lattices of the last two subsampled (mu, p) are reused
@@ -484,8 +503,10 @@ def evaluate_composite(composite, eps_list):
         if not isinstance(f, (GdpFactor, SubsampledGdpFactor)):
             raise DomainError(
                 f"unsupported composite factor {type(f).__name__}")
-    gauss = [f.mu for f in factors if isinstance(f, GdpFactor)]
-    mu = math.hypot(*gauss)
+    head = [f.mu if isinstance(f, GdpFactor)
+            else f.mu * math.sqrt(f.multiplicity)
+            for f in factors if _folds_into_head(f)]
+    mu = math.hypot(*head)
     # Refuse a head too long for any lattice before composing the rest. Its
     # 12-sigma span, snapped to cover 0, is the head's lattice for mu > 24
     # whatever the cut, and for smaller mu it is far below the cap.
@@ -493,7 +514,7 @@ def evaluate_composite(composite, eps_list):
                    0.5 * mu * mu + _STD_SPAN * mu, DEFAULT_MESH)
     rest = None
     for f in factors:
-        if isinstance(f, SubsampledGdpFactor):
+        if not _folds_into_head(f):
             prv = _subsampled_base(f.mu, f.p, DEFAULT_MESH)
             if f.multiplicity > 1:
                 prv = self_compose(prv, f.multiplicity)
@@ -501,7 +522,7 @@ def evaluate_composite(composite, eps_list):
     composed = rest
     # A head too narrow for the lattice is added at query time.
     narrow = rest is not None and mu > 0.0 and DEFAULT_MESH > mu / 10.0
-    if gauss and not narrow:
+    if head and not narrow:
         # Gaussian losses below the cut plus any point of the rest land at
         # least two meshes below min(0, smallest eps), where no delta is read.
         low = min([0.0] + [0.0 if e == math.inf else e for e in eps_list])

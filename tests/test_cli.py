@@ -693,3 +693,51 @@ def test_a_factor_too_narrow_for_the_mesh_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "too coarse" in err
+
+
+@pytest.mark.parametrize("params, setting, eps", [
+    (dict(eta=0.02, sigma=4.0, n=400, b=400, L=4.0, steps=300, m=1.0, M=10.0),
+     "sc", 0.1),
+    (dict(eta=0.05, sigma=4.0, n=500, b=500, L=4.0, steps=2000, M=20.0, D=1.0),
+     "proj", 1.0),
+], ids=["sc", "proj"])
+def test_full_batch_sweep_reads_the_folded_gaussian(params, setting, eps,
+                                                    capsys):
+    from fdp_accountant import conversions as cv
+    # With b = n every subsampled factor is C_1(G(mu))^k = G(mu sqrt(k)).
+    # Per step mu is 0.00707 or 0.00566, below 10 meshes: no factor could
+    # have a lattice of its own, and all fold into the Gaussian head.
+    argv = [f"--{key}={value:g}" for key, value in params.items()]
+    code, out, err = run(capsys, "sweep-tau", "--kind", "sgd",
+                         *(["--sc"] if setting == "sc" else []), *argv,
+                         "--eps", str(eps))
+    assert code == 0, err
+    best, = json.loads(out)["best"]
+    build = acct.bound_sgd_sc if setting == "sc" else acct.bound_sgd_proj
+    cb = build(acct.AlgoParams(kind="sgd", **params,
+                               constrained=setting == "proj"), best["tau"])
+    mu = math.hypot(*[f.mu * math.sqrt(getattr(f, "multiplicity", 1))
+                      for f in cb.factors])
+    exact = cv.gdp_to_delta(mu, eps)
+    assert exact > 1e-6
+    # The lattice error of G(mu) at mu = 0.062 (sc) and 0.28 (proj).
+    assert best["delta"] == pytest.approx(exact, rel=1e-4)
+
+
+def test_an_oversized_folded_head_exits_2_before_any_composition(
+        capsys, monkeypatch):
+    # Per step mu is 2 sqrt(2) L/(b sigma) = 20 at p = 1, so the 300-step
+    # window folds into G(346), whose lattice from 0 up to 12 sigma past its
+    # mean exceeds MAX_LATTICE_POINTS. No factor lattice is built first.
+    def unreachable(*args):
+        raise AssertionError("a factor was built before the head check")
+
+    for name in ("_subsampled_base", "self_compose", "convolve"):
+        monkeypatch.setattr(prv, name, unreachable)
+    code, out, err = run(capsys, "bound", "--kind", "sgd", "--constrained",
+                         "--eta", "0.05", "--sigma", "4", "--n", "500",
+                         "--b", "500", "--L", "14142.2", "--steps", "300",
+                         "--M", "20", "--D", "1", "--tau", "0", "--eps", "1")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit" in err

@@ -116,12 +116,14 @@ def test_prv_delta_batch_matches_direct_sums(case):
     assert abs(one - _delta_oracle(grid, eps[0])) <= 1e-13 * one + 1e-300
 
 
-# Prints the deltas of C_1(G(0.8))^400 at a few eps. Its lattices are long
-# enough that OpenBLAS splits a dot product between threads.
+# Prints the deltas of C_1(G(0.8))^400 (the Gaussian lattice of G(16)) and
+# of C_0.5(G(0.8))^400 (a self-composed window) at a few eps. Their lattices
+# are long enough that OpenBLAS splits a dot product between threads.
 _THREADS_PROBE = """
 from fdp_accountant import accountant as acc, prv
-cb = acc.CompositeBound((acc.SubsampledGdpFactor(0.8, 1.0, 400),))
-print(prv.evaluate_composite(cb, [0.0, 1.0, 4.0, 8.0, 16.0]))
+for p in (1.0, 0.5):
+    cb = acc.CompositeBound((acc.SubsampledGdpFactor(0.8, p, 400),))
+    print(prv.evaluate_composite(cb, [0.0, 1.0, 4.0, 8.0, 16.0]))
 """
 
 
@@ -479,16 +481,24 @@ def test_gaussian_cut_moves_only_the_lower_tail():
     assert high.pmf[1:].tobytes() == full.pmf[-full.offset:].tobytes()
 
 
+def _in_head(f):
+    """A GdpFactor, or a p = 1 factor that is self-composed or too narrow
+    for the lattice: C_1(G(mu))^k = G(mu sqrt(k))."""
+    return isinstance(f, acc.GdpFactor) or (
+        f.p == 1.0 and (f.multiplicity > 1 or prv.DEFAULT_MESH > f.mu / 10.0))
+
+
 def _uncut(composite):
     """evaluate_composite's lattice with the Gaussian built uncut."""
     rest = None
     for f in composite.factors:
-        if isinstance(f, acc.SubsampledGdpFactor):
+        if not _in_head(f):
             sp = prv.self_compose(prv.prv_of_subsampled_gdp(f.mu, f.p),
                                   f.multiplicity)
             rest = sp if rest is None else prv.convolve(rest, sp)
-    mu = math.hypot(*[f.mu for f in composite.factors
-                      if isinstance(f, acc.GdpFactor)])
+    mu = math.hypot(*[f.mu if isinstance(f, acc.GdpFactor)
+                      else f.mu * math.sqrt(f.multiplicity)
+                      for f in composite.factors if _in_head(f)])
     g = prv.prv_of_gdp(mu)
     return g if rest is None else prv.convolve(rest, g)
 
@@ -550,6 +560,9 @@ def test_gaussian_factors_fold_into_one(monkeypatch):
 
 def test_tiny_gaussian_factor_still_too_coarse():
     cb = acc.CompositeBound((acc.GdpFactor(1e-4),))
+    with pytest.raises(ConfigurationError):
+        prv.evaluate_composite(cb, [1.0])
+    cb = acc.CompositeBound((acc.SubsampledGdpFactor(1e-4, 1.0, 3),))
     with pytest.raises(ConfigurationError):
         prv.evaluate_composite(cb, [1.0])
 
@@ -636,6 +649,86 @@ def test_heads_the_lattice_takes_stay_on_the_lattice(mu):
     cut = min(0.0, min(NARROW_EPS)) - rest.hi - 2.0 * prv.DEFAULT_MESH
     composed = prv.convolve(rest, prv.prv_of_gdp(mu, cut=cut))
     assert _narrow(mu) == prv.prv_delta(composed, NARROW_EPS)
+
+
+# -- p = 1 factors in the head: C_1(G(mu))^k = G(mu sqrt(k)) -------------------
+
+FOLD_EPS = [0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, math.inf]
+
+
+@pytest.mark.parametrize("a, b, k, rest", [
+    (0.5, 0.8, 400, ()), (0.2, 2.0, 3, ()), (1.3, 0.005, 2, ()),
+    (0.0, 0.05, 400, ()), (0.0, 0.005, 1, NARROW_REST)])
+def test_folded_p1_factor_is_the_gaussian_it_equals(a, b, k, rest):
+    # G(a) x C_1(G(b))^k x rest reads as G(hypot(a, b sqrt(k))) x rest. At
+    # k = 1 only a factor too narrow for its own lattice folds; it joins the
+    # narrow head of the rest.
+    folded = acc.CompositeBound((acc.GdpFactor(a),
+                                 acc.SubsampledGdpFactor(b, 1.0, k)) + rest)
+    gauss = acc.CompositeBound(
+        (acc.GdpFactor(math.hypot(a, b * math.sqrt(k))),) + rest)
+    assert (prv.evaluate_composite(folded, FOLD_EPS)
+            == prv.evaluate_composite(gauss, FOLD_EPS))
+
+
+def test_self_compose_never_sees_a_p1_factor(monkeypatch):
+    calls = []
+    real = prv.self_compose
+
+    def recording(grid, k):
+        calls.append((grid.pmf.tobytes(), k))
+        return real(grid, k)
+
+    monkeypatch.setattr(prv, "self_compose", recording)
+    cb = acc.CompositeBound((acc.GdpFactor(0.5),
+                             acc.SubsampledGdpFactor(0.8, 1.0, 400),
+                             acc.SubsampledGdpFactor(0.8, 0.2, 12),
+                             acc.SubsampledGdpFactor(0.05, 1.0, 7)))
+    prv.evaluate_composite(cb, FOLD_EPS)
+    assert calls == [(prv.prv_of_subsampled_gdp(0.8, 0.2).pmf.tobytes(), 12)]
+    calls.clear()
+    sgd = dict(kind="sgd", eta=0.05, sigma=4.0, n=500, b=500, L=4.0, steps=300)
+    acc.sweep_tau(acc.AlgoParams(**sgd, M=20.0, D=1.0, constrained=True),
+                  [1.0], setting="proj", max_candidates=4)
+    acc.sweep_tau(acc.AlgoParams(**sgd, m=1.0, M=10.0), [1.0],
+                  max_candidates=4)
+    assert calls == []
+
+
+def test_wide_p1_factor_at_k1_keeps_its_lattice(monkeypatch):
+    # The delta_underreport_tail panel of the benchmark: a wide p = 1 factor
+    # at k = 1 keeps its own lattice, convolved with the head's.
+    convolved = []
+    real = prv.convolve
+
+    def recording(a, b):
+        convolved.append(a.pmf.tobytes())
+        return real(a, b)
+
+    monkeypatch.setattr(prv, "convolve", recording)
+    cb = acc.CompositeBound((acc.GdpFactor(0.344),
+                             acc.SubsampledGdpFactor(0.812, 1.0, 1)))
+    prv.evaluate_composite(cb, FOLD_EPS)
+    assert convolved == [prv.prv_of_subsampled_gdp(0.812, 1.0).pmf.tobytes()]
+
+
+def test_p1_composites_read_the_exact_gaussian():
+    # Folded, a p = 1 composite is one Gaussian lattice, within 4.2e-6 of
+    # the exact G(mu) wherever delta >= 1e-6 (G(0.5) is the worst). A
+    # self-composed lattice reads up to 4.4e-4 high on these draws.
+    rng = np.random.default_rng(7)
+    eps = np.linspace(0.0, 6.0, 61).tolist()
+    for i in range(12):
+        total, k = rng.uniform(0.5, 5.0), int(rng.integers(2, 2001))
+        head = total * rng.uniform(0.2, 0.9) if i % 2 else 0.0
+        sub = math.sqrt(total ** 2 - head ** 2) / math.sqrt(k)
+        factors = ((acc.GdpFactor(head),) if head else ()) + (
+            acc.SubsampledGdpFactor(sub, 1.0, k),)
+        mu = math.hypot(head, sub * math.sqrt(k))
+        for e, d in prv.evaluate_composite(acc.CompositeBound(factors), eps):
+            exact = cv.gdp_to_delta(mu, e)
+            if exact >= 1e-6:
+                assert abs(d - exact) <= 1e-5 * exact, (mu, k, e, d, exact)
 
 
 def test_subsampled_right_tail_beyond_expm1_overflow():
