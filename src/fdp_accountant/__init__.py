@@ -14,7 +14,6 @@ from .errors import (
     ConfigurationError,
     DomainError,
     InvalidCurveError,
-    VerificationError,
 )
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "ConfigurationError",
     "DomainError",
     "InvalidCurveError",
-    "VerificationError",
 ]
 
 __version__ = "0.1.0"

@@ -5,9 +5,9 @@ optimizers, each in three flavours: the step-counting composition bound, the
 convergent strongly-convex bound and the convergent constrained-convex bound.
 GD and CGD bounds are single Gaussian parameters; SGD bounds are symbolic
 products of Gaussian and subsampled-Gaussian factors evaluated numerically by
-the prv module. Also includes the CLT approximations of the subsampled
-compositions and the sampling / exponential-mechanism corollaries obtained in
-the many-step limit.
+the prv module. Also includes the CLT limit of a subsampled composition,
+which starts the tau sweep's window search, and the sampling /
+exponential-mechanism corollaries obtained in the many-step limit.
 
 Conventions: sigma is the noise rate inside the update
 x <- Pi_K[x - eta (grad + Z)], Z ~ N(0, sigma^2 I); the per-step sensitivity
@@ -458,77 +458,6 @@ def clt_subsampled(mu: float, p: float, t: int) -> float:
     return math.sqrt(2.0) * p * math.sqrt(t) * math.sqrt(_clt_inner(mu))
 
 
-def _clamp_window(w: float, t: int) -> float:
-    """A CLT window clamped into [1, t]. An overflowed CLT term gives
-    w = -inf (sc) or 0 (proj), and inf / inf gives nan: each reads as
-    w = 1, the window's limit as the term grows."""
-    return min(w, float(t)) if w >= 1 else 1.0
-
-
-def clt_sgd_sc(p: AlgoParams):
-    """CLT-approximate strongly convex SGD bound with the window length
-    optimized in closed form, clamped into [1, t]. Returns (t_minus_tau, mu),
-    mu = +inf where the CLT term overflows."""
-    w = _clamp_window(_clt_sgd_sc_window(p), p.t)
-    return w, _clt_sgd_sc_mu(p, w)
-
-
-def _clt_sgd_sc_window(p: AlgoParams) -> float:
-    """clt_sgd_sc's window t - tau, unrounded: -inf where the CLT term
-    overflows."""
-    c = p.require_strongly_convex()
-    if c == 0:
-        raise DomainError("CLT window is degenerate for contraction c = 0")
-    ratio = p.L / (p.b * p.sigma)
-    K = _clt_inner(2.0 * ratio)
-    if K <= 0:
-        raise DomainError("degenerate sensitivity: CLT term vanishes")
-    log_inv_c = math.log(1.0 / c)
-    arg = (p.b ** 2 * p.sigma * (1.0 - c) * math.sqrt(K)
-           / (2.0 * math.sqrt(2.0) * p.n * p.L * math.sqrt(log_inv_c)))
-    return -math.log(arg) / log_inv_c - 1.0
-
-
-def _clt_sgd_sc_mu(p: AlgoParams, w: float) -> float:
-    c = p.contraction()
-    ratio = p.L / (p.b * p.sigma)
-    K = _clt_inner(2.0 * ratio)
-    if K == math.inf:
-        return math.inf
-    head = ratio * c ** (w + 1.0) / (1.0 - c)
-    return math.sqrt(8.0 * head * head + 2.0 * (p.b / p.n) ** 2 * w * K)
-
-
-def clt_sgd_proj(p: AlgoParams):
-    """CLT-approximate constrained convex SGD bound with the window length
-    optimized in closed form, clamped into [1, t]. Returns (t_minus_tau, mu),
-    mu = +inf where the CLT term overflows."""
-    w, K = _clt_sgd_proj_window(p)
-    w = _clamp_window(w, p.t)
-    return w, _clt_sgd_proj_mu(p, w, K)
-
-
-def _clt_sgd_proj_window(p: AlgoParams):
-    """clt_sgd_proj's window t - tau, unrounded, and its CLT term K: w = 0
-    where K overflows."""
-    p.require_constrained()
-    if p.D == 0:
-        raise DomainError("CLT window is degenerate for D = 0")
-    K = _clt_inner(2.0 * math.sqrt(2.0) * p.L / (p.b * p.sigma))
-    if K <= 0:
-        raise DomainError("degenerate sensitivity: CLT term vanishes")
-    return p.D * p.n / (p.b * p.eta * p.sigma * math.sqrt(K)), K
-
-
-def _clt_sgd_proj_mu(p: AlgoParams, w: float, K: float) -> float:
-    """sqrt(2 D^2 / (eta^2 sigma^2 w) + 2 (b/n)^2 w K), as a hypot: no
-    square is formed, so a large D does not overflow."""
-    if K == math.inf:
-        return math.inf
-    return math.hypot(math.sqrt(2.0 / w) * p.D / (p.eta * p.sigma),
-                      p.b / p.n * math.sqrt(2.0 * w * K))
-
-
 # -- sampling / exponential-mechanism corollaries ----------------------------
 
 
@@ -613,19 +542,40 @@ def crossover_step(convergent_mu: float, composition_rate: float) -> int:
 
 
 def _window_start(p: AlgoParams, setting: str) -> int:
-    """The CLT window t - tau of the setting's SGD bound (clt_sgd_sc or
-    clt_sgd_proj), clamped into [1, t], then rounded. Only the window is
-    formed, not the CLT mu, which can overflow where the window does not."""
-    try:
-        w = (_clt_sgd_sc_window(p) if setting == "sc"
-             else _clt_sgd_proj_window(p)[0])
-    except DomainError:
-        # With no head factor (proj D = 0, sc c = 0) delta grows with the
-        # window. L = 0 makes the CLT term vanish: a proj delta then falls
-        # with the window, and an sc delta is the same at every window.
-        # Invalid parameters raise again when the first window is built.
-        w = p.t if setting == "proj" and p.D != 0 else 1
-    return round(_clamp_window(w, p.t))
+    """The window w = t - tau where sweep_tau's search starts: the minimizer
+    of the CLT approximation of the setting's bound, clamped into [1, t] and
+    rounded. With c the contraction and K = _clt_inner(subsampled mu), it is
+    w = -log(b^2 sigma (1-c) sqrt(K) / (2 sqrt(2) n L sqrt(log(1/c))))
+    / log(1/c) - 1 for sc, and w = D n / (b eta sigma sqrt(K)) for proj.
+    The CLT mu is not formed: it can overflow where w does not."""
+    if setting == "sc":
+        try:
+            c = p.require_strongly_convex()
+        except DomainError:
+            return 1    # invalid: raises when the first window is built
+        K = _clt_inner(2.0 * (p.L / (p.b * p.sigma)))
+        # With no head factor (c = 0) delta grows with the window; with L = 0
+        # (K = 0) it is the same at every window.
+        if c == 0 or K <= 0:
+            return 1
+        log_inv_c = math.log(1.0 / c)
+        arg = (p.b ** 2 * p.sigma * (1.0 - c) * math.sqrt(K)
+               / (2.0 * math.sqrt(2.0) * p.n * p.L * math.sqrt(log_inv_c)))
+        w = -math.log(arg) / log_inv_c - 1.0
+    else:
+        if p.D == 0:
+            return 1    # no head factor: delta grows with the window
+        try:
+            p.require_constrained()
+        except DomainError:
+            return p.t  # invalid: raises when the first window is built
+        K = _clt_inner(2.0 * math.sqrt(2.0) * p.L / (p.b * p.sigma))
+        if K <= 0:
+            return p.t  # L = 0: delta falls with the window
+        w = p.D * p.n / (p.b * p.eta * p.sigma * math.sqrt(K))
+    # An overflowed CLT term gives w = -inf (sc) or 0 (proj), and inf / inf
+    # gives nan: each reads as w = 1, the window's limit as the term grows.
+    return round(min(w, float(p.t))) if w >= 1 else 1
 
 
 def _search_windows(t: int, w0: int, columns: int, evaluate,
@@ -676,10 +626,10 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
     pointwise minimum over the evaluated windows is a valid bound).
 
     setting chooses the bound, bound_sgd_sc ("sc") or bound_sgd_proj
-    ("proj"), and the CLT window w* = t - tau where the search starts:
-    clt_sgd_sc's or clt_sgd_proj's, rounded into [1, t] (w = 1 where the
-    bound has no head factor, proj D = 0 or sc c = 0, or where an sc CLT term
-    vanishes; w = t where a proj CLT term vanishes, L = 0). Every eps column
+    ("proj"), and the CLT window w* = t - tau where the search starts
+    (_window_start), rounded into [1, t] (w = 1 where the bound has no head
+    factor, proj D = 0 or sc c = 0, or where an sc CLT term vanishes; w = t
+    where a proj CLT term vanishes, L = 0). Every eps column
     brackets its minimum from there by doubling steps and closes in by an
     integer ternary search (_search_windows). The columns share one cache
     of evaluated windows, and max_candidates caps how many are evaluated.
@@ -689,8 +639,6 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
     evaluate_composite call that answers every eps) and best: per eps,
     the column minimum of the matrix and its tau.
     """
-    import numpy as np  # deferred: closed-form bounds run without NumPy
-
     from . import prv  # deferred: prv has no compile-time dependence on us
 
     if setting not in ("sc", "proj"):
@@ -709,8 +657,10 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
                            evaluate, max_candidates)
     windows = sorted(rows)
     taus = [p.t - w for w in windows]
-    matrix = np.asarray([rows[w] for w in windows])
-    best_idx = np.argmin(matrix, axis=0)
-    best = [{"eps": eps_list[j], "delta": float(matrix[best_idx[j], j]),
-             "tau": taus[best_idx[j]]} for j in range(len(eps_list))]
-    return {"taus": taus, "eps": eps_list, "deltas": matrix.tolist(), "best": best}
+    matrix = [rows[w] for w in windows]
+    best = []
+    for j, e in enumerate(eps_list):
+        # min keeps the first of equal deltas: the shortest window.
+        i = min(range(len(windows)), key=lambda i: matrix[i][j])
+        best.append({"eps": e, "delta": matrix[i][j], "tau": taus[i]})
+    return {"taus": taus, "eps": eps_list, "deltas": matrix, "best": best}

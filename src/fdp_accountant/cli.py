@@ -106,10 +106,25 @@ def _mode(args) -> str:
     return chosen[0] if chosen else "composition"
 
 
-def _reject_unused_bound_flags(args, kind: str, mode: str) -> None:
+def _bounds() -> dict:
+    """(kind, mode) -> (bound, whether it takes a window start --tau). Built
+    per call from acct's attributes, so a wrapper installed on one is used."""
+    return {
+        ("gd", "composition"): (acct.bound_gd_composition, False),
+        ("gd", "sc"): (acct.bound_gd_sc, False),
+        ("gd", "constrained"): (acct.bound_gd_proj, True),
+        ("cgd", "composition"): (acct.bound_cgd_composition, False),
+        ("cgd", "sc"): (acct.bound_cgd_sc, False),
+        ("cgd", "constrained"): (acct.bound_cgd_proj, False),
+        ("sgd", "composition"): (acct.bound_sgd_composition, False),
+        ("sgd", "sc"): (acct.bound_sgd_sc, True),
+        ("sgd", "constrained"): (acct.bound_sgd_proj, True),
+    }
+
+
+def _reject_unused_bound_flags(args, kind: str, windowed: bool) -> None:
     """A flag the chosen bound would ignore is a validation error."""
-    windowed = {("gd", "constrained"), ("sgd", "sc"), ("sgd", "constrained")}
-    if args.tau is not None and (kind, mode) not in windowed:
+    if args.tau is not None and not windowed:
         raise DomainError("--tau applies only to windowed bounds: gd "
                           "--constrained and sgd --sc/--constrained")
     if kind == "sgd":
@@ -139,27 +154,27 @@ def _reject_unused_global_flags(args) -> None:
 def cmd_bound(args) -> int:
     params = _load_params(args)
     mode = _mode(args)
-    _reject_unused_bound_flags(args, params.kind, mode)
+    bound, windowed = _bounds()[params.kind, mode]
+    _reject_unused_bound_flags(args, params.kind, windowed)
     deltas = args.delta or []
     report: dict = {"params": params.to_dict(), "mode": mode}
     if params.kind == "sgd":
         from . import prv  # deferred: only sgd bounds need SciPy's FFT
         eps_list = args.eps or [1.0]
         pairs = None
-        if mode == "composition":
-            cb = acct.bound_sgd_composition(params)
+        if not windowed:
+            cb = bound(params)
         else:
-            setting, builder = (("sc", acct.bound_sgd_sc) if mode == "sc"
-                                else ("proj", acct.bound_sgd_proj))
             tau = args.tau
             if tau is None:
                 # The bound holds for every window: take the sweep's best at
                 # the first eps, and the deltas of its row.
-                sweep = acct.sweep_tau(params, eps_list, setting=setting)
+                sweep = acct.sweep_tau(params, eps_list, setting=(
+                    "sc" if mode == "sc" else "proj"))
                 tau = sweep["best"][0]["tau"]
                 pairs = list(zip(sweep["eps"],
                                  sweep["deltas"][sweep["taus"].index(tau)]))
-            cb = builder(params, tau)
+            cb = bound(params, tau)
             report["tau"] = tau
         report["composite"] = cb.describe()
         if pairs is None:
@@ -175,16 +190,8 @@ def cmd_bound(args) -> int:
             return EXIT_OK
         report["delta_at_eps"] = [{"eps": e, "delta": d} for e, d in pairs]
     else:
-        if params.kind == "gd":
-            fns = {"composition": acct.bound_gd_composition,
-                   "sc": acct.bound_gd_sc,
-                   "constrained": acct.bound_gd_proj}
-        else:
-            fns = {"composition": acct.bound_cgd_composition,
-                   "sc": acct.bound_cgd_sc,
-                   "constrained": acct.bound_cgd_proj}
         # Only gd --constrained (bound_gd_proj) gets here with a --tau.
-        mu = fns[mode](params) if args.tau is None else fns[mode](params, args.tau)
+        mu = bound(params) if args.tau is None else bound(params, args.tau)
         report["mu"] = mu
         if deltas:
             report["conversions"] = {"eps_at_delta": [

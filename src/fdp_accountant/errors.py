@@ -16,6 +16,3 @@ class ConfigurationError(DomainError):
 class AccuracyError(RuntimeError):
     """A computation exceeded its accuracy budget (e.g. truncated mass)."""
 
-
-class VerificationError(RuntimeError):
-    """An empirical verification check failed."""

@@ -166,8 +166,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(a * b))
 
 
+def _too_narrow(mu: float, mesh: float = DEFAULT_MESH) -> bool:
+    """G(mu) or C_p(G(mu)) gets no lattice of this mesh: mesh > mu / 10."""
+    return mesh > mu / 10.0
+
+
 def _aligned_range(lo: float, hi: float, mesh: float):
     """Snap [lo, hi] outward to lattice indices, always covering 0.
+
+    Covering 0 keeps a subsampled PRV's atom (for p < 1 its CDF jumps at 0
+    by about 1 - p) in the lattice: for mu > 24 both 12-sigma cuts are
+    positive, the lower one -log(1 - p + p e^{12 mu - mu^2/2}) included, and
+    prv_of_subsampled_gdp(40, 0.5) fails without the stretch. Only a
+    Gaussian lattice, which has no atom, could drop it.
 
     A span that is not finite, or that holds more than MAX_LATTICE_POINTS
     points, raises ConfigurationError.
@@ -211,7 +222,7 @@ def prv_of_gdp(mu: float, mesh: float = DEFAULT_MESH, *,
         raise DomainError(f"mu must be >= 0, got {mu}")
     if mu == 0:
         return PrvGrid(offset=0, mesh=mesh, pmf=np.ones(1), tail_mass=0.0)
-    if mesh > mu / 10.0:
+    if _too_narrow(mu, mesh):
         raise ConfigurationError(
             f"mesh {mesh} too coarse for mu={mu}; need mesh <= mu/10")
     mean, sd = 0.5 * mu * mu, mu
@@ -247,7 +258,7 @@ def prv_of_subsampled_gdp(mu: float, p: float,
         raise DomainError(f"sampling rate must lie in [0, 1], got {p}")
     if mu == 0 or p == 0:
         return PrvGrid(offset=0, mesh=mesh, pmf=np.ones(1), tail_mass=0.0)
-    if mesh > mu / 10.0:
+    if _too_narrow(mu, mesh):
         raise ConfigurationError(
             f"mesh {mesh} too coarse for mu={mu}; need mesh <= mu/10")
     # Cuts at e = mu^2/2 -+ _STD_SPAN mu pushed through T_p(e) =
@@ -465,9 +476,9 @@ def _folds_into_head(f) -> bool:
     """Whether a factor joins the Gaussian head: every GdpFactor, and a p = 1
     SubsampledGdpFactor, since C_1(G(mu))^k = G(mu sqrt(k)) exactly, when
     that replaces a self-composition (k >= 2) or a lattice too narrow to
-    build (mu < 10 DEFAULT_MESH)."""
+    build (_too_narrow)."""
     return isinstance(f, GdpFactor) or (
-        f.p == 1.0 and (f.multiplicity > 1 or DEFAULT_MESH > f.mu / 10.0))
+        f.p == 1.0 and (f.multiplicity > 1 or _too_narrow(f.mu)))
 
 
 def evaluate_composite(composite, eps_list):
@@ -521,7 +532,7 @@ def evaluate_composite(composite, eps_list):
             rest = prv if rest is None else convolve(rest, prv)
     composed = rest
     # A head too narrow for the lattice is added at query time.
-    narrow = rest is not None and mu > 0.0 and DEFAULT_MESH > mu / 10.0
+    narrow = rest is not None and mu > 0.0 and _too_narrow(mu)
     if head and not narrow:
         # Gaussian losses below the cut plus any point of the rest land at
         # least two meshes below min(0, smallest eps), where no delta is read.

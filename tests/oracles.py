@@ -13,11 +13,15 @@ from fdp_accountant import accountant as acc
 from fdp_accountant import conversions as cv
 from fdp_accountant import normal
 from fdp_accountant import tradeoff as tc
-from fdp_accountant.errors import DomainError, VerificationError
+from fdp_accountant.errors import DomainError
 import schedule as sch
 
 ORDER_TOL = 1e-9     # curve_geq: slack on top of one mesh width
 MU_BRACKET = 100.0   # gdp_mu_from_delta: largest mu searched
+
+
+class VerificationError(RuntimeError):
+    """A numerical reference could not be computed (a solver failed)."""
 
 
 def phi(x):
@@ -240,3 +244,82 @@ def tau_window_grid(t, count=64):
     the fixed grid a window search must do no worse than."""
     ws = np.unique(np.round(np.geomspace(1, t, count)).astype(int))
     return [int(w) for w in ws]
+
+
+# -- CLT approximations of the sgd bounds ---------------------------------------
+#
+# The bounds with the window t - tau optimized in closed form for the CLT
+# limit of their subsampled factors. accountant._window_start forms the same
+# windows, clamped and rounded, to start sweep_tau's search.
+
+
+def clamp_window(w, t):
+    """A CLT window clamped into [1, t]. An overflowed CLT term gives
+    w = -inf (sc) or 0 (proj), and inf / inf gives nan: each reads as
+    w = 1, the window's limit as the term grows."""
+    return min(w, float(t)) if w >= 1 else 1.0
+
+
+def clt_sgd_sc_window(p):
+    """clt_sgd_sc's window t - tau, unrounded: -inf where the CLT term
+    overflows."""
+    c = p.require_strongly_convex()
+    if c == 0:
+        raise DomainError("CLT window is degenerate for contraction c = 0")
+    ratio = p.L / (p.b * p.sigma)
+    K = acc._clt_inner(2.0 * ratio)
+    if K <= 0:
+        raise DomainError("degenerate sensitivity: CLT term vanishes")
+    log_inv_c = math.log(1.0 / c)
+    arg = (p.b ** 2 * p.sigma * (1.0 - c) * math.sqrt(K)
+           / (2.0 * math.sqrt(2.0) * p.n * p.L * math.sqrt(log_inv_c)))
+    return -math.log(arg) / log_inv_c - 1.0
+
+
+def clt_sgd_sc_mu(p, w):
+    """CLT mu of the strongly convex SGD bound at window w."""
+    c = p.contraction()
+    ratio = p.L / (p.b * p.sigma)
+    K = acc._clt_inner(2.0 * ratio)
+    if K == math.inf:
+        return math.inf
+    head = ratio * c ** (w + 1.0) / (1.0 - c)
+    return math.sqrt(8.0 * head * head + 2.0 * (p.b / p.n) ** 2 * w * K)
+
+
+def clt_sgd_sc(p):
+    """CLT-approximate strongly convex SGD bound with the window length
+    optimized in closed form, clamped into [1, t]. Returns (t_minus_tau, mu),
+    mu = +inf where the CLT term overflows."""
+    w = clamp_window(clt_sgd_sc_window(p), p.t)
+    return w, clt_sgd_sc_mu(p, w)
+
+
+def clt_sgd_proj_window(p):
+    """clt_sgd_proj's window t - tau, unrounded, and its CLT term K: w = 0
+    where K overflows."""
+    p.require_constrained()
+    if p.D == 0:
+        raise DomainError("CLT window is degenerate for D = 0")
+    K = acc._clt_inner(2.0 * math.sqrt(2.0) * p.L / (p.b * p.sigma))
+    if K <= 0:
+        raise DomainError("degenerate sensitivity: CLT term vanishes")
+    return p.D * p.n / (p.b * p.eta * p.sigma * math.sqrt(K)), K
+
+
+def clt_sgd_proj_mu(p, w, K):
+    """sqrt(2 D^2 / (eta^2 sigma^2 w) + 2 (b/n)^2 w K), as a hypot: no
+    square is formed, so a large D does not overflow."""
+    if K == math.inf:
+        return math.inf
+    return math.hypot(math.sqrt(2.0 / w) * p.D / (p.eta * p.sigma),
+                      p.b / p.n * math.sqrt(2.0 * w * K))
+
+
+def clt_sgd_proj(p):
+    """CLT-approximate constrained convex SGD bound with the window length
+    optimized in closed form, clamped into [1, t]. Returns (t_minus_tau, mu),
+    mu = +inf where the CLT term overflows."""
+    w, K = clt_sgd_proj_window(p)
+    w = clamp_window(w, p.t)
+    return w, clt_sgd_proj_mu(p, w, K)

@@ -10,8 +10,10 @@ from fdp_accountant import accountant as acc
 from fdp_accountant import conversions as cv
 from fdp_accountant import prv
 from fdp_accountant.errors import DomainError
-from oracles import (cgd, gd, gd_proj_mu_via_schedule, gd_sc_mu_via_schedule,
-                     phi, tau_window_grid)
+from oracles import (cgd, clamp_window, clt_sgd_proj, clt_sgd_proj_mu,
+                     clt_sgd_proj_window, clt_sgd_sc, clt_sgd_sc_mu,
+                     clt_sgd_sc_window, gd, gd_proj_mu_via_schedule,
+                     gd_sc_mu_via_schedule, phi, tau_window_grid)
 
 
 # -- parameter plumbing -------------------------------------------------------
@@ -310,7 +312,7 @@ def _sc_runs(count=8, seed=1):
         p = acc.AlgoParams(
             kind="sgd", eta=eta, sigma=sigma, n=round(b / rate), b=b,
             L=ratio * b * sigma, steps=rng.randint(100, 600), m=1.0, M=10.0)
-        mu = acc.clt_sgd_sc(p)[1]
+        mu = clt_sgd_sc(p)[1]
         deltas = rng.sample([1e-3, 1e-6, 1e-9], rng.randint(1, 3))
         runs.append((p, sorted(cv.gdp_to_eps(mu, d) for d in deltas)))
     return runs
@@ -318,8 +320,8 @@ def _sc_runs(count=8, seed=1):
 
 SC_RUNS = _sc_runs()
 
-SETTINGS = {"proj": (acc.bound_sgd_proj, acc.clt_sgd_proj),
-            "sc": (acc.bound_sgd_sc, acc.clt_sgd_sc)}
+SETTINGS = {"proj": (acc.bound_sgd_proj, clt_sgd_proj),
+            "sc": (acc.bound_sgd_sc, clt_sgd_sc)}
 
 
 def clt_start(p, setting="proj"):
@@ -461,28 +463,28 @@ def test_clt_subsampled_scalar():
 
 def test_clt_sgd_sc_consistency():
     p = sgd(t=10 ** 5, n=10000, b=100)
-    w, mu = acc.clt_sgd_sc(p)
-    assert mu == pytest.approx(acc._clt_sgd_sc_mu(p, w), rel=1e-12)
-    assert mu <= acc._clt_sgd_sc_mu(p, w - 1.0) + 1e-15
-    assert mu <= acc._clt_sgd_sc_mu(p, w + 1.0) + 1e-15
+    w, mu = clt_sgd_sc(p)
+    assert mu == pytest.approx(clt_sgd_sc_mu(p, w), rel=1e-12)
+    assert mu <= clt_sgd_sc_mu(p, w - 1.0) + 1e-15
+    assert mu <= clt_sgd_sc_mu(p, w + 1.0) + 1e-15
 
 
 def test_clt_sgd_proj_consistency():
     p = acc.AlgoParams(kind="sgd", eta=0.05, sigma=5.0, n=10000, b=100, L=10.0,
                        steps=10 ** 5, M=10.0, D=2.0, constrained=True)
-    w, mu = acc.clt_sgd_proj(p)
+    w, mu = clt_sgd_proj(p)
     ratio = p.L / (p.b * p.sigma)
     K = (math.exp(8 * ratio ** 2) * phi(3 * math.sqrt(2) * ratio)
          + 3 * phi(-math.sqrt(2) * ratio) - 2)
     # stationary point of a convex objective
     ws = np.linspace(0.5 * w, 1.5 * w, 41)
-    vals = [acc._clt_sgd_proj_mu(p, x, K) for x in ws]
+    vals = [clt_sgd_proj_mu(p, x, K) for x in ws]
     assert np.all(np.diff(np.sign(np.diff(vals))) >= 0)  # convex on the grid
     assert min(vals) >= mu - 1e-12
     with pytest.raises(DomainError):
-        acc.clt_sgd_proj(acc.AlgoParams(kind="sgd", eta=0.05, sigma=5.0,
-                                        n=10000, b=100, L=10.0, steps=10,
-                                        M=10.0, D=0.0, constrained=True))
+        clt_sgd_proj(acc.AlgoParams(kind="sgd", eta=0.05, sigma=5.0,
+                                    n=10000, b=100, L=10.0, steps=10,
+                                    M=10.0, D=0.0, constrained=True))
 
 
 # Per-step ratio L/(b sigma) about 11: the sc window is about -4e7 and the
@@ -494,22 +496,22 @@ HUGE_CLT_TERM = dict(kind="sgd", eta=0.00044, sigma=0.0156, n=634, b=496,
 
 def test_clt_sgd_sc_clamps_a_window_below_1():
     p = acc.AlgoParams(**HUGE_CLT_TERM)
-    assert acc._clt_sgd_sc_window(p) < -1e7
-    w, mu = acc.clt_sgd_sc(p)
+    assert clt_sgd_sc_window(p) < -1e7
+    w, mu = clt_sgd_sc(p)
     assert w == 1.0
-    assert mu == acc._clt_sgd_sc_mu(p, 1.0) and math.isfinite(mu) and mu > 1e100
+    assert mu == clt_sgd_sc_mu(p, 1.0) and math.isfinite(mu) and mu > 1e100
 
 
 def test_clt_sgd_proj_is_infinite_where_the_clt_term_overflows():
     p = acc.AlgoParams(**HUGE_CLT_TERM)
-    assert acc._clt_sgd_proj_window(p) == (0.0, math.inf)
-    assert acc.clt_sgd_proj(p) == (1.0, math.inf)
+    assert clt_sgd_proj_window(p) == (0.0, math.inf)
+    assert clt_sgd_proj(p) == (1.0, math.inf)
 
 
 def test_clt_sgd_sc_is_infinite_where_the_clt_term_overflows():
     p = acc.AlgoParams(**{**HUGE_CLT_TERM, "L": 400.0})
-    assert acc._clt_sgd_sc_window(p) == -math.inf
-    assert acc.clt_sgd_sc(p) == (1.0, math.inf)
+    assert clt_sgd_sc_window(p) == -math.inf
+    assert clt_sgd_sc(p) == (1.0, math.inf)
 
 
 def test_clt_sgd_proj_takes_a_diameter_whose_square_overflows():
@@ -518,12 +520,12 @@ def test_clt_sgd_proj_takes_a_diameter_whose_square_overflows():
     p = acc.AlgoParams(kind="sgd", eta=0.05, sigma=5.0, n=10000, b=100,
                        L=10.0, steps=10 ** 5, M=10.0, D=1e160,
                        constrained=True)
-    w, mu = acc.clt_sgd_proj(p)
+    w, mu = clt_sgd_proj(p)
     assert w == 1e5
     assert mu == pytest.approx(math.sqrt(2.0 / 1e5) * 1e160 / 0.25, rel=1e-15)
 
 
-@pytest.mark.parametrize("clt", [acc.clt_sgd_sc, acc.clt_sgd_proj])
+@pytest.mark.parametrize("clt", [clt_sgd_sc, clt_sgd_proj])
 def test_clt_windows_are_clamped_to_the_run(clt):
     long = acc.AlgoParams(kind="sgd", eta=0.05, sigma=5.0, n=10000, b=100,
                           L=10.0, steps=10 ** 5, m=1.0, M=10.0, D=2.0)
@@ -531,6 +533,56 @@ def test_clt_windows_are_clamped_to_the_run(clt):
     assert 10 < w_long < 10 ** 5
     short = dataclasses.replace(long, steps=10)
     assert clt(short)[0] == 10.0
+
+
+def _oracle_start(p, setting):
+    """The CLT window of the setting's oracle, clamped into [1, t] and
+    rounded. Where the oracle raises DomainError: w = t for proj with D != 0
+    (its CLT term vanishes, as sweep_tau's docstring states, or the run is
+    invalid and raises when its first window is built), else w = 1."""
+    try:
+        if setting == "sc":
+            return round(clamp_window(clt_sgd_sc_window(p), p.t))
+        return round(clamp_window(clt_sgd_proj_window(p)[0], p.t))
+    except DomainError:
+        return p.t if setting == "proj" and p.D != 0 else 1
+
+
+def _start_params(count=300, seed=7):
+    """Seeded sgd runs over wide log-ranges, valid and invalid for either
+    setting, then the named cases: the overflowing CLT terms, a diameter
+    whose square overflows, and D = 0, L = 0 and c = 0."""
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    runs = []
+    for _ in range(count):
+        n = rng.randint(1, 10 ** 5)
+        eta = log_uniform(1e-4, 2.0)
+        runs.append(dict(
+            kind="sgd", eta=eta, sigma=log_uniform(1e-3, 10.0), n=n,
+            b=rng.randint(1, n), L=rng.choice([0.0, log_uniform(1e-3, 1e3)]),
+            steps=rng.randint(1, 5000), m=log_uniform(1e-3, 10.0),
+            M=log_uniform(1e-3, 3.0) / eta,
+            D=rng.choice([0.0, log_uniform(1e-3, 1e3), 1e160])))
+    sc, proj = SC_BASE, PROJ_BASE
+    runs += [HUGE_CLT_TERM, {**HUGE_CLT_TERM, "L": 400.0},
+             dict(sc, sigma=1e-9), dict(proj, L=1000.0), dict(proj, D=1e300),
+             dict(proj, D=0.0), dict(proj, L=0.0), dict(sc, L=0.0),
+             dict(sc, eta=0.1, m=10.0), dict(sc, D=1e160, steps=10 ** 5)]
+    return [acc.AlgoParams(**run) for run in runs]
+
+
+@pytest.mark.parametrize("setting", ["sc", "proj"])
+def test_window_start_is_the_oracle_clt_window(setting):
+    starts = set()
+    for p in _start_params():
+        got = acc._window_start(p, setting)
+        assert got == _oracle_start(p, setting) and type(got) is int, p
+        starts.add("1" if got == 1 else "t" if got == p.t else "inside")
+    assert starts == {"1", "t", "inside"}
 
 
 # -- sampling corollaries -----------------------------------------------------

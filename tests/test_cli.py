@@ -585,6 +585,43 @@ def test_bound_gd_constrained_takes_tau(capsys):
     assert json.loads(out)["mu"] == pytest.approx(want, rel=1e-12)
 
 
+# One run per kind that every mode of that kind accepts.
+EVERY_MODE = {
+    "gd": ("--eta", "0.1", "--sigma", "8", "--n", "1", "--L", "0.5",
+           "--steps", "100", "--m", "1", "--M", "10", "--D", "1"),
+    "cgd": ("--eta", "0.02", "--sigma", "3", "--n", "20", "--b", "1",
+            "--L", "0.5", "--epochs", "1000", "--m", "1", "--M", "10",
+            "--D", "1"),
+    "sgd": ("--eta", "0.02", "--sigma", "4", "--n", "400", "--b", "40",
+            "--L", "4", "--steps", "50", "--m", "1", "--M", "10", "--D", "1",
+            "--eps", "1"),
+}
+
+
+@pytest.mark.parametrize("kind, mode", list(cli._bounds()),
+                         ids=[f"{k}-{m}" for k, m in cli._bounds()])
+def test_tau_is_taken_by_the_windowed_bounds_only(kind, mode, capsys):
+    argv = ("bound", "--kind", kind, f"--{mode}", *EVERY_MODE[kind])
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    params = acct.AlgoParams.from_dict(json.loads(out)["params"])
+    code, out, err = run(capsys, *argv, "--tau", "30")
+    bound, windowed = cli._bounds()[kind, mode]
+    # The bounds with a window t - tau in the paper.
+    assert windowed == (mode == "constrained" and kind != "cgd"
+                        or (kind, mode) == ("sgd", "sc"))
+    if not windowed:
+        assert (code, out) == (2, "") and "--tau" in err
+    elif kind == "sgd":
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["tau"] == 30
+        assert doc["composite"] == bound(params, 30).describe()
+    else:
+        assert code == 0, err
+        assert json.loads(out)["mu"] == bound(params, 30)
+
+
 SWEEP_SC = ("sweep-tau", "--kind", "sgd", "--sc", "--eta", "0.02", "--sigma",
             "4", "--n", "400", "--b", "40", "--L", "4", "--steps", "40", "--m",
             "1", "--M", "10", "--candidates", "3")

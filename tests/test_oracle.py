@@ -8,8 +8,8 @@ import pytest
 from fdp_accountant import accountant as acc
 from fdp_accountant import oracle
 from fdp_accountant import tradeoff as tc
-from fdp_accountant.errors import DomainError, VerificationError
-from oracles import optimal_schedule_qp
+from fdp_accountant.errors import DomainError
+from oracles import VerificationError, optimal_schedule_qp
 
 GRID = np.linspace(0.05, 0.95, 19)
 
