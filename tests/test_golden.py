@@ -1,6 +1,6 @@
 """Golden corpus: outputs that must stay the same bytes from change to change.
 
-Three groups, each compared with the digests stored in golden.json:
+Four groups, each compared with the digests stored in golden.json:
 - readme: every command of the README's CLI block, run in process through
   cli.main, with `verify` at --trials 5000 and seeds 0-2 in place of the
   README's 200,000 trials; hashed over the exit code, stdout, stderr and
@@ -8,7 +8,13 @@ Three groups, each compared with the digests stored in golden.json:
 - sweeps: 40 seeded sweep_tau runs, proj and sc, each read at the 61 eps of
   EPS; hashed over float.hex of the taus, the delta matrix and the best;
 - composites: 40 seeded sgd composites, p < 1 and folded p = 1, with and
-  without a head factor, evaluated at EPS; hashed over float.hex of delta.
+  without a head factor, evaluated at EPS; hashed over float.hex of delta;
+- routes: one composite for each way evaluate_composite can turn factors
+  into a lattice, each read at EPS, at ROUTE_EPS and at no eps, and the sgd
+  `bound` requests that no README example makes (an sc bound that sweeps
+  for its window, as JSON and as CSV, and the composition bound); hashed
+  over float.hex of each (eps, delta) pair, or the error raised, and over
+  the CLI text as in readme.
 
 On a mismatch the test names the group and the items that moved, and prints
 the largest relative change over the stored values of each item (every
@@ -39,6 +45,7 @@ import scipy
 
 from fdp_accountant import accountant as acc
 from fdp_accountant import cli, prv
+from fdp_accountant.errors import ConfigurationError
 from test_readme import COMMANDS
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -206,8 +213,53 @@ def _composite_items() -> dict:
     return items
 
 
+# -- routes --------------------------------------------------------------------
+
+
+ROUTE_EPS = [-math.inf, -1.0, 0.0, 0.5, 0.5, 2.0, math.inf, 1.0, -0.25]
+_P_LT_1 = (acc.SubsampledGdpFactor(0.4, 0.1, 10),
+           acc.SubsampledGdpFactor(0.6, 0.1, 1))
+ROUTES = {
+    "narrow-head": (acc.GdpFactor(0.005), *_P_LT_1),   # added at query time
+    "lone-gdp": (acc.GdpFactor(1.3),),
+    "wide-p1-k1": (acc.SubsampledGdpFactor(0.8, 1.0, 1),),   # own lattice
+    "narrow-p1-k1": (acc.SubsampledGdpFactor(0.005, 1.0, 1),),   # folds
+    "narrow-p1-k1-rest": (acc.SubsampledGdpFactor(0.005, 1.0, 1), *_P_LT_1),
+    "gdp0-rest": (acc.GdpFactor(0.0), *_P_LT_1),
+    "mix": (acc.GdpFactor(0.5), acc.SubsampledGdpFactor(0.8, 1.0, 4),
+            acc.SubsampledGdpFactor(0.8, 0.2, 12),
+            acc.SubsampledGdpFactor(0.3, 0.05, 3)),
+    "empty": (),
+}
+_SGD = ["--kind", "sgd", "--eta", "0.05", "--sigma", "5", "--n", "1000",
+        "--b", "100", "--L", "10", "--steps", "500", "--m", "1", "--M", "10",
+        "--eps", "0.05", "--eps", "0", "--eps", "0.2"]
+ROUTE_ARGVS = {
+    "bound-sc-sweep-json": ["bound", "--sc", *_SGD],
+    "bound-sc-sweep-csv": ["bound", "--sc", *_SGD, "--out", "deltas.csv"],
+    "bound-composition": ["bound", "--composition", *_SGD],
+}
+
+
+def _route_items() -> dict:
+    items = {}
+    for name, factors in ROUTES.items():
+        for tag, eps in [("eps", EPS), ("edges", ROUTE_EPS), ("none", [])]:
+            try:
+                pairs = prv.evaluate_composite(acc.CompositeBound(factors), eps)
+            except ConfigurationError as exc:   # a refusal is an output too
+                items[f"{name}-{tag}"] = _item(f"{type(exc).__name__}: {exc}", [])
+                continue
+            items[f"{name}-{tag}"] = _item(
+                _hex(pairs), [d for _, d in pairs if math.isfinite(d)])
+    for name, argv in ROUTE_ARGVS.items():
+        text = _run_cli(argv)
+        items[name] = _item(text, _NUMBER.findall(text)[:MAX_VALUES])
+    return items
+
+
 GROUPS = {"readme": _readme_items, "sweeps": _sweep_items,
-          "composites": _composite_items}
+          "composites": _composite_items, "routes": _route_items}
 
 
 def _group_digest(items: dict) -> str:
