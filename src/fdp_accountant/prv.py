@@ -45,17 +45,19 @@ the lattice segments between consecutive eps are combined from the largest
 eps down by a recursion of nonnegative terms, so the result is
 non-increasing in eps exactly.
 
-A composite (evaluate_composite) folds its Gaussian factors into one,
-G(mu_1) x ... x G(mu_n) = G(hypot(mu_1, ..., mu_n)), which is exact. A p = 1
-factor is a Gaussian too, C_1(G(mu))^k = G(mu sqrt(k)), and joins the fold
-where that saves a self-composition (k >= 2) or where mu < 10 mesh is too
-narrow for its own lattice; a wider one at k = 1 keeps its lattice. The
-other subsampled factors are composed first into the rest R. The Gaussian
-is built last, from cut = min(0, smallest eps) - R.hi - 2 mesh (an eps of
-+inf counts as 0): its mass below the cut goes into its first cell, and a
-loss there plus any point of R lands below every eps asked, so no delta read
-changes beyond round-off, and every request with eps >= 0 reads the same
-lattice.
+A composite (evaluate_composite) is read off one lattice, and all its
+lattices share one mesh, DEFAULT_MESH; a factor with mu < 10 mesh is too
+narrow for a lattice of that mesh (_too_narrow). One pass over the factors
+folds the Gaussian ones into a head, G(mu_1) x ... x G(mu_n) =
+G(hypot(mu_1, ..., mu_n)), which is exact. A p = 1 factor is a Gaussian
+too, C_1(G(mu))^k = G(mu sqrt(k)), and joins the head where that saves a
+self-composition (k >= 2) or where it is too narrow for its own lattice; a
+wider one at k = 1 keeps its lattice. The other subsampled factors are
+composed first into the rest R. A nonempty head, G(0) included (a one-point
+lattice at 0), is built last, from cut = min(0, eps_1, ..., eps_n) - R.hi
+- 2 mesh: its mass below the cut goes into its first cell, and a loss there
+plus any point of R lands below every eps asked, so no delta read changes
+beyond round-off, and every request with eps >= 0 reads the same lattice.
 That Gaussian is often far longer than R; convolve then uses overlap-add,
 with FFT blocks of about (_OLA_RATIO + 1) times the shorter lattice. A head
 too narrow for the lattice (0 < mu < 10 mesh) next to a subsampled rest gets
@@ -63,7 +65,8 @@ no lattice: it is added at query time, delta(eps) = prv_delta(R, eps) +
 sum_j pmf_j [delta_G(eps - y_j) - (1 - e^{eps - y_j})_+] over the points y_j
 of R within mu^2/2 + 13 mu + mesh of eps (_add_narrow_head), with the
 Gaussian profile delta_G(x) = Phi(-x/mu + mu/2) - e^x Phi(-x/mu - mu/2),
-which holds for every real x (Balle and Wang, ICML 2018).
+which holds for every real x (Balle and Wang, ICML 2018). Without a rest,
+such a head has no lattice to be read from (ConfigurationError).
 
 self_compose and overlap-add run their FFTs at a 5-smooth length,
 next_fast_len(n, real=True), where real transforms are fastest; a raw window
@@ -166,7 +169,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(a * b))
 
 
-def _too_narrow(mu: float, mesh: float = DEFAULT_MESH) -> bool:
+def _too_narrow(mu: float, mesh: float) -> bool:
     """G(mu) or C_p(G(mu)) gets no lattice of this mesh: mesh > mu / 10."""
     return mesh > mu / 10.0
 
@@ -427,8 +430,10 @@ def prv_delta(prv: PrvGrid, eps):
     needs no second pass of exponentials. Every term is nonnegative, so
     nothing cancels and delta is non-increasing in eps exactly, not only up
     to round-off. The largest eps (a lone one included) gets the single dot
-    product of the direct formula. -inf gives the lattice mass; +inf and nan
-    give 0.
+    product of the direct formula, the others the recursion, so the last
+    bits of a delta depend on which other eps share the request: delta(e)
+    asked alone and asked beside a larger eps can differ by round-off. -inf
+    gives the lattice mass; +inf and nan give 0.
 
     The truncated tail_mass is available as one-sided upper slack on top of
     the returned value.
@@ -472,73 +477,56 @@ def prv_delta(prv: PrvGrid, eps):
     return out[0] if scalar else out
 
 
-def _folds_into_head(f) -> bool:
-    """Whether a factor joins the Gaussian head: every GdpFactor, and a p = 1
-    SubsampledGdpFactor, since C_1(G(mu))^k = G(mu sqrt(k)) exactly, when
-    that replaces a self-composition (k >= 2) or a lattice too narrow to
-    build (_too_narrow)."""
-    return isinstance(f, GdpFactor) or (
-        f.p == 1.0 and (f.multiplicity > 1 or _too_narrow(f.mu)))
-
-
 def evaluate_composite(composite, eps_list):
-    """Evaluate a symbolic product of GdpFactor / SubsampledGdpFactor factors.
+    """delta of a product of GdpFactor / SubsampledGdpFactor factors at each
+    eps, as [(eps, delta)] pairs in request order.
 
-    `composite` is anything with a `.factors` iterable of those two types;
-    any other factor raises DomainError. Builds the PRVs on the DEFAULT_MESH
-    lattice: the subsampled factors composed by FFT first, then one Gaussian
-    head for all GdpFactors, cut below what the eps can reach (module
-    docstring). A p = 1 factor C_1(G(mu))^k folds into the head as
-    G(mu sqrt(k)), exactly, when k >= 2 or when 0 < mu < 10 * DEFAULT_MESH
-    (_folds_into_head); a wider one at k = 1 keeps its own lattice. The fold
-    moved the deltas of composites holding such factors once, towards the
-    exact G(mu) values, which the self-composed lattice over-reported: by
-    up to 3.2e-4 relative on the benchmark's seeded p = 1 requests.
-    A head with 0 < mu < 10 * DEFAULT_MESH, too narrow for the lattice, is
-    added at query time instead when there are subsampled factors left
-    (_add_narrow_head); without them it raises ConfigurationError. A head
-    longer than MAX_LATTICE_POINTS is refused before the rest is composed.
-    The base lattices of the last two subsampled (mu, p) are reused
-    (_subsampled_base).
-    Accumulated truncation is capped by TAIL_BUDGET. Returns [(eps, delta)]
-    pairs.
-    An empty product is perfectly private: delta(eps) = max(0, 1 - e^eps).
+    `composite` is anything with a `.factors` iterable; any other factor
+    type, or an eps of nan, raises DomainError. The module docstring says
+    how the factors become one lattice: the fold into a Gaussian head, the
+    cut, the narrow head and the mesh. A head longer than MAX_LATTICE_POINTS
+    is refused before any factor lattice is built, a Gaussian-only composite
+    too narrow for the lattice raises ConfigurationError, and accumulated
+    truncation above TAIL_BUDGET raises AccuracyError. An empty product is
+    perfectly private: delta(eps) = max(0, 1 - e^eps).
     """
-    factors = list(composite.factors)
     eps_list = [float(e) for e in eps_list]
     if any(math.isnan(e) for e in eps_list):
         raise DomainError("eps must not be nan")
-    if not factors:
-        return [(e, max(0.0, -math.expm1(e))) for e in eps_list]
-    for f in factors:
-        if not isinstance(f, (GdpFactor, SubsampledGdpFactor)):
+    mesh = DEFAULT_MESH
+    head, subsampled = [], []
+    for f in composite.factors:
+        if isinstance(f, GdpFactor):
+            head.append(f.mu)
+        elif not isinstance(f, SubsampledGdpFactor):
             raise DomainError(
                 f"unsupported composite factor {type(f).__name__}")
-    head = [f.mu if isinstance(f, GdpFactor)
-            else f.mu * math.sqrt(f.multiplicity)
-            for f in factors if _folds_into_head(f)]
+        elif f.p == 1.0 and (f.multiplicity > 1 or _too_narrow(f.mu, mesh)):
+            # C_1(G(mu))^k = G(mu sqrt(k)) (module docstring)
+            head.append(f.mu * math.sqrt(f.multiplicity))
+        else:
+            subsampled.append(f)
+    if not (head or subsampled):
+        return [(e, max(0.0, -math.expm1(e))) for e in eps_list]
     mu = math.hypot(*head)
     # Refuse a head too long for any lattice before composing the rest. Its
     # 12-sigma span, snapped to cover 0, is the head's lattice for mu > 24
     # whatever the cut, and for smaller mu it is far below the cap.
     _aligned_range(0.5 * mu * mu - _STD_SPAN * mu,
-                   0.5 * mu * mu + _STD_SPAN * mu, DEFAULT_MESH)
+                   0.5 * mu * mu + _STD_SPAN * mu, mesh)
     rest = None
-    for f in factors:
-        if not _folds_into_head(f):
-            prv = _subsampled_base(f.mu, f.p, DEFAULT_MESH)
-            if f.multiplicity > 1:
-                prv = self_compose(prv, f.multiplicity)
-            rest = prv if rest is None else convolve(rest, prv)
+    for f in subsampled:
+        prv = _subsampled_base(f.mu, f.p, mesh)
+        if f.multiplicity > 1:
+            prv = self_compose(prv, f.multiplicity)
+        rest = prv if rest is None else convolve(rest, prv)
     composed = rest
     # A head too narrow for the lattice is added at query time.
-    narrow = rest is not None and mu > 0.0 and _too_narrow(mu)
+    narrow = rest is not None and mu > 0.0 and _too_narrow(mu, mesh)
     if head and not narrow:
-        # Gaussian losses below the cut plus any point of the rest land at
-        # least two meshes below min(0, smallest eps), where no delta is read.
-        low = min([0.0] + [0.0 if e == math.inf else e for e in eps_list])
-        cut = low - (0.0 if rest is None else rest.hi) - 2.0 * DEFAULT_MESH
-        g = prv_of_gdp(mu, cut=cut)
+        cut = (min([0.0, *eps_list]) - (0.0 if rest is None else rest.hi)
+               - 2.0 * mesh)
+        g = prv_of_gdp(mu, mesh, cut=cut)
         composed = g if rest is None else convolve(rest, g)
     _check_budget(composed.tail_mass)
     deltas = prv_delta(composed, eps_list)

@@ -200,6 +200,51 @@ def subsampled_gdp_tradeoff(mu, p, alphas):
     return np.where(a == 1.0, 0.0, out)
 
 
+def gaussian_profile(mu, x):
+    """delta_G(x) = Phi(-x/mu + mu/2) - e^x Phi(-x/mu - mu/2), for every real
+    x, from SciPy's log Phi: for x >= 0 as Phi(a) (1 - e^{x + log Phi(a - mu)
+    - log Phi(a)}), and for x < 0 by delta_G(x) = 1 - e^x + e^x delta_G(-x)."""
+    from scipy.special import log_ndtr
+
+    if x < 0.0:
+        return -math.expm1(x) + math.exp(x) * gaussian_profile(mu, -x)
+    a = -x / mu + mu / 2.0
+    return math.exp(log_ndtr(a)) * -math.expm1(
+        x + log_ndtr(a - mu) - log_ndtr(a))
+
+
+def subsampled_composite_delta(mu0, mu, p, eps):
+    """delta(eps) of G(mu0) x C_p(G(mu)), mu0 > 0, by quadrature over the
+    continuous law of the subsampled PRV Y (the prv module docstring's CDF),
+    never over a lattice: delta(eps) = E[delta_G(eps - Y)], with
+    T_p(e) = log(1 - p + p e^e) and e > 0 in every branch,
+    - an atom (1 - p)(Phi(mu/2) - Phi(-mu/2)) at Y = 0;
+    - Y = T_p(e), e drawn from p N(mu^2/2, mu^2) + (1 - p) N(-mu^2/2, mu^2);
+    - Y = -T_p(e), e drawn from N(-mu^2/2, mu^2).
+    The integrals run over e in (0, mu^2/2 + 40 mu], split where
+    eps - T_p(e) = 0, near which a narrow G(mu0) bends."""
+    from scipy import integrate
+    from scipy.special import ndtr
+
+    def tp(e):
+        return e + math.log(p + (1.0 - p) * math.exp(-e))
+
+    def density(e, mean):
+        return math.exp(-0.5 * ((e - mean) / mu) ** 2) / (
+            mu * math.sqrt(2.0 * math.pi))
+
+    half, top = 0.5 * mu * mu, 0.5 * mu * mu + 40.0 * mu
+    kink = math.log1p(math.expm1(eps) / p) if eps > 0.0 else top
+    integrals = [integrate.quad(
+        f, 0.0, top, points=[kink] if kink < top else None, limit=200,
+        epsabs=1e-17, epsrel=1e-12)[0] for f in [
+        lambda e: (p * density(e, half) + (1.0 - p) * density(e, -half))
+        * gaussian_profile(mu0, eps - tp(e)),
+        lambda e: density(e, -half) * gaussian_profile(mu0, eps + tp(e))]]
+    atom = (1.0 - p) * (ndtr(mu / 2.0) - ndtr(-mu / 2.0))
+    return atom * gaussian_profile(mu0, eps) + sum(integrals)
+
+
 def mixture_gaussian_tradeoff(p, mu):
     """Exact curve of N(0,1) versus the mixture p*N(mu,1) + (1-p)*N(0,1).
 
