@@ -250,8 +250,10 @@ CGD_SC_C = (0.98, 0.99, 0.995)
 CGD_SC_E = (5, 50, 500)
 PROJ_GD_LN = (0.25, 0.5, 1.0)
 PROJ_GD_ETA = (0.2, 0.1, 0.05)
+PROJ_CGD_L = (10, 20, 40)
 PROJ_CGD_LB = (0.25, 0.5, 1.0)
 PROJ_CGD_ETA = (0.04, 0.02, 0.01)
+TABLES = ("gd-sc", "cgd-sc", "gd-proj", *(f"cgd-proj-l{l}" for l in PROJ_CGD_L))
 
 
 def _gd_params(c: float, t: int, leff: float) -> acct.AlgoParams:
@@ -266,6 +268,8 @@ def _cgd_params(c: float, l: int, E: int, lbs: float) -> acct.AlgoParams:
 
 def table_rows(name: str):
     """Benchmark tables over the standard parameter grids."""
+    if name not in TABLES:
+        raise DomainError(f"unknown table {name!r}; available: {', '.join(TABLES)}")
     if name == "gd-sc":
         rows = []
         for t in GD_SC_T:
@@ -292,22 +296,18 @@ def table_rows(name: str):
                 mu = acct.bound_gd_proj(p)
                 rows.append((ln, eta, acct.crossover_step(mu, ln / 8.0), mu))
         return "L_over_n,eta,t_star,mu_star", rows
-    if name.startswith("cgd-proj-l"):
-        l = int(name.removeprefix("cgd-proj-l"))
-        rows = []
-        for lb in PROJ_CGD_LB:
-            for eta in PROJ_CGD_ETA:
-                p = acct.AlgoParams(kind="cgd", eta=eta, sigma=3.0, n=l, b=1,
-                                    L=lb, epochs=10 ** 6, M=2.0 / eta, D=1.0,
-                                    constrained=True)
-                mu = acct.bound_cgd_proj(p)
-                # e_star_crossover is this tool's composition-crossover epoch
-                # count; it is not verified against any published reference.
-                rows.append((l, lb, eta, acct.crossover_step(mu, lb / 3.0), mu))
-        return "l,L_over_b,eta,e_star_crossover,mu_star", rows
-    raise DomainError(
-        f"unknown table {name!r}; available: gd-sc, cgd-sc, gd-proj, "
-        "cgd-proj-l10, cgd-proj-l20, cgd-proj-l40")
+    l = int(name.removeprefix("cgd-proj-l"))
+    rows = []
+    for lb in PROJ_CGD_LB:
+        for eta in PROJ_CGD_ETA:
+            p = acct.AlgoParams(kind="cgd", eta=eta, sigma=3.0, n=l, b=1,
+                                L=lb, epochs=10 ** 6, M=2.0 / eta, D=1.0,
+                                constrained=True)
+            mu = acct.bound_cgd_proj(p)
+            # e_star_crossover is this tool's composition-crossover epoch
+            # count; it is not verified against any published reference.
+            rows.append((l, lb, eta, acct.crossover_step(mu, lb / 3.0), mu))
+    return "l,L_over_b,eta,e_star_crossover,mu_star", rows
 
 
 def cmd_table(args) -> int:

@@ -10,9 +10,10 @@ inherently lossy; the tighter of the two standard formulas is used,
 optimized over the order.
 
 Everything except `curve_to_delta` is scalar arithmetic on the standard
-library's math module, so the closed-form conversions load neither NumPy nor
-SciPy. mu and rho must be finite; eps = +inf is valid and gives delta = 0
-for GDP and 1 - f(0) for a curve f.
+library's math module and `normal`'s float functions, the Mills ratio
+included, so the closed-form conversions load neither NumPy nor SciPy. mu
+and rho must be finite; eps = +inf is valid and gives delta = 0 for GDP and
+1 - f(0) for a curve f.
 """
 
 from __future__ import annotations
@@ -48,22 +49,11 @@ _GAUSS_LEGENDRE = ((0.9324695142031519, 0.17132449237917027),
                    (0.2386191860831969, 0.46791393457269104))
 
 
-def _mills_cf(t: float) -> float:
-    """1/(t + 2/(t + 3/(t + ...))) for t >= 2, to double precision: the tail
-    of Laplace's continued fraction r(-t) = 1/(t + 1/(t + 2/(t + ...))) for
-    the Mills ratio r(x) = Phi(x)/phi(x)."""
-    depth = int(350.0 / (t * t)) + 10
-    # Start from the fixed point of k = n/(t + k) at n = depth + 1.
-    k = 0.5 * (math.sqrt(t * t + 4.0 * (depth + 1)) - t)
-    for n in range(depth, 0, -1):
-        k = n / (t + k)
-    return k
-
-
 def _log_mills(x: float) -> float:
-    """log r(x) = log Phi(x) - log phi(x)."""
+    """log r(x) = log Phi(x) - log phi(x); for x <= -2 it is
+    -log(-x + normal.mills_tail(-x)), which neither Phi nor phi enters."""
     if x <= -2.0:
-        return -math.log(-x + _mills_cf(-x))
+        return -math.log(-x + normal.mills_tail(-x))
     return normal.log_cdf(x) + 0.5 * x * x + _LOG_SQRT_2PI
 
 
@@ -71,7 +61,7 @@ def _log_mills_slope(x: float) -> float:
     """(log r)'(x) = phi(x)/Phi(x) + x > 0, without the cancellation of the
     two terms in the left tail."""
     if x <= -2.0:
-        return _mills_cf(-x)
+        return normal.mills_tail(-x)
     return math.exp(-0.5 * x * x) / (_SQRT_2PI * normal.cdf(x)) + x
 
 

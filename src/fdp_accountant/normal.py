@@ -8,7 +8,9 @@ ndtr and ndtri. SciPy, and with it NumPy, is imported on first use, so a
 request that passes only floats loads neither. The upper tail 1 - Phi(x) is
 `cdf(-x)`. Arguments as large as |x| ~ 40 show up in intermediate
 compositions, so anything that can underflow goes through the log-space
-variants.
+variants. The Mills ratio r(x) = Phi(x)/phi(x) of the left tail is
+1/(-x + `mills_tail(-x)`), Laplace's continued fraction; `log_cdf` takes it
+where erfc underflows, and `conversions` for log r and its slope at x <= -2.
 """
 
 import math
@@ -16,7 +18,7 @@ import math
 _SQRT1_2 = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # erfc(-x / sqrt 2) turns subnormal just below x = -37.5, so from here down
-# log_cdf takes the asymptotic series instead.
+# log_cdf takes the Mills ratio instead.
 _ERFC_LOG_MIN = -37.0
 
 
@@ -47,6 +49,18 @@ def _ndtr(x: float) -> float:
     return 1.0 - y if z > 0 else y
 
 
+def mills_tail(t: float) -> float:
+    """1/(t + 2/(t + 3/(t + ...))) for t >= 2, to double precision: the tail
+    of Laplace's continued fraction r(-t) = 1/(t + 1/(t + 2/(t + ...))) for
+    the Mills ratio r(x) = Phi(x)/phi(x)."""
+    depth = int(350.0 / (t * t)) + 10
+    # Start from the fixed point of k = n/(t + k) at n = depth + 1.
+    k = 0.5 * (math.sqrt(t * t + 4.0 * (depth + 1)) - t)
+    for n in range(depth, 0, -1):
+        k = n / (t + k)
+    return k
+
+
 def cdf(x):
     """Phi(x)."""
     if isinstance(x, float):
@@ -55,17 +69,13 @@ def cdf(x):
 
 
 def log_cdf(x: float) -> float:
-    """log Phi(x) for a float, accurate down to Phi(x) ~ exp(-800); nan stays
-    nan and -inf maps to -inf."""
+    """log Phi(x) for a float; nan stays nan and -inf maps to -inf. Below
+    x = -37 it is log phi(x) + log r(x), with the Mills ratio r of
+    `mills_tail`."""
     if x <= _ERFC_LOG_MIN:
-        # Mills ratio: Phi(x) = phi(x)/(-x) (1 - 1/x^2 + 3/x^4 - ...); with
-        # x^2 >= 1369 the first term left out is below 1e-20.
-        q = 1.0 / (x * x)
-        term, series = 1.0, 0.0
-        for k in range(1, 9):
-            term *= -(2 * k - 1) * q
-            series += term
-        return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log1p(series)
+        if x == -math.inf:  # the fraction would divide inf by inf
+            return x
+        return -0.5 * x * x - _LOG_SQRT_2PI - math.log(-x + mills_tail(-x))
     if x <= -1.0:
         return math.log(0.5 * math.erfc(-x * _SQRT1_2))
     return math.log1p(-0.5 * math.erfc(x * _SQRT1_2))

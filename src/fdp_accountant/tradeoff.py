@@ -126,28 +126,11 @@ def _check_mu(mu: float) -> None:
         raise DomainError(f"mu must be >= 0, got {mu}")
 
 
-def _gdp_value(mu: float, alpha: float) -> float:
-    """G(mu) at one float alpha, on the scalar normal functions, by the
-    rules of _gdp_values."""
+def _gdp_values(mu: float, arr, z: np.ndarray | None = None):
+    """G(mu) at the alphas arr (an array or a float), given
+    z = Phi^{-1}(1 - arr) if the caller has it."""
     _check_mu(mu)
-    if alpha < 0 or alpha > 1:
-        raise DomainError("alpha must lie in [0, 1]")
-    if mu == 0:
-        return 1.0 - alpha
-    if alpha == 0.0:
-        return 1.0
-    if alpha == 1.0:
-        return 0.0
-    out = normal.cdf(normal.inv_upper(alpha) - mu)
-    # A nan alpha stays nan: the comparison is false.
-    return _TINY if math.isfinite(mu) and out < _TINY else out
-
-
-def _gdp_values(mu: float, arr: np.ndarray, z: np.ndarray | None = None):
-    """G(mu) at the alphas arr, given z = Phi^{-1}(1 - arr) if the caller
-    has it."""
-    _check_mu(mu)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if np.logical_or(arr < 0, arr > 1).any():
         raise DomainError("alpha must lie in [0, 1]")
     if mu == 0:
         return 1.0 - arr
@@ -168,13 +151,13 @@ def gdp_eval(mu: float, alpha):
     values that underflow there are floored at the smallest positive double:
     an exact 0 plateau would put f^{-1}(0) at its left end instead of at 1.
 
-    A float alpha (Python or NumPy) runs on the scalar normal functions, so
-    on the standard library alone; any other alpha takes the array path
-    through scipy.special. The two agree to within a few ulps.
+    One implementation, `_gdp_values`, serves every alpha. A float alpha
+    (Python or NumPy) reaches it as a float, so it keeps to normal's scalar
+    functions and the standard library; any other alpha becomes an array
+    and goes through scipy.special. The two agree to within a few ulps.
     """
-    if isinstance(alpha, float):
-        return _gdp_value(mu, alpha)
-    out = _gdp_values(mu, np.asarray(alpha, dtype=float))
+    arr = alpha if isinstance(alpha, float) else np.asarray(alpha, dtype=float)
+    out = _gdp_values(mu, arr)
     return float(out) if np.isscalar(alpha) else out
 
 

@@ -598,6 +598,40 @@ def test_expmech_and_lmc():
                - acc.lmc_stationary_sc(1.0, 1.0, 0.5)) <= 1e-9
 
 
+def test_lmc_sc_at_c_zero_is_one_step_of_the_chain():
+    # eta m = 1: one step forgets the start, so the bound is L / sigma with
+    # sigma = sqrt(2 / eta) = 2, whatever t is.
+    assert acc.lmc_sc(1.0, 2.0, 0.5, 7) == 0.5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: acc.clt_subsampled(-1.0, 0.5, 10), "need mu >= 0, p in"),
+    (lambda: acc.clt_subsampled(1.0, 1.5, 10), "need mu >= 0, p in"),
+    (lambda: acc.clt_subsampled(1.0, 0.5, 0), "need mu >= 0, p in"),
+    (lambda: acc.expmech_sc(-1.0, 1.0), "need L >= 0 and m > 0"),
+    (lambda: acc.expmech_sc(1.0, 0.0), "need L >= 0 and m > 0"),
+    (lambda: acc.lmc_sc(-1.0, 1.0, 0.5, 7), "need L >= 0, m > 0, t >= 1"),
+    (lambda: acc.lmc_sc(1.0, 1.0, 0.5, 0), "need L >= 0, m > 0, t >= 1"),
+    (lambda: acc.lmc_sc(1.0, 1.0, 2.0, 7), "need 0 < eta m <= 1"),
+    (lambda: acc.lmc_sc(1.0, 1.0, 0.0, 7), "need 0 < eta m <= 1"),
+    (lambda: acc.lmc_stationary_sc(-1.0, 1.0, 0.5), "need L >= 0 and m > 0"),
+    (lambda: acc.lmc_stationary_sc(1.0, 1.0, 2.0), "need 0 <= eta m <= 1"),
+    (lambda: acc.expmech_convex(-1.0, 1.0), "need L >= 0 and D >= 0"),
+    (lambda: acc.expmech_convex(1.0, -1.0), "need L >= 0 and D >= 0"),
+    (lambda: acc.expmech_convex(1.0, 1.0, eta=-0.1), "eta must be >= 0"),
+    (lambda: acc.crossover_step(-1.0, 0.5), "need mu >= 0 and rate > 0"),
+    (lambda: acc.crossover_step(1.0, 0.0), "need mu >= 0 and rate > 0"),
+    (lambda: acc.sweep_tau(sgd(t=60, n=400, b=40), [1.0], setting="x"),
+     "setting must be 'sc' or 'proj'"),
+], ids=["clt-mu", "clt-p", "clt-t", "expmech-sc-L", "expmech-sc-m", "lmc-L",
+        "lmc-t", "lmc-eta-m-above-1", "lmc-eta-0", "lmc-stationary-L",
+        "lmc-stationary-eta-m", "expmech-convex-L", "expmech-convex-D",
+        "expmech-convex-eta", "crossover-mu", "crossover-rate", "sweep-setting"])
+def test_corollaries_reject_their_domain_gaps(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_expmech_pure_dp_threshold():
     c_star = acc.expmech_pure_dp_threshold()
     assert 0.675 <= c_star <= 0.678

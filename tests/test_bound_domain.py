@@ -279,11 +279,17 @@ def _argv(command, params, **change):
     # L/sigma = 1e-320 / 1e300 is past every float, and L at sigma's scale.
     (_argv("bound --constrained", GD_PROJ, eta=1, sigma=1e300, L=1e-320,
            M=1, D=1e300, tau=0), "orders of magnitude"),
+    (_argv("bound --sc --constrained", GD_PROJ, m=1),
+     "choose one of --sc/--constrained/--composition"),
+    ("bound --composition --kind gd --eta 0.1 --sigma 2 --n 10 --L 1".split(),
+     "number of steps is not set"),
+    ("bound --composition --kind cgd --eta 0.1 --sigma 2 --n 20 --b 1 --L 1"
+     .split(), "number of epochs is not set"),
 ], ids=["gd-eta-0-tau", "gd-eta-0-tau-0", "gd-eta-L", "cgd-eta-L",
         "sgd-eta-sigma", "sgd-eta-sigma-tau", "sweep-eta-sigma",
         "gd-L-0-tau-past-t", "gd-D-0-tau-negative", "gd-eta-0-L-0",
         "gd-eta-0-D-0", "cgd-eta-0-L-0", "gd-eta-L-scaled", "cgd-eta-L-scaled",
-        "spread"])
+        "spread", "two-modes", "gd-without-steps", "cgd-without-epochs"])
 def test_request_outside_the_domain_exits_2(argv, message, capsys):
     assert cli.main(argv) == 2
     out = capsys.readouterr()

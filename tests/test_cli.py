@@ -234,8 +234,13 @@ def test_table_shapes(capsys):
     for l in (10, 20, 40):
         code, out, _ = run(capsys, "table", "--name", f"cgd-proj-l{l}")
         assert len(out.strip().splitlines()) == 1 + 9
-    code, _, err = run(capsys, "table", "--name", "nope")
-    assert code == 2
+    for name in ("nope", "cgd-proj-l7", "cgd-proj-l1_0", "cgd-proj-l 20",
+                 "cgd-proj-lx"):
+        code, _, err = run(capsys, "table", "--name", name)
+        assert code == 2
+        assert all(table in err for table in (
+            "gd-sc", "cgd-sc", "gd-proj", "cgd-proj-l10", "cgd-proj-l20",
+            "cgd-proj-l40")), name
 
 
 def test_verify_pass_and_tamper(tmp_path, capsys, monkeypatch):

@@ -27,7 +27,7 @@ def _neighbours(x):
 
 XS = np.concatenate([
     np.linspace(-1000.0, 40.0, 10401),
-    np.linspace(-38.0, -36.0, 2001),   # erfc underflow / Mills series switch
+    np.linspace(-38.0, -36.0, 2001),   # erfc underflow / Mills ratio switch
     np.linspace(-1.5, -0.5, 1001),     # log vs log1p switch
     _neighbours(-37.0), _neighbours(-1.0), [0.0, -0.0],
 ])
@@ -95,7 +95,10 @@ def test_scalar_path_within_its_condition_of_exact_values():
     the scalar path stays inside the same bound (scipy itself is off from
     the exact values by up to 2.4e-13 near x = -37)."""
     mpmath = pytest.importorskip("mpmath")
-    xs = np.concatenate([np.linspace(-60.0, 38.0, 197), [-37.0, -1.0]])
+    # Past x = -1e4 the Mills ratio's share of log Phi is below an ulp.
+    xs = np.concatenate([np.linspace(-60.0, 38.0, 197), [-37.0, -1.0],
+                         -np.geomspace(61.0, 1e4, 12),
+                         -np.geomspace(1e6, 1e150, 4)])
 
     def exact_log_cdf(x):
         x = mpmath.mpf(x)

@@ -341,10 +341,30 @@ def test_check_gdpinf_randomized_laws():
 
 @pytest.mark.parametrize("s,sigma", [
     (1.0, math.inf), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+    (-1.0, 1.0), (1.0, 0.0),
 ])
 def test_check_gdpinf_rejects_nonfinite_parameters(s, sigma):
     with pytest.raises(DomainError):
         oracle.check_gdpinf(s, sigma, lambda rng, size: np.zeros(size), 1000)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: oracle.dkw_halfwidth(0), "need at least one sample"),
+    (lambda: oracle.worst_case_gd_sc_mu(0.0, 1.0, 1.0, 1), "need 0 < c < 1"),
+    (lambda: oracle.worst_case_gd_sc_mu(1.0, 1.0, 1.0, 1), "need 0 < c < 1"),
+    (lambda: oracle.worst_case_gd_sc_mu(0.5, -1.0, 1.0, 1),
+     "need s >= 0, sigma > 0, t >= 1"),
+    (lambda: oracle.worst_case_gd_sc_mu(0.5, 1.0, 0.0, 1),
+     "need s >= 0, sigma > 0, t >= 1"),
+    (lambda: oracle.worst_case_gd_sc_mu(0.5, 1.0, 1.0, 0),
+     "need s >= 0, sigma > 0, t >= 1"),
+    (lambda: oracle.check_gdpinf(1.0, 1.0, lambda rng, size: np.zeros(size), 1),
+     "n_trials >= 2"),
+], ids=["dkw-n", "worst-c-0", "worst-c-1", "worst-s", "worst-sigma",
+        "worst-t", "gdpinf-trials"])
+def test_domain_gaps_raise(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_check_gdpinf_refuses_too_many_trials_before_drawing():

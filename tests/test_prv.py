@@ -951,6 +951,25 @@ def test_convolve_rejects_unequal_meshes():
             prv.convolve(a, prv.prv_of_gdp(1.0, mesh=mesh))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: prv.PrvGrid(0, 1e-3, np.ones(0), 0.0), "nonempty 1-d array"),
+    (lambda: prv.PrvGrid(0, 1e-3, np.ones((1, 1)), 0.0), "nonempty 1-d array"),
+    (lambda: prv.PrvGrid(0, 0.0, np.ones(1), 0.0), "mesh must be > 0"),
+    (lambda: prv.PrvGrid(0, 1e-3, np.array([1.5, -0.5]), 0.0),
+     "entries must be >= 0"),
+    (lambda: prv.PrvGrid(0, 1e-3, np.array([0.5, 0.25]), 0.0),
+     "must sum to 1"),
+    (lambda: prv.prv_of_gdp(-1.0), "mu must be >= 0"),
+    (lambda: prv.prv_of_subsampled_gdp(-1.0, 0.5), "mu must be >= 0"),
+    (lambda: prv.self_compose(prv.prv_of_gdp(1.0), 0),
+     "composition count must be >= 1"),
+], ids=["pmf-empty", "pmf-2d", "mesh", "pmf-negative", "pmf-sum",
+        "gdp-mu", "subsampled-mu", "compose-k"])
+def test_domain_gaps_raise(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_evaluate_composite_rejects_unknown_factor_type():
     cb = acc.CompositeBound((types.SimpleNamespace(mu=1.0),))
     with pytest.raises(DomainError):

@@ -142,6 +142,19 @@ def test_curve_validation_rejects_non_finite_points(alphas, values):
         tc.TradeoffCurve(alphas, values)
 
 
+@pytest.mark.parametrize("alphas, values, message", [
+    ([0.0, 1.0], [1.0, 0.5, 0.0], "matching 1-d grids"),
+    ([[0.0, 1.0]], [[1.0, 0.0]], "matching 1-d grids"),
+    ([0.0], [1.0], "matching 1-d grids"),
+    ([0.0, 0.5, 0.5, 1.0], [1.0, 0.5, 0.5, 0.0], "strictly increasing"),
+    ([0.0, 0.5, 1.0], [1.0, 0.5, -0.1], r"lie in \[0, 1\]"),
+    ([0.0, 0.5, 1.0], [1.5, 0.5, 0.0], r"lie in \[0, 1\]"),
+], ids=["shape", "2d", "size-1", "repeated-alpha", "below-0", "above-1"])
+def test_curve_validation_names_each_defect(alphas, values, message):
+    with pytest.raises(InvalidCurveError, match=message):
+        tc.TradeoffCurve(np.array(alphas), np.array(values))
+
+
 def test_alpha_grid_is_built_once_and_read_only():
     first = tc.alpha_grid()
     again = tc.alpha_grid()
