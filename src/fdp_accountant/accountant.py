@@ -541,19 +541,18 @@ def crossover_step(convergent_mu: float, composition_rate: float) -> int:
 # -- tau sweeps ---------------------------------------------------------------
 
 
-def _window_start(p: AlgoParams, setting: str) -> int:
+def _window_start(p: AlgoParams, setting: str, bound: CompositeBound) -> int:
     """The window w = t - tau where sweep_tau's search starts: the minimizer
     of the CLT approximation of the setting's bound, clamped into [1, t] and
-    rounded. With c the contraction and K = _clt_inner(subsampled mu), it is
+    rounded; `bound` is that bound at tau = 0. With c the contraction and
+    K = _clt_inner(mu of the bound's last factor), it is, on the parameters
+    the bound reads (p.rescaled() for sc, p.require_constrained() for proj),
     w = -log(b^2 sigma (1-c) sqrt(K) / (2 sqrt(2) n L sqrt(log(1/c))))
     / log(1/c) - 1 for sc, and w = D n / (b eta sigma sqrt(K)) for proj.
     The CLT mu is not formed: it can overflow where w does not."""
+    K = _clt_inner(bound.factors[-1].mu)
     if setting == "sc":
-        try:
-            c = p.require_strongly_convex()
-        except DomainError:
-            return 1    # invalid: raises when the first window is built
-        K = _clt_inner(2.0 * (p.L / (p.b * p.sigma)))
+        p, c = p.rescaled(), p.contraction()
         # With no head factor (c = 0) delta grows with the window; with L = 0
         # (K = 0) it is the same at every window.
         if c == 0 or K <= 0:
@@ -565,13 +564,9 @@ def _window_start(p: AlgoParams, setting: str) -> int:
     else:
         if p.D == 0:
             return 1    # no head factor: delta grows with the window
-        try:
-            p.require_constrained()
-        except DomainError:
-            return p.t  # invalid: raises when the first window is built
-        K = _clt_inner(2.0 * math.sqrt(2.0) * p.L / (p.b * p.sigma))
         if K <= 0:
             return p.t  # L = 0: delta falls with the window
+        p = p.require_constrained()
         w = p.D * p.n / (p.b * p.eta * p.sigma * math.sqrt(K))
     # An overflowed CLT term gives w = -inf (sc) or 0 (proj), and inf / inf
     # gives nan: each reads as w = 1, the window's limit as the term grows.
@@ -626,10 +621,12 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
     pointwise minimum over the evaluated windows is a valid bound).
 
     setting chooses the bound, bound_sgd_sc ("sc") or bound_sgd_proj
-    ("proj"), and the CLT window w* = t - tau where the search starts
-    (_window_start), rounded into [1, t] (w = 1 where the bound has no head
-    factor, proj D = 0 or sc c = 0, or where an sc CLT term vanishes; w = t
-    where a proj CLT term vanishes, L = 0). Every eps column
+    ("proj"), built at tau = 0 once to check the run; from it, the search
+    starts at the CLT window w* = t - tau (_window_start), rounded into
+    [1, t] (w = 1 where the bound has no head factor, proj D = 0 or sc
+    c = 0, or where an sc CLT term vanishes; w = t where a proj CLT term
+    vanishes, L = 0). A common power-of-two scale of L, D and sigma leaves
+    the sweep the same: both read rescaled parameters. Every eps column
     brackets its minimum from there by doubling steps and closes in by an
     integer ternary search (_search_windows). The columns share one cache
     of evaluated windows, and max_candidates caps how many are evaluated.
@@ -639,7 +636,7 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
     evaluate_composite call that answers every eps) and best: per eps,
     the column minimum of the matrix and its tau.
     """
-    from . import prv  # deferred: prv has no compile-time dependence on us
+    from . import prv  # deferred: prv imports us; closed forms skip NumPy
 
     if setting not in ("sc", "proj"):
         raise DomainError("setting must be 'sc' or 'proj'")
@@ -653,8 +650,8 @@ def sweep_tau(p: AlgoParams, eps_list, setting: str = "sc",
         deltas = prv.evaluate_composite(build(p, p.t - w), eps_list)
         return [d for _, d in deltas]
 
-    rows = _search_windows(p.t, _window_start(p, setting), len(eps_list),
-                           evaluate, max_candidates)
+    rows = _search_windows(p.t, _window_start(p, setting, build(p, 0)),
+                           len(eps_list), evaluate, max_candidates)
     windows = sorted(rows)
     taus = [p.t - w for w in windows]
     matrix = [rows[w] for w in windows]

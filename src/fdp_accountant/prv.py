@@ -52,9 +52,10 @@ folds the Gaussian ones into a head, G(mu_1) x ... x G(mu_n) =
 G(hypot(mu_1, ..., mu_n)), which is exact. A p = 1 factor is a Gaussian
 too, C_1(G(mu))^k = G(mu sqrt(k)), and joins the head where that saves a
 self-composition (k >= 2) or where it is too narrow for its own lattice; a
-wider one at k = 1 keeps its lattice. The other subsampled factors are
-composed first into the rest R. A nonempty head, G(0) included (a one-point
-lattice at 0), is built last, from cut = min(0, eps_1, ..., eps_n) - R.hi
+wider one at k = 1 keeps its lattice. Identity factors, G(0) and C_p(G(mu))
+with mu = 0 or p = 0, get no lattice: a head exists only for mu > 0. The
+other subsampled factors are composed first into the rest R. The head is
+built last, from cut = min(0, eps_1, ..., eps_n) - R.hi
 - 2 mesh: its mass below the cut goes into its first cell, and a loss there
 plus any point of R lands below every eps asked, so no delta read changes
 beyond round-off, and every request with eps >= 0 reads the same lattice.
@@ -365,17 +366,18 @@ def self_compose(prv: PrvGrid, k: int) -> PrvGrid:
     to the next 5-smooth length; truncated mass is accounted k-fold and
     checked against TAIL_BUDGET. Only spectrum bins with k log|fa| above
     _LOG_UNDERFLOW are raised to the k-th power (_power); the others would
-    be 0. The moments come from the lattice's cache.
-    Composed mass beyond the window is not negligible for heavy right tails:
-    it wraps onto the other end of the window and is not counted in
-    tail_mass (mu=3, p=0.05, k=12 wraps about 7.4e-10).
+    be 0. The moments come from the lattice's cache. A one-point lattice
+    composes to the point mass at k * offset. Composed mass beyond the
+    window is not negligible for heavy right tails: it wraps onto the other
+    end of the window and is not counted in tail_mass (mu=3, p=0.05, k=12
+    wraps about 7.4e-10).
     """
     if k < 1:
         raise DomainError(f"composition count must be >= 1, got {k}")
     if k == 1 or prv.pmf.size == 1:
         out_tail = min(prv.tail_mass * k, 1.0)
         _check_budget(out_tail)
-        return PrvGrid(prv.offset, prv.mesh, prv.pmf, out_tail)
+        return PrvGrid(prv.offset * k, prv.mesh, prv.pmf, out_tail)
     mesh = prv.mesh
     m1, v1 = prv.mean(), prv.var()
     half = _STD_SPAN * math.sqrt(k * v1)
@@ -483,12 +485,13 @@ def evaluate_composite(composite, eps_list):
 
     `composite` is anything with a `.factors` iterable; any other factor
     type, or an eps of nan, raises DomainError. The module docstring says
-    how the factors become one lattice: the fold into a Gaussian head, the
-    cut, the narrow head and the mesh. A head longer than MAX_LATTICE_POINTS
-    is refused before any factor lattice is built, a Gaussian-only composite
-    too narrow for the lattice raises ConfigurationError, and accumulated
-    truncation above TAIL_BUDGET raises AccuracyError. An empty product is
-    perfectly private: delta(eps) = max(0, 1 - e^eps).
+    how the factors become one lattice: the identities that leave, the fold
+    into a Gaussian head, the cut, the narrow head and the mesh. A head
+    longer than MAX_LATTICE_POINTS is refused before any factor lattice is
+    built, a Gaussian-only composite too narrow for the lattice raises
+    ConfigurationError, and accumulated truncation above TAIL_BUDGET raises
+    AccuracyError. A product of identities, or of none, is perfectly
+    private: delta(eps) = max(0, 1 - e^eps).
     """
     eps_list = [float(e) for e in eps_list]
     if any(math.isnan(e) for e in eps_list):
@@ -504,11 +507,11 @@ def evaluate_composite(composite, eps_list):
         elif f.p == 1.0 and (f.multiplicity > 1 or _too_narrow(f.mu, mesh)):
             # C_1(G(mu))^k = G(mu sqrt(k)) (module docstring)
             head.append(f.mu * math.sqrt(f.multiplicity))
-        else:
+        elif f.mu > 0 and f.p > 0:  # else C_p(G(0)) = C_0(f) = Id: dropped
             subsampled.append(f)
-    if not (head or subsampled):
+    mu = math.hypot(*head)  # a head exists for mu > 0 only: G(0) = Id
+    if not (mu or subsampled):
         return [(e, max(0.0, -math.expm1(e))) for e in eps_list]
-    mu = math.hypot(*head)
     # Refuse a head too long for any lattice before composing the rest. Its
     # 12-sigma span, snapped to cover 0, is the head's lattice for mu > 24
     # whatever the cut, and for smaller mu it is far below the cap.
@@ -523,7 +526,7 @@ def evaluate_composite(composite, eps_list):
     composed = rest
     # A head too narrow for the lattice is added at query time.
     narrow = rest is not None and mu > 0.0 and _too_narrow(mu, mesh)
-    if head and not narrow:
+    if mu > 0.0 and not narrow:
         cut = (min([0.0, *eps_list]) - (0.0 if rest is None else rest.hi)
                - 2.0 * mesh)
         g = prv_of_gdp(mu, mesh, cut=cut)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -431,7 +432,25 @@ def test_clt_term_is_infinite_past_its_overflow():
     ("proj", dict(PROJ_BASE, D=1e300), 50),     # the CLT mu would overflow
 ], ids=["sc-overflow", "proj-overflow", "proj-D"])
 def test_window_start_survives_an_overflowing_clt(setting, change, start):
-    assert acc._window_start(acc.AlgoParams(**change), setting) == start
+    p = acc.AlgoParams(**change)
+    bound = SETTINGS[setting][0](p, 0)
+    assert acc._window_start(p, setting, bound) == start
+
+
+@pytest.mark.parametrize("setting, change", [
+    ("sc", dict(m=1.0)), ("proj", dict(D=1.0))], ids=["sc", "proj"])
+@pytest.mark.parametrize("k", [-1000, 1000, 1021])
+def test_sweep_is_scale_invariant(setting, change, k):
+    # The bounds read L, D and sigma only through L/sigma and D/sigma, so
+    # scaling all three by 2^k changes no window and no delta.
+    p = acc.AlgoParams(kind="sgd", eta=0.05, sigma=4.0, n=500, b=25, L=4.0,
+                       steps=60, M=20.0, **change)
+    scaled = dataclasses.replace(p, L=math.ldexp(p.L, k),
+                                 D=math.ldexp(p.D, k),
+                                 sigma=math.ldexp(p.sigma, k))
+    eps = [0.5, 1.0, 2.0]
+    assert (acc.sweep_tau(scaled, eps, setting, max_candidates=16)
+            == acc.sweep_tau(p, eps, setting, max_candidates=16))
 
 
 def test_proj_sweep_repeats_exactly():
@@ -577,9 +596,17 @@ def _start_params(count=300, seed=7):
 
 @pytest.mark.parametrize("setting", ["sc", "proj"])
 def test_window_start_is_the_oracle_clt_window(setting):
+    # A run outside the bound's domain is refused by sweep_tau with the
+    # bound's own error, before any window is searched.
     starts = set()
     for p in _start_params():
-        got = acc._window_start(p, setting)
+        try:
+            bound = SETTINGS[setting][0](p, 0)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                acc.sweep_tau(p, [1.0], setting=setting)
+            continue
+        got = acc._window_start(p, setting, bound)
         assert got == _oracle_start(p, setting) and type(got) is int, p
         starts.add("1" if got == 1 else "t" if got == p.t else "inside")
     assert starts == {"1", "t", "inside"}

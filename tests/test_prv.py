@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import os
@@ -905,12 +906,56 @@ def test_self_compose_budget():
         prv.self_compose(loose, 10 ** 4)
 
 
+@pytest.mark.parametrize("offset", [5, 0, -4])
+@pytest.mark.parametrize("k", [3, 7, 12])
+def test_self_compose_puts_a_point_mass_at_k_offset(offset, k):
+    # The k-fold sum of a loss that is y with certainty is k y, so the
+    # composed delta is the exact hinge 1 - e^(eps - k y) above 0.
+    point = prv.PrvGrid(offset, prv.DEFAULT_MESH, np.ones(1), 0.0)
+    out = prv.self_compose(point, k)
+    assert (out.offset, out.pmf.tolist(), out.tail_mass) == (k * offset,
+                                                             [1.0], 0.0)
+    y = k * offset * prv.DEFAULT_MESH
+    for eps in [-1.0, y - 0.01, y - prv.DEFAULT_MESH, y, 0.0, 0.01, 1.0]:
+        assert prv.prv_delta(out, eps) == max(0.0, -math.expm1(eps - y))
+
+
 def test_evaluate_composite_closure_and_empty():
     cb = acc.CompositeBound((acc.GdpFactor(3.0), acc.GdpFactor(4.0)))
     for eps, delta in prv.evaluate_composite(cb, [0.0, 1.0, 2.0, 5.0]):
         assert delta == pytest.approx(cv.gdp_to_delta(5.0, eps), abs=1e-4)
     out = prv.evaluate_composite(acc.CompositeBound(()), [0.0, 1.0])
     assert out == [(0.0, 0.0), (1.0, 0.0)]
+
+
+IDENTITIES = (acc.GdpFactor(0.0), acc.SubsampledGdpFactor(0.0, 0.3, 5),
+              acc.SubsampledGdpFactor(0.7, 0.0, 2),
+              acc.SubsampledGdpFactor(0.0, 1.0, 3))
+
+
+def test_identity_factors_get_no_lattice(monkeypatch):
+    # G(0), C_p(G(0)) and C_0(f) are the identity: they leave in the routing
+    # pass, so they build no lattice and run no convolution, and a product
+    # of them only is the empty product.
+    calls = []
+    for name in ("prv_of_gdp", "prv_of_subsampled_gdp", "self_compose",
+                 "convolve"):
+        def spy(*args, _real=getattr(prv, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(prv, name, spy)
+    eps = [-1.0, 0.0, 0.5, 2.0, math.inf]
+
+    def run(factors):
+        calls.clear()
+        prv._subsampled_base.cache_clear()
+        return prv.evaluate_composite(acc.CompositeBound(factors), eps), calls[:]
+
+    assert run(IDENTITIES) == run(()) == (
+        [(e, max(0.0, -math.expm1(e))) for e in eps], [])
+    assert run(IDENTITIES + NARROW_REST) == run(NARROW_REST)
+    assert run(NARROW_REST)[1] == ["prv_of_subsampled_gdp", "self_compose",
+                                   "prv_of_subsampled_gdp", "convolve"]
 
 
 def test_evaluate_composite_delta_shape():
@@ -920,6 +965,54 @@ def test_evaluate_composite_delta_shape():
     deltas = np.array([d for _, d in prv.evaluate_composite(cb, eps)])
     assert np.all(np.diff(deltas) <= 1e-12)          # non-increasing
     assert np.all(np.diff(np.diff(deltas)) >= -1e-9)  # convex on the grid
+
+
+PROPERTY_EPS = np.linspace(0.0, 6.0, 301).tolist()
+
+
+def _property_composites(count=30, seed=36):
+    """Seeded p < 1 composites, a third with no head, a third with a head
+    on the lattice (mu >= 10 mesh) and a third with a head too narrow for
+    it, added at query time."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        head = [(), (acc.GdpFactor(rng.uniform(0.05, 1.0)),),
+                (acc.GdpFactor(rng.uniform(1e-4, 9e-3)),)][i % 3]
+        out.append(head + tuple(
+            acc.SubsampledGdpFactor(rng.uniform(0.3, 2.0),
+                                    rng.uniform(0.01, 0.3), rng.randint(1, 40))
+            for _ in range(rng.randint(1, 2))))
+    return out
+
+
+def test_composite_deltas_are_profiles():
+    # A privacy profile lies in [0, 1], does not rise in eps, is convex in
+    # e^eps and does not fall as the composition grows. Every lattice
+    # readout is a hockey-stick divergence of a discrete law, so it has the
+    # first three exactly, and the query-time head keeps them. Convexity is
+    # read from the slopes over gamma = e^eps, whose differences may fall
+    # below 0 only by the rounding of 16 ulps in each delta: this draw has
+    # six of about -2e-32, where delta ~ 3e-16 is FFT round-off of a
+    # 20-fold self-composition and linear in gamma to 9 digits.
+    gamma = np.exp(PROPERTY_EPS)
+    step = np.diff(gamma)
+
+    def deltas(factors):
+        return np.array([d for _, d in prv.evaluate_composite(
+            acc.CompositeBound(factors), PROPERTY_EPS)])
+
+    for factors in _property_composites():
+        d = deltas(factors)
+        assert np.all((0.0 <= d) & (d <= 1.0)), factors
+        assert np.all(np.diff(d) <= 0.0), factors
+        slopes = np.diff(d) / step
+        rounding = 16.0 * np.finfo(float).eps * d[:-2] / step[:-1]
+        assert np.all(np.diff(slopes) >= -rounding), factors
+        last = factors[-1]
+        more = factors[:-1] + (dataclasses.replace(
+            last, multiplicity=last.multiplicity + 1),)
+        assert np.all(deltas(more) >= d - 1e-15), factors
 
 
 def test_mesh_halving_stability():
