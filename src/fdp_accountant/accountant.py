@@ -20,7 +20,7 @@ supplied directly.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from . import normal
 from .errors import DomainError
@@ -51,7 +51,8 @@ def ceil_snap(x) -> int:
 class AlgoParams:
     """Description of one private optimizer run. Each bound checks its domain
     (require_strongly_convex or require_constrained, and window) and
-    computes on rescaled(), which require_constrained returns."""
+    computes on rescaled(), which require_constrained returns. constrained
+    left unset (None) is whether D is finite; no bound reads it."""
 
     kind: str
     eta: float
@@ -64,7 +65,7 @@ class AlgoParams:
     m: float = 0.0
     M: float = math.inf
     D: float = math.inf
-    constrained: bool = False
+    constrained: bool | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -74,6 +75,8 @@ class AlgoParams:
             # M and D may be +inf, their "unset" default.
             if math.isnan(value) or (math.isinf(value) and name not in ("M", "D")):
                 raise DomainError(f"{name} must be a finite number, got {value}")
+        if self.constrained is None:
+            object.__setattr__(self, "constrained", math.isfinite(self.D))
         if self.sigma <= 0:
             raise DomainError("noise rate sigma must be > 0")
         if self.n < 1:
@@ -244,6 +247,7 @@ def _check_json_doc(doc) -> None:
 @dataclass(frozen=True)
 class GdpFactor:
     """A plain G(mu) factor."""
+    TYPE = "gdp"  # describe()'s tag; a class attribute, not a field
     mu: float
 
     def __post_init__(self):
@@ -254,6 +258,7 @@ class GdpFactor:
 @dataclass(frozen=True)
 class SubsampledGdpFactor:
     """C_p(G(mu)) repeated `multiplicity` times."""
+    TYPE = "subsampled_gdp"
     mu: float
     p: float
     multiplicity: int = 1
@@ -274,14 +279,8 @@ class CompositeBound:
         object.__setattr__(self, "factors", tuple(self.factors))
 
     def describe(self) -> list:
-        out = []
-        for f in self.factors:
-            if isinstance(f, SubsampledGdpFactor):
-                out.append({"type": "subsampled_gdp", "mu": f.mu, "p": f.p,
-                            "multiplicity": f.multiplicity})
-            else:
-                out.append({"type": "gdp", "mu": f.mu})
-        return out
+        """Each factor as {"type": its TYPE, then its fields in order}."""
+        return [{"type": f.TYPE, **asdict(f)} for f in self.factors]
 
 
 # -- full-batch bounds --------------------------------------------------------

@@ -76,13 +76,9 @@ def _load_params(args) -> acct.AlgoParams:
         # null field takes its default, as in AlgoParams.from_dict.
         acct._check_json_doc(doc)
         doc = {k: v for k, v in doc.items() if v is not None}
-    overrides = {
-        "kind": args.kind, "eta": args.eta, "sigma": args.sigma, "n": args.n,
-        "b": args.b, "epochs": args.epochs, "steps": args.steps, "L": args.L,
-        "m": args.m, "M": args.M, "D": args.D,
-    }
-    for key, value in overrides.items():
-        if value is not None:
+    for key in acct._JSON_FIELDS:
+        value = getattr(args, key, None)
+        if value is not None and key != "constrained":
             doc[key] = value
     if getattr(args, "leff", None) is not None:
         # Effective sensitivity L/(n sigma); bounds that depend only on it
@@ -90,9 +86,9 @@ def _load_params(args) -> acct.AlgoParams:
         doc.setdefault("n", 1)
         doc.setdefault("sigma", 1.0)
         doc["L"] = args.leff * doc["n"] * doc["sigma"]
-    constrained_flag = getattr(args, "constrained", False)
-    if constrained_flag or (doc.get("D") is not None and "constrained" not in doc):
-        doc["constrained"] = bool(constrained_flag or doc.get("D") is not None)
+    if getattr(args, "constrained", False):
+        # bound's --constrained mode; unset, AlgoParams derives it from D.
+        doc["constrained"] = True
     doc.setdefault("kind", "gd")
     return acct.AlgoParams.from_dict(doc)
 
@@ -216,27 +212,26 @@ def cmd_curve(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    rows = []
+    # The notions of the rows: gdp-to-epsdelta converts gdp to eps-delta.
+    source, target = (args.conversion.replace("epsdelta", "eps-delta")
+                      .split("-to-"))
+
+    def row(inputs: dict, output: float) -> dict:
+        return {"notion_from": source, "notion_to": target, "inputs": inputs,
+                "output": output}
+
     if args.conversion == "gdp-to-epsdelta":
-        if args.delta:
-            for d in args.delta:
-                rows.append({"notion_from": "gdp", "notion_to": "eps-delta",
-                             "inputs": {"mu": args.mu, "delta": d},
-                             "output": conv.gdp_to_eps(args.mu, d)})
-        for e in args.eps or []:
-            rows.append({"notion_from": "gdp", "notion_to": "eps-delta",
-                         "inputs": {"mu": args.mu, "eps": e},
-                         "output": conv.gdp_to_delta(args.mu, e)})
+        rows = [row({"mu": args.mu, "delta": d}, conv.gdp_to_eps(args.mu, d))
+                for d in args.delta or []]
+        rows += [row({"mu": args.mu, "eps": e}, conv.gdp_to_delta(args.mu, e))
+                 for e in args.eps or []]
     elif args.conversion == "gdp-to-rdp":
-        for a in args.order or [2.0]:
-            rows.append({"notion_from": "gdp", "notion_to": "rdp",
-                         "inputs": {"mu": args.mu, "alpha": a},
-                         "output": conv.gdp_to_rdp(args.mu, a)})
+        rows = [row({"mu": args.mu, "alpha": a}, conv.gdp_to_rdp(args.mu, a))
+                for a in args.order or [2.0]]
     else:  # rdp-to-epsdelta: argparse's choices admit no other
-        for d in args.delta or [1e-5]:
-            rows.append({"notion_from": "rdp", "notion_to": "eps-delta",
-                         "inputs": {"rho": args.rho, "delta": d},
-                         "output": conv.rdp_to_epsdelta(args.rho, d)})
+        rows = [row({"rho": args.rho, "delta": d},
+                    conv.rdp_to_epsdelta(args.rho, d))
+                for d in args.delta or [1e-5]]
     _write_json(rows, args.out)
     return EXIT_OK
 
@@ -291,8 +286,7 @@ def table_rows(name: str):
         for ln in PROJ_GD_LN:
             for eta in PROJ_GD_ETA:
                 p = acct.AlgoParams(kind="gd", eta=eta, sigma=8.0, n=1, L=ln,
-                                    steps=10 ** 9, M=2.0 / eta, D=1.0,
-                                    constrained=True)
+                                    steps=10 ** 9, M=2.0 / eta, D=1.0)
                 mu = acct.bound_gd_proj(p)
                 rows.append((ln, eta, acct.crossover_step(mu, ln / 8.0), mu))
         return "L_over_n,eta,t_star,mu_star", rows
@@ -301,8 +295,7 @@ def table_rows(name: str):
     for lb in PROJ_CGD_LB:
         for eta in PROJ_CGD_ETA:
             p = acct.AlgoParams(kind="cgd", eta=eta, sigma=3.0, n=l, b=1,
-                                L=lb, epochs=10 ** 6, M=2.0 / eta, D=1.0,
-                                constrained=True)
+                                L=lb, epochs=10 ** 6, M=2.0 / eta, D=1.0)
             mu = acct.bound_cgd_proj(p)
             # e_star_crossover is this tool's composition-crossover epoch
             # count; it is not verified against any published reference.
@@ -355,7 +348,7 @@ def _verify_checks(seed: int, trials: int):
                            diameter=1.0)
     xp, xq = oracle.simulate(pspec)
     params = acct.AlgoParams(kind="gd", eta=0.1, sigma=8.0, n=1, L=0.5,
-                             steps=100, M=20.0, D=1.0, constrained=True)
+                             steps=100, M=20.0, D=1.0)
     mu_star = acct.bound_gd_proj(params)
     emp = oracle.empirical_tradeoff(xp, xq, method="histogram-lr", alphas=alphas)
     reference = gdp_reference(mu_star)
@@ -428,19 +421,15 @@ def cmd_sweep_tau(args) -> int:
 
 
 def _add_param_flags(sub):
-    sub.add_argument("--kind", choices=("gd", "cgd", "sgd"))
-    sub.add_argument("--eta", type=float)
-    sub.add_argument("--sigma", type=float)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--b", type=int)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--steps", type=int)
-    sub.add_argument("--L", type=float)
+    """A --name flag per AlgoParams JSON field, then --leff. constrained has
+    none: bound's --constrained mode flag sets it."""
+    for name, (types, _) in acct._JSON_FIELDS.items():
+        if name == "kind":
+            sub.add_argument("--kind", choices=acct._KINDS)
+        elif name != "constrained":
+            sub.add_argument(f"--{name}", type=int if types is int else float)
     sub.add_argument("--leff", type=float,
                      help="effective sensitivity L/(n sigma) shorthand")
-    sub.add_argument("--m", type=float)
-    sub.add_argument("--M", type=float)
-    sub.add_argument("--D", type=float)
 
 
 def _add_global_flags(p) -> None:

@@ -366,18 +366,18 @@ def self_compose(prv: PrvGrid, k: int) -> PrvGrid:
     to the next 5-smooth length; truncated mass is accounted k-fold and
     checked against TAIL_BUDGET. Only spectrum bins with k log|fa| above
     _LOG_UNDERFLOW are raised to the k-th power (_power); the others would
-    be 0. The moments come from the lattice's cache. A one-point lattice
-    composes to the point mass at k * offset. Composed mass beyond the
-    window is not negligible for heavy right tails: it wraps onto the other
-    end of the window and is not counted in tail_mass (mu=3, p=0.05, k=12
-    wraps about 7.4e-10).
+    be 0. The moments come from the lattice's cache. A one-point lattice of
+    mass 1 - t composes to the mass (1 - t)^k at k * offset. Composed mass
+    beyond the window is not negligible for heavy right tails: it wraps onto
+    the other end of the window and is not counted in tail_mass (mu=3,
+    p=0.05, k=12 wraps about 7.4e-10).
     """
     if k < 1:
         raise DomainError(f"composition count must be >= 1, got {k}")
     if k == 1 or prv.pmf.size == 1:
         out_tail = min(prv.tail_mass * k, 1.0)
         _check_budget(out_tail)
-        return PrvGrid(prv.offset * k, prv.mesh, prv.pmf, out_tail)
+        return PrvGrid(prv.offset * k, prv.mesh, prv.pmf ** k, out_tail)
     mesh = prv.mesh
     m1, v1 = prv.mean(), prv.var()
     half = _STD_SPAN * math.sqrt(k * v1)
@@ -435,14 +435,15 @@ def prv_delta(prv: PrvGrid, eps):
     product of the direct formula, the others the recursion, so the last
     bits of a delta depend on which other eps share the request: delta(e)
     asked alone and asked beside a larger eps can differ by round-off. -inf
-    gives the lattice mass; +inf and nan give 0.
+    gives the lattice mass, +inf gives 0, and nan raises DomainError.
 
     The truncated tail_mass is available as one-sided upper slack on top of
     the returned value.
     """
     scalar = np.ndim(eps) == 0
-    asked = [math.inf if math.isnan(e) else e     # nan gives 0, as +inf does
-             for e in np.asarray(eps, dtype=float).reshape(-1).tolist()]
+    asked = np.asarray(eps, dtype=float).reshape(-1).tolist()
+    if any(math.isnan(e) for e in asked):
+        raise DomainError("eps must not be nan")
     levels = sorted(set(asked))
     if not levels:
         return []

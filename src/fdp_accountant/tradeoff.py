@@ -98,10 +98,6 @@ class TradeoffCurve:
         if np.any(v[1:-1] * span > chord + CONVEXITY_TOL * span + CONVEXITY_TOL):
             raise InvalidCurveError("piecewise-linear interpolant is not convex")
 
-    def __call__(self, alpha):
-        """Evaluate the piecewise-linear interpolant."""
-        return np.interp(alpha, self.alphas, self.values)
-
 
 def identity_curve(alphas=None) -> TradeoffCurve:
     """Id(alpha) = 1 - alpha, the fully private curve."""

@@ -110,6 +110,11 @@ def mesh(f):
     return float(np.max(np.diff(f.alphas)))
 
 
+def curve_at(f, alpha):
+    """The piecewise-linear interpolant of a curve's nodes at alpha."""
+    return np.interp(alpha, f.alphas, f.values)
+
+
 def curve_geq(f, g, tol=None):
     """Pointwise f >= g - tol on the common grid; returns (holds, max violation).
 

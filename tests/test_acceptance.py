@@ -19,7 +19,7 @@ from fdp_accountant import oracle
 from fdp_accountant import prv
 from fdp_accountant import tradeoff as tc
 import schedule as sch
-from oracles import (cgd, curve_geq, gd, gd_sc_mu_via_schedule,
+from oracles import (cgd, curve_at, curve_geq, gd, gd_sc_mu_via_schedule,
                      gdp_mu_from_delta, mesh, mixture_gaussian_tradeoff,
                      optimal_schedule_qp, phi)
 
@@ -251,7 +251,7 @@ def test_criterion_7_subsampling_operator():
     lo = phi(-mu / 2)
     hi = p * lo + (1 - p) * phi(mu / 2)
     tangency_ok = all(
-        abs(a + cp(a) - target) <= 1e-6
+        abs(a + curve_at(cp, a) - target) <= 1e-6
         for a in np.linspace(lo + 0.05, hi - 0.05, 9))
     ok &= tangency_ok
     report("criterion 7 (subsampling operator: endpoints, symmetry, "

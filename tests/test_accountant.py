@@ -77,6 +77,30 @@ def test_params_json_round_trip():
         acc.AlgoParams.from_dict({"kind": "gd", "nope": 1})
 
 
+RUN = dict(kind="gd", eta=0.1, sigma=1.0, n=10, L=1.0, steps=100, M=10.0)
+
+
+@pytest.mark.parametrize("D, derived", [(1.0, True), (0.0, True),
+                                        (1e-300, True), (math.inf, False)])
+def test_constrained_unset_is_whether_D_is_finite(D, derived):
+    assert acc.AlgoParams(**RUN, D=D).constrained is derived
+    # A given value is kept either way.
+    for given in (True, False):
+        assert acc.AlgoParams(**RUN, D=D, constrained=given).constrained is given
+    # JSON null derives it, and the report round-trips.
+    doc = acc.AlgoParams.from_dict(RUN | {"D": D, "constrained": None}).to_dict()
+    assert doc["constrained"] is derived
+    assert acc.AlgoParams.from_dict(doc).to_dict() == doc
+
+
+def test_describe_keeps_its_keys_and_order():
+    cb = acc.CompositeBound((acc.GdpFactor(0.5),
+                             acc.SubsampledGdpFactor(1.5, 0.1, 7)))
+    text = json.dumps(cb.describe())
+    assert text == ('[{"type": "gdp", "mu": 0.5}, {"type": "subsampled_gdp", '
+                    '"mu": 1.5, "p": 0.1, "multiplicity": 7}]')
+
+
 def test_contraction_requires_caller_not_to_supply_c():
     p = gd(0.92, 10)
     assert p.contraction() == pytest.approx(0.92, abs=1e-15)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from fdp_accountant import accountant as acct
 from fdp_accountant import cli, oracle, prv
 from fdp_accountant.tradeoff import TradeoffCurve, alpha_grid, curve_of_gdp
+from oracles import curve_at
 
 
 def read_curve_csv(path) -> TradeoffCurve:
@@ -156,6 +158,46 @@ def test_config_file_null_takes_the_default(tmp_path, capsys):
     code, out, _ = run(capsys, *CONFIG_GD_SC, "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["mu"] == pytest.approx(0.624, abs=5e-4)
+
+
+@pytest.mark.parametrize("command", ["bound", "sweep-tau"])
+def test_param_flags_are_the_json_fields_then_leff(command):
+    # One --name flag per parameter field, in field order, then --leff;
+    # constrained is no parameter flag (bound's --constrained is a mode).
+    fields = [n for n in acct._JSON_FIELDS if n != "constrained"]
+    (subs,) = [a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    actions = subs.choices[command]._actions
+    param = [a for a in actions if a.dest in (*fields, "leff")]
+    assert [a.option_strings for a in param] == [
+        [f"--{n}"] for n in (*fields, "leff")]
+    for a in param[1:]:
+        types = (float if a.dest == "leff" else acct._JSON_FIELDS[a.dest][0])
+        value = a.type("2")
+        assert isinstance(value, types) and value == 2
+        assert (a.type is int) == (types is int)
+    assert tuple(param[0].choices) == acct._KINDS
+    constrained = [a for a in actions if a.dest == "constrained"]
+    if command == "bound":
+        assert [(a.option_strings, a.const) for a in constrained] == [
+            (["--constrained"], True)]
+    else:
+        assert constrained == []
+
+
+def test_constrained_mode_sets_the_field_over_the_config(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"kind": "gd", "eta": 0.1, "sigma": 8.0, "n": 1,
+                               "L": 0.5, "steps": 100, "M": 20.0,
+                               "constrained": False}))
+    code, out, err = run(capsys, "bound", "--config", str(cfg),
+                         "--constrained", "--D", "1")
+    assert code == 0, err
+    assert json.loads(out)["params"]["constrained"] is True
+    # Without the mode flag the config's value is kept.
+    code, out, err = run(capsys, "bound", "--config", str(cfg), "--D", "1")
+    assert code == 0, err
+    assert json.loads(out)["params"]["constrained"] is False
 
 
 def test_curve_round_trip(tmp_path, capsys):
@@ -440,7 +482,8 @@ def test_bound_curve_ref_and_csv_outputs(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["curve_ref"] == str(curve_path)
     back = read_curve_csv(curve_path)
-    assert back(0.5) == pytest.approx(curve_of_gdp(doc["mu"])(0.5), abs=1e-12)
+    assert curve_at(back, 0.5) == pytest.approx(
+        curve_at(curve_of_gdp(doc["mu"]), 0.5), abs=1e-12)
 
     table_path = tmp_path / "deltas.csv"
     code, _, _ = run(capsys, "bound", "--kind", "sgd", "--sc", "--eta", "0.02",

@@ -143,8 +143,11 @@ def test_deltas_do_not_depend_on_the_blas_thread_count():
 def test_prv_delta_edge_arguments():
     g = prv.prv_of_gdp(1.0)
     assert prv.prv_delta(g, []) == []
-    assert prv.prv_delta(g, math.nan) == 0.0
-    assert prv.prv_delta(g, [math.inf, math.nan]) == [0.0, 0.0]
+    assert prv.prv_delta(g, math.inf) == 0.0
+    # nan is no eps: a delta for it would sit below any true value.
+    for eps in (math.nan, [math.inf, math.nan]):
+        with pytest.raises(DomainError, match="nan"):
+            prv.prv_delta(g, eps)
     assert prv.prv_delta(g, -math.inf) == min(math.fsum(g.pmf), 1.0)
 
 
@@ -645,11 +648,14 @@ def test_narrow_head_skips_the_gaussian_lattice(monkeypatch):
 
 @pytest.mark.parametrize("mu", [0.0, 0.01, 0.3])
 def test_heads_the_lattice_takes_stay_on_the_lattice(mu):
-    # A head of mu = 0 or mu >= 10 mesh is composed on the lattice, exactly
-    # as without query-time heads.
+    # A head of mu >= 10 mesh is composed on the lattice, exactly as without
+    # query-time heads. A head of mu = 0 is the identity: it leaves at
+    # routing, and the rest's lattice is read alone.
     rest = _narrow_rest()
-    cut = min(0.0, min(NARROW_EPS)) - rest.hi - 2.0 * prv.DEFAULT_MESH
-    composed = prv.convolve(rest, prv.prv_of_gdp(mu, cut=cut))
+    composed = rest
+    if mu > 0.0:
+        cut = min(0.0, min(NARROW_EPS)) - rest.hi - 2.0 * prv.DEFAULT_MESH
+        composed = prv.convolve(rest, prv.prv_of_gdp(mu, cut=cut))
     assert _narrow(mu) == prv.prv_delta(composed, NARROW_EPS)
 
 
@@ -918,6 +924,17 @@ def test_self_compose_puts_a_point_mass_at_k_offset(offset, k):
     y = k * offset * prv.DEFAULT_MESH
     for eps in [-1.0, y - 0.01, y - prv.DEFAULT_MESH, y, 0.0, 0.01, 1.0]:
         assert prv.prv_delta(out, eps) == max(0.0, -math.expm1(eps - y))
+
+
+@pytest.mark.parametrize("k", [1, 3, 100])
+def test_self_compose_of_a_truncated_point_mass(k):
+    # Mass 1 - t at one point composes to (1 - t)^k at k * offset; the
+    # k-fold tail k t is counted as the general path counts it.
+    t = 1e-8
+    point = prv.PrvGrid(5, prv.DEFAULT_MESH, [1.0 - t], t)
+    out = prv.self_compose(point, k)
+    assert (out.offset, out.pmf.size, out.tail_mass) == (5 * k, 1, k * t)
+    assert out.pmf[0] == pytest.approx((1.0 - t) ** k, rel=1e-15)
 
 
 def test_evaluate_composite_closure_and_empty():
